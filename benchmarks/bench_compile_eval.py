@@ -1,26 +1,20 @@
-"""Benchmark: evaluation-engine lattice, treewalk up to generated source.
+"""Benchmark: the compiled tape against the recursive tree walk.
 
-Times every evaluation path on the word-LM and ResNet (image) sweeps
+Times both evaluation paths on the word-LM and ResNet (image) sweeps
 at three levels:
 
 * the Figure 7-10 aggregate expressions, per sweep size — recursive
-  tree walk vs flat ``Poly`` arrays vs compiled tape replay vs the
-  vectorized path vs generated-source (``codegen``) evaluation;
+  tree walk vs compiled tape replay vs the vectorized path;
 * per-tensor size evaluation for the training graph (treewalk vs
-  compiled replay vs codegen);
+  compiled replay);
 * the full ``sweep_domain`` pipeline (``engine="treewalk"`` — the seed
-  recursive path — vs ``engine="compiled"`` vs ``engine="codegen"``);
-* guarded vs certified replay of the hot-path aggregate tape — the
-  abstract-interpretation proof (:func:`repro.check.absint.certify_tape`)
-  discharges the per-call numeric guard, and the ``certified`` section
-  records what the proof buys over the guarded replay.
+  recursive path — vs ``engine="compiled"``).
 
 Writes ``BENCH_compile_eval.json`` at the repo root and asserts the
 acceptance criteria: the compiled sweep on the largest stock domain
 (word_lm) is at least 5x faster than the tree walk with every row
-matching to 1e-9 relative, the codegen sweep at least 2x faster than
-the previously recorded compiled path, and the scalar replay/codegen
-paths bit-identical to the tree.  Committed floors for every recorded
+matching to 1e-9 relative, and the scalar replay bit-identical to the
+tree.  Committed floors for every recorded
 speedup live in ``benchmarks/BENCH_floors.json`` and are enforced by
 ``benchmarks/check_bench_floors.py`` (the CI ``bench-regression``
 job).
@@ -39,14 +33,12 @@ from time import perf_counter
 from repro import obs
 from repro.analysis.counters import _SWEEP_AGGREGATES, StepCounts
 from repro.analysis.sweep import _sweep_domain_uncached, sweep_domain
-from repro.check import certify_tape, model_binding_domain
 from repro.graph.traversal import (
     _evaluate_sizes_treewalk,
     evaluate_sizes,
     size_program,
 )
 from repro.models.registry import build_symbolic, get_domain
-from repro.symbolic import Poly
 
 DOMAINS = ("word_lm", "image")  # word LM + ResNet, per the paper's Fig 7
 
@@ -123,28 +115,9 @@ def _bench_aggregates(key: str) -> dict:
             out = counts.compiled(*_SWEEP_AGGREGATES).eval_many(rows)
         return out
 
-    # the flat posynomial arrays and the generated source are both
-    # one-time lowerings cached alongside the tape — build them before
-    # the clock starts, exactly as the tape compile above
-    polys = [Poly.from_expr(e) for e in exprs]
-    counts.compiled(*_SWEEP_AGGREGATES).codegen()
-
-    def poly_flat():
-        for _ in reps:
-            out = [[p.evalf(r) for p in polys] for r in rows]
-        return out
-
-    def codegen():
-        for _ in reps:
-            out = [counts.compiled(*_SWEEP_AGGREGATES).codegen()(r)
-                   for r in rows]
-        return out
-
     treewalk_s, reference = _timed(treewalk)
-    poly_s, flat = _timed(poly_flat)
     compiled_s, scalar = _timed(compiled)
     vectorized_s, table = _timed(vectorized)
-    codegen_s, generated = _timed(codegen)
 
     err_scalar = max(
         _rel_err(scalar[i][j], reference[i][j])
@@ -154,37 +127,19 @@ def _bench_aggregates(key: str) -> dict:
         _rel_err(float(table[i, j]), reference[i][j])
         for i in range(len(rows)) for j in range(len(exprs))
     )
-    err_codegen = max(
-        _rel_err(generated[i][j], reference[i][j])
-        for i in range(len(rows)) for j in range(len(exprs))
-    )
-    # flat Poly evaluates the *expanded* canonical form — same value up
-    # to reassociation of float ops, not the same op order as the tree
-    err_poly = max(
-        _rel_err(flat[i][j], reference[i][j])
-        for i in range(len(rows)) for j in range(len(exprs))
-    )
     assert err_scalar == 0.0, "compiled scalar path must be bit-identical"
-    assert err_codegen == 0.0, "codegen scalar path must be bit-identical"
     assert err_vector <= 1e-9
-    assert err_poly <= 1e-9
 
     return {
         "n_sizes": len(sizes),
         "n_aggregates": len(exprs),
         "treewalk_s": round(treewalk_s, 6),
-        "poly_s": round(poly_s, 6),
         "compiled_s": round(compiled_s, 6),
         "vectorized_s": round(vectorized_s, 6),
-        "codegen_s": round(codegen_s, 6),
-        "speedup_poly": round(treewalk_s / poly_s, 2),
         "speedup_compiled": round(treewalk_s / compiled_s, 2),
         "speedup_vectorized": round(treewalk_s / vectorized_s, 2),
-        "speedup_codegen": round(treewalk_s / codegen_s, 2),
-        "max_rel_err_poly": err_poly,
         "max_rel_err_compiled": err_scalar,
         "max_rel_err_vectorized": err_vector,
-        "max_rel_err_codegen": err_codegen,
     }
 
 
@@ -197,22 +152,15 @@ def _bench_tensor_sizes(key: str) -> dict:
     treewalk_s, reference = _timed(
         lambda: _evaluate_sizes_treewalk(model.graph, binding)
     )
-    _tensors, program = size_program(model.graph)  # compile once
-    program.codegen()  # lower once, like the compile above
+    size_program(model.graph)  # compile once
     compiled_s, sizes = _timed(lambda: evaluate_sizes(model.graph, binding))
-    codegen_s, sizes_cg = _timed(
-        lambda: evaluate_sizes(model.graph, binding, engine="codegen")
-    )
     assert sizes == reference, "compiled tensor sizing must be exact"
-    assert sizes_cg == reference, "codegen tensor sizing must be exact"
 
     return {
         "n_tensors": len(reference),
         "treewalk_s": round(treewalk_s, 6),
         "compiled_s": round(compiled_s, 6),
-        "codegen_s": round(codegen_s, 6),
         "speedup": round(treewalk_s / compiled_s, 2),
-        "speedup_codegen": round(treewalk_s / codegen_s, 2),
     }
 
 
@@ -228,88 +176,21 @@ def _bench_sweep(key: str) -> dict:
         lambda: _sweep_domain_uncached(key, engine="compiled")
     )
     cache_stats = _cache_delta(before)
-    # source lowering is a one-time cost cached on each program (like
-    # the tape compile the sizes/aggregate caches amortize) — pay it
-    # before the clock so the leg times steady-state evaluation
-    _sweep_domain_uncached(key, engine="codegen")
-    codegen_s, fastest = _timed(
-        lambda: _sweep_domain_uncached(key, engine="codegen")
-    )
 
     err = max(
         _rel_err(getattr(ra, f.name), getattr(rb, f.name))
         for ra, rb in zip(fast.rows, slow.rows)
         for f in fields(ra)
     )
-    err_cg = max(
-        _rel_err(getattr(ra, f.name), getattr(rb, f.name))
-        for ra, rb in zip(fastest.rows, slow.rows)
-        for f in fields(ra)
-    )
     assert err <= 1e-9, f"{key}: engines diverged (rel err {err})"
-    assert err_cg <= 1e-9, f"{key}: codegen diverged (rel err {err_cg})"
 
     return {
         "n_sizes": len(fast.rows),
         "treewalk_s": round(treewalk_s, 6),
         "compiled_s": round(compiled_s, 6),
-        "codegen_s": round(codegen_s, 6),
         "speedup": round(treewalk_s / compiled_s, 2),
-        "speedup_codegen": round(treewalk_s / codegen_s, 2),
         "max_rel_err": err,
-        "max_rel_err_codegen": err_cg,
         "cache_stats": cache_stats,
-    }
-
-
-def _bench_certified(key: str) -> dict:
-    """Guarded vs certified (guard-free) replay of the hot-path tape.
-
-    :func:`repro.check.absint.certify_tape` proves no slot of the
-    aggregate tape can go non-finite anywhere in the model's declared
-    sweep domain, which lets the replay skip the per-call numeric
-    guard.  The fused/codegen aggregate tape is a handful of
-    straight-line float ops, so the guard (a counter bump plus one
-    ``isfinite`` per output) is a real fraction of each call — this
-    leg records how much the proof buys.
-    """
-    entry = get_domain(key)
-    model = build_symbolic(key)
-    counts = StepCounts(model)
-    _warm_aggregates(counts)
-    rows = [counts.bind(s, entry.subbatch) for s in entry.sweep_sizes]
-    prog = counts.compiled(*_SWEEP_AGGREGATES).codegen()
-    # bind once outside the clock: this leg isolates replay + guard
-    vecs = [prog.bind_vector(r) for r in rows]
-    reps = range(10_000)
-
-    def replay():
-        for _ in reps:
-            out = [prog.eval_vector(v) for v in vecs]
-        return out
-
-    prog.mark_certified(False)  # the cached tape may carry a stamp
-    replay()  # warm both legs' bytecode/caches before the clock
-    guarded_s, reference = _timed(replay)
-
-    certificate = certify_tape(prog, model_binding_domain(model))
-    assert certificate.ok, (
-        f"{key}: aggregate tape failed certification "
-        f"({certificate.reason})"
-    )
-    certified_s, unguarded = _timed(replay)
-    prog.mark_certified(False)  # don't leak the stamp to other legs
-    assert unguarded == reference, \
-        "certified replay must be bit-identical to guarded replay"
-
-    return {
-        "engine": "codegen",
-        "certified": certificate.ok,
-        "n_instructions": len(prog.code),
-        "n_outputs": len(prog.out_slots),
-        "guarded_s": round(guarded_s, 6),
-        "certified_s": round(certified_s, 6),
-        "speedup_certified": round(guarded_s / certified_s, 2),
     }
 
 
@@ -330,7 +211,6 @@ def test_compile_eval(bench_json):
         "aggregates": {k: _bench_aggregates(k) for k in DOMAINS},
         "tensor_sizes": {k: _bench_tensor_sizes(k) for k in DOMAINS},
         "sweep_domain": {k: _bench_sweep(k) for k in DOMAINS},
-        "certified": {k: _bench_certified(k) for k in DOMAINS},
         "sweep_cache": {k: _bench_sweep_cache(k) for k in DOMAINS},
     }
     path = bench_json("BENCH_compile_eval", results)
@@ -341,22 +221,13 @@ def test_compile_eval(bench_json):
             if "treewalk_s" not in stats:
                 continue
             speed = stats.get("speedup", stats.get("speedup_vectorized"))
-            speed_cg = stats.get("speedup_codegen", 0.0)
             print(f"{section:>13} {key:<8} treewalk {stats['treewalk_s']:8.3f}s"
-                  f"  compiled {stats['compiled_s']:8.3f}s  {speed:6.1f}x"
-                  f"  codegen {stats.get('codegen_s', 0.0):8.3f}s"
-                  f"  {speed_cg:6.1f}x")
-    for key, stats in results["certified"].items():
-        print(f"    certified {key:<8} guarded {stats['guarded_s']:9.3f}s"
-              f"  certified {stats['certified_s']:8.3f}s"
-              f"  {stats['speedup_certified']:6.1f}x  (guard-free)")
+                  f"  compiled {stats['compiled_s']:8.3f}s  {speed:6.1f}x")
     for key, stats in results["sweep_cache"].items():
         print(f"  sweep_cache {key:<8} cold {stats['cold_s']:8.3f}s"
               f"  warm {stats['warm_s']:8.3f}s"
               f"  hits {stats['sweep_cache']['hit']}")
     print(f"wrote {path}")
 
-    # acceptance: >=5x on the largest stock domain's full sweep, and
-    # the codegen engine at least as fast as compiled replay there
+    # acceptance: >=5x on the largest stock domain's full sweep
     assert results["sweep_domain"]["word_lm"]["speedup"] >= 5.0
-    assert results["sweep_domain"]["word_lm"]["speedup_codegen"] >= 5.0

@@ -174,22 +174,15 @@ class StepCounts:
         return program
 
     def sweep_series(self, sizes: Sequence[float],
-                     subbatch: float, *,
-                     engine: str = "compiled") -> Dict[str, np.ndarray]:
+                     subbatch: float) -> Dict[str, np.ndarray]:
         """Vectorized sweep: every aggregate at every size in one pass.
 
         Returns ``{aggregate: array over sizes}`` for the Figure 7–10
         quantities plus a derived ``intensity`` series.  One compiled
         tape is replayed over the N×S binding matrix — the tree-walk
         path re-derived every subtree at every size.
-        ``engine="codegen"`` replays the tape's fused source-codegen
-        form instead (cached on the tape, so lowered once per model).
         """
-        if engine not in ("compiled", "codegen"):
-            raise ValueError(f"unknown sweep-series engine {engine!r}")
         program = self.compiled(*_SWEEP_AGGREGATES)
-        if engine == "codegen":
-            program = program.codegen()
         if self.model.size_symbol is None:
             raise ValueError("model was built with a concrete size")
         rows = [self.bind(size, subbatch) for size in sizes]

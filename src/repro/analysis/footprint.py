@@ -74,13 +74,11 @@ def estimate_footprint(model: BuiltModel,
 
     ``engine`` selects the evaluation path: ``"compiled"`` (default)
     sizes tensors through the batch-compiled tape and schedules with
-    the incremental greedy; ``"codegen"`` sizes them through the fused
-    source-codegen form of the same tape (bit-identical sizes, fastest);
-    ``"treewalk"`` is the seed recursive-evalf / rescan path, kept as
-    the benchmark baseline and behavioral oracle — all engines produce
-    identical estimates.
+    the incremental greedy; ``"treewalk"`` is the seed recursive-evalf
+    / rescan path, kept as the benchmark baseline and behavioral
+    oracle — both produce identical estimates.
     """
-    if engine not in ("compiled", "treewalk", "codegen"):
+    if engine not in ("compiled", "treewalk"):
         raise ValueError(f"unknown footprint engine {engine!r}")
     graph = model.graph
     with _TRACER.span("analysis.footprint", "footprint",
@@ -96,7 +94,7 @@ def _estimate_footprint(graph, bindings, use_greedy, inplace,
         sizes = _evaluate_sizes_treewalk(graph, bindings)
         greedy_schedule = _memory_greedy_order_reference
     else:
-        sizes = evaluate_sizes(graph, bindings, engine=engine)
+        sizes = evaluate_sizes(graph, bindings)
         greedy_schedule = memory_greedy_order
 
     persistent = sum(

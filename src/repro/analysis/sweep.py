@@ -121,9 +121,8 @@ def sweep_domain(key: str, *, subbatch: Optional[int] = None,
     returns the master directly — mutation raises.
 
     ``engine="treewalk"`` selects the recursive-``evalf`` reference
-    path; ``engine="codegen"`` the fused source-codegen replay of the
-    same compiled tapes.  All engines produce identical rows (tested
-    to 1e-9; codegen sizes are bit-identical to compiled).
+    path; it produces the same rows as the compiled tapes (tested to
+    1e-9).
 
     ``shards=N`` evaluates the size series in N independent chunks and
     merges them (row-for-row identical to the unsharded sweep);
@@ -162,7 +161,7 @@ def compute_sweep_rows(key: str, sizes: Sequence[float],
     rows of the full sweep.  Used both by :func:`sweep_domain` and by
     :func:`repro.exec.tasks.sweep_shard` in pool workers.
     """
-    if engine not in ("compiled", "treewalk", "codegen"):
+    if engine not in ("compiled", "treewalk"):
         raise ValueError(f"unknown sweep engine {engine!r}")
     with error_context(model=key, stage="sweep", subbatch=subbatch):
         return _compute_sweep_rows(key, sizes, subbatch,
@@ -191,7 +190,7 @@ def _compute_sweep_rows(key: str, sizes: Sequence[float],
 
     if engine != "treewalk":
         with obs.span("sweep.aggregates", "sweep", domain=key):
-            series = counts.sweep_series(sizes, subbatch, engine=engine)
+            series = counts.sweep_series(sizes, subbatch)
         for i, size in enumerate(sizes):
             check_deadline("sweep", domain=key, points_done=len(rows),
                            points_total=len(sizes))

@@ -29,10 +29,9 @@ floats:
   nondecreasing in ``b``, the planner's bisection precondition).
 
 On top of the domains, :func:`certify_tape` proves that no slot of a
-compiled/fused/codegen tape can produce NaN/Inf anywhere in the
-declared domain and stamps the tape ``certified`` so the runtime
-numeric guard can skip its per-replay checks (see
-:meth:`repro.symbolic.compile.CompiledExpr.mark_certified`).
+compiled tape can produce NaN/Inf anywhere in the declared domain and
+returns the proof as a :class:`TapeCertificate` (per-slot bounds, or
+the first slot that defeats the proof).
 
 Every proof attempt records its outcome in the always-on metrics
 (``check.absint.proved`` / ``fallback`` / ``refuted``), so
@@ -121,7 +120,7 @@ class Interval:
     ``maybe_nan`` marks that a concrete evaluation *may* raise a domain
     error or produce NaN (log of a non-positive value, a negative base
     under a fractional exponent, ``0**negative``); the bounds then
-    cover only the evaluations that return a real.  A certified tape
+    cover only the evaluations that return a real.  A tape certificate
     requires every slot interval to be finite with ``maybe_nan`` False.
     """
 
@@ -417,9 +416,8 @@ def interval_of_tape(prog: CompiledExpr,
                      domain: BindingDomain) -> List[Interval]:
     """Abstract replay: one interval per slot, in tape order.
 
-    Mirrors ``CompiledExpr._eval_vector`` instruction for instruction
-    (including the fused ``pprod``/``fma`` forms), accumulating in the
-    same operand order so the float endpoints genuinely bound every
+    Mirrors ``CompiledExpr._eval_vector`` instruction for instruction,
+    accumulating in the same operand order so the float endpoints genuinely bound every
     concrete replay over the domain.
     """
     vals: List[Interval] = [Interval.point(0.0)] * len(prog.code)
@@ -453,25 +451,6 @@ def interval_of_tape(prog: CompiledExpr,
             v = vals[payload].ceil()
         elif opcode == 8:  # floor
             v = vals[payload].floor()
-        elif opcode == 10:  # pprod
-            coeff, factors = payload
-            v = Interval.point(coeff)
-            for base, exp in factors:
-                v = v.mul(vals[base] if exp is None
-                          else vals[base].pow(Interval.point(exp)))
-        elif opcode == 11:  # fma
-            const, terms = payload
-            v = Interval.point(const)
-            for coeff, ref in terms:
-                if type(ref) is int:
-                    v = v.add(vals[ref].scale(coeff))
-                else:
-                    pcoeff, pfactors = ref
-                    t = Interval.point(pcoeff)
-                    for base, exp in pfactors:
-                        t = t.mul(vals[base] if exp is None
-                                  else vals[base].pow(Interval.point(exp)))
-                    v = v.add(t.scale(coeff))
         elif opcode == 9:  # log
             v = vals[payload].log()
         else:
@@ -706,9 +685,8 @@ class TapeCertificate:
 
     ``ok`` means every slot's interval is finite with no reachable
     domain error anywhere in ``domain`` — replaying the tape at any
-    binding inside the domain cannot produce NaN/Inf, so the runtime
-    numeric guard is redundant there.  ``reason`` names the first
-    failing slot otherwise.
+    binding inside the domain cannot produce NaN/Inf.  ``reason`` names
+    the first failing slot otherwise.
     """
 
     __slots__ = ("ok", "reason", "slot", "bounds", "domain")
@@ -729,17 +707,13 @@ class TapeCertificate:
         return f"TapeCertificate({status}, {len(self.bounds)} slots)"
 
 
-def certify_tape(prog: CompiledExpr, domain: BindingDomain, *,
-                 mark: bool = True) -> TapeCertificate:
+def certify_tape(prog: CompiledExpr,
+                 domain: BindingDomain) -> TapeCertificate:
     """Prove (or refuse to prove) a tape NaN/Inf-free over ``domain``.
 
-    On success the tape is stamped ``certified`` (unless ``mark`` is
-    False), which makes ``CompiledExpr`` replays skip the per-call
-    numeric guard — the proof discharged it ahead of time.  The stamp
-    is only as good as the domain: callers must evaluate inside the
-    declared ranges (``domain.contains`` checks a binding).  Derived
-    engines (``fused()``/``codegen()``) and unpickled tapes do NOT
-    inherit the stamp; certify the engine object you replay.
+    The proof covers bindings inside the declared ranges only
+    (``domain.contains`` checks a binding); replays still run the
+    per-call numeric guard either way.
     """
     bounds = interval_of_tape(prog, domain)
     ok, reason, bad_slot = True, "", None
@@ -756,8 +730,6 @@ def certify_tape(prog: CompiledExpr, domain: BindingDomain, *,
     if ok:
         _CERTIFIED.inc()
         record_outcome("proved")
-        if mark:
-            prog.mark_certified(True)
     else:
         _UNCERTIFIED.inc()
         record_outcome("fallback")

@@ -23,12 +23,14 @@ import json
 import sys
 from typing import List, Optional
 
+from ..errors import BindingError
 from .diagnostics import (
     ERROR,
     INFO,
     RULES,
     SEVERITY_RANK,
     WARNING,
+    check_rule_codes,
 )
 
 __all__ = ["main", "JSON_SCHEMA_VERSION"]
@@ -121,14 +123,22 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"{rule.description}")
         return 0
 
+    select = _split_codes(args.select)
+    ignore = _split_codes(args.ignore) or ()
+    try:
+        check_rule_codes(select, "--select")
+        check_rule_codes(ignore, "--ignore")
+    except BindingError as error:
+        parser.error(error.render())
+
     # import late so --list-rules works without building anything
     from .driver import lint_registry
 
     per_domain = lint_registry(
         args.domain,
         training=not args.forward_only,
-        select=_split_codes(args.select),
-        ignore=_split_codes(args.ignore) or (),
+        select=select,
+        ignore=ignore,
     )
 
     counts = {ERROR: 0, WARNING: 0, INFO: 0}

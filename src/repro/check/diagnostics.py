@@ -20,6 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
+from ..errors import BindingError, did_you_mean
+
 __all__ = [
     "ERROR",
     "WARNING",
@@ -28,6 +30,7 @@ __all__ = [
     "Rule",
     "RULES",
     "Diagnostic",
+    "check_rule_codes",
     "filter_diagnostics",
     "max_severity",
 ]
@@ -111,11 +114,6 @@ _RULE_DEFS = [
     Rule("T004", "tape-tree-divergence", ERROR,
          "the compiled tape disagrees with the expression tree walk "
          "at a randomized binding"),
-    Rule("T005", "malformed-fused-payload", ERROR,
-         "a fused instruction (power-product / fused multiply-add) "
-         "violates the immediate-form contract: coefficients and "
-         "exponents must be float immediates and factor lists "
-         "non-empty"),
     # -- interval proofs over declared binding domains (absint) ---------
     Rule("I001", "interval-nonneg-refuted", ERROR,
          "interval analysis proves a cost formula can go negative "
@@ -200,6 +198,22 @@ class Diagnostic:
 def _matches(code: str, patterns: Sequence[str]) -> bool:
     """Prefix matching: 'C' selects the family, 'C003' one rule."""
     return any(code.startswith(p) for p in patterns if p)
+
+
+def check_rule_codes(codes: Optional[Sequence[str]],
+                     option: str) -> None:
+    """Reject a ``--select``/``--ignore`` code no registered rule has
+    as a prefix (E-BIND): such a code silently matches nothing, so a
+    typo would turn a gate into a no-op."""
+    for code in codes or ():
+        if not any(rule.startswith(code) for rule in RULES):
+            raise BindingError(
+                f"unknown rule code {code!r} in {option}",
+                hint=did_you_mean(code.upper(),
+                                  set(RULES) | {c[0] for c in RULES})
+                or "list the registered rules with repro-lint "
+                   "--list-rules",
+            )
 
 
 def filter_diagnostics(

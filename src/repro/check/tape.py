@@ -14,18 +14,11 @@ read garbage:
   slots must exist;
 * **T003** — every instruction's value must be read by a later
   instruction or be an output (a dead instruction means CSE emitted
-  work nothing consumes);
-* **T005** — fused instructions (power-product / fused multiply-add,
-  produced by :func:`repro.symbolic.compile.fuse_tape`) must carry
-  immediate-form payloads: float coefficients and exponents (never a
-  slot reference where an immediate belongs), non-empty factor lists,
-  and inlined products only inside ``fma`` terms.
+  work nothing consumes).
 
 :func:`equivalence_diagnostics` adds the dynamic complement: replay
 the tape against the recursive ``Expr.evalf`` tree walk at seeded
-pseudo-random positive bindings (**T004**) — under any of the three
-evaluation engines (``compiled`` replay, ``fused`` replay, or
-``codegen``).
+pseudo-random positive bindings (**T004**).
 """
 
 from __future__ import annotations
@@ -53,8 +46,6 @@ _OPCODES = {
     7: "ceil",
     8: "floor",
     9: "log",
-    10: "pprod",
-    11: "fma",
 }
 
 
@@ -84,79 +75,9 @@ def _operand_slots(opcode: int, payload) -> Optional[List[int]]:
             return [int(s) for s in payload]
         if opcode in (7, 8, 9):  # ceil/floor/log: slot
             return [int(payload)]
-        if opcode == 10:  # pprod: (coeff, ((base_slot, exp|None), ...))
-            coeff, factors = payload
-            float(coeff)
-            return [int(base) for base, _exp in factors]
-        if opcode == 11:  # fma: (const, ((coeff, slot|pprod), ...))
-            const, terms = payload
-            float(const)
-            out = []
-            for _coeff, ref in terms:
-                if isinstance(ref, int) and not isinstance(ref, bool):
-                    out.append(int(ref))
-                else:
-                    pcoeff, pfactors = ref
-                    float(pcoeff)
-                    out.extend(int(base) for base, _exp in pfactors)
-            return out
     except (TypeError, ValueError, IndexError):
         return None
     return None
-
-
-def _fused_payload_problems(opcode: int, payload) -> List[str]:
-    """T005: immediate-form discipline of fused instruction payloads.
-
-    ``_operand_slots`` has already accepted the payload's shape; this
-    checks the *fusion contract*: exponents and coefficients must be
-    float immediates (``None`` meaning exponent one), factor lists must
-    be non-empty (an empty product replays as a bare constant — the
-    fuser would have emitted ``const``), and ``fma`` inlined products
-    must themselves be well-formed.
-    """
-    def factor_problems(factors, where: str) -> List[str]:
-        problems = []
-        if not len(factors):
-            problems.append(f"{where} has an empty factor list")
-        for base, exp in factors:
-            if exp is None:
-                continue
-            if isinstance(exp, bool) or not isinstance(exp, float):
-                problems.append(
-                    f"{where} exponent {exp!r} is not a float "
-                    "immediate (fused exponents are values, not slots)"
-                )
-        return problems
-
-    if opcode == 10:
-        coeff, factors = payload
-        problems = factor_problems(factors, "pprod")
-        if isinstance(coeff, bool) or not isinstance(coeff, float):
-            problems.append(
-                f"pprod coefficient {coeff!r} is not a float immediate"
-            )
-        return problems
-    # fma
-    problems: List[str] = []
-    _const, terms = payload
-    if not len(terms):
-        problems.append("fma has no terms (should be a const)")
-    for coeff, ref in terms:
-        if isinstance(coeff, bool) or not isinstance(coeff, float):
-            problems.append(
-                f"fma coefficient {coeff!r} is not a float immediate"
-            )
-        if isinstance(ref, int) and not isinstance(ref, bool):
-            continue
-        pcoeff, pfactors = ref
-        if isinstance(pcoeff, bool) or not isinstance(pcoeff, float):
-            problems.append(
-                f"inlined pprod coefficient {pcoeff!r} is not a float "
-                "immediate"
-            )
-        problems.extend(factor_problems(pfactors, "inlined pprod"))
-    return problems
 
 
 def verify_tape(prog: CompiledExpr, *, label: str = "tape"
@@ -190,13 +111,6 @@ def verify_tape(prog: CompiledExpr, *, label: str = "tape"
                 f"tape has {len(prog.symbols)} symbols",
                 obj=f"{label}[{i}]",
             ))
-        if opcode in (10, 11):
-            for problem in _fused_payload_problems(opcode, payload):
-                out.append(Diagnostic(
-                    "T005",
-                    f"instruction {i} ({_OPCODES[opcode]}): {problem}",
-                    obj=f"{label}[{i}]",
-                ))
         for s in slots:
             if s < 0 or s >= i:
                 out.append(Diagnostic(
@@ -236,28 +150,16 @@ def equivalence_diagnostics(exprs: Sequence[Expr], *,
                             label: str = "tape",
                             trials: int = 3,
                             seed: int = 0xC0FFEE,
-                            rel_tol: float = 1e-9,
-                            engine: str = "compiled"
+                            rel_tol: float = 1e-9
                             ) -> List[Diagnostic]:
     """T004: randomized tape≡tree check at positive bindings.
 
     Compiles ``exprs`` into one batch tape (or verifies a caller-
     provided ``prog``) and compares each output against the recursive
     ``evalf`` at ``trials`` seeded pseudo-random bindings.
-
-    ``engine`` selects the evaluation path under test: ``"compiled"``
-    replay (seed behavior), ``"fused"`` replay of the fuse_tape
-    rewrite, or ``"codegen"`` for the generated-source form — all three
-    must agree with the tree bit-for-bit on these scalar paths.
     """
-    if engine not in ("compiled", "fused", "codegen"):
-        raise ValueError(f"unknown equivalence engine {engine!r}")
     if prog is None:
         prog = compile_batch(list(exprs))
-    if engine == "fused":
-        prog = prog.fused()
-    elif engine == "codegen":
-        prog = prog.codegen()
     rng = random.Random(seed)
     out: List[Diagnostic] = []
     for trial in range(trials):

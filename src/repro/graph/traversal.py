@@ -219,22 +219,13 @@ def size_program(graph: Graph) -> Tuple[Tuple[Tensor, ...], CompiledExpr]:
 
 
 def evaluate_sizes(graph: Graph,
-                   bindings: Optional[Mapping] = None, *,
-                   engine: str = "compiled") -> Dict[Tensor, int]:
+                   bindings: Optional[Mapping] = None) -> Dict[Tensor, int]:
     """Concrete byte size per tensor under the given symbol bindings.
 
     Evaluates the cached batch-compiled size program — one tape replay
     for the whole graph, identical floats to the per-tensor tree walk.
-    ``engine="codegen"`` replays the fused source-codegen form of the
-    same program (bit-identical scalar results, no dispatch loop); the
-    generated function is cached on the program, so the lowering cost
-    is paid once per graph.
     """
-    if engine not in ("compiled", "codegen"):
-        raise ValueError(f"unknown size-program engine {engine!r}")
     tensors, program = size_program(graph)
-    if engine == "codegen":
-        program = program.codegen()
     values = program(bindings)
     return {t: int(round(v)) for t, v in zip(tensors, values)}
 

@@ -154,7 +154,7 @@ def _string_list(params: Mapping, field: str) -> Optional[List[str]]:
 
 # -- endpoint: /v1/sweep -----------------------------------------------------
 
-_SWEEP_ENGINES = ("compiled", "treewalk", "codegen")
+_SWEEP_ENGINES = ("compiled", "treewalk")
 _MAX_SWEEP_SIZES = 4096
 
 
@@ -172,7 +172,9 @@ def _normalize_sweep(params: Mapping) -> Dict[str, Any]:
     if engine not in _SWEEP_ENGINES:
         _reject(f"unknown sweep engine {engine!r}; one of "
                 f"{list(_SWEEP_ENGINES)}",
-                hint=did_you_mean(str(engine), _SWEEP_ENGINES))
+                hint=did_you_mean(str(engine), _SWEEP_ENGINES)
+                or "use 'compiled' (the default) or 'treewalk' (the "
+                   "reference tree walk)")
     sizes = params.get("sizes")
     if sizes is None:
         sizes = list(entry.sweep_sizes)
@@ -295,6 +297,7 @@ def _compute_plan(params: Dict[str, Any]) -> Dict[str, Any]:
 # -- endpoint: /v1/lint ------------------------------------------------------
 
 def _normalize_lint(params: Mapping) -> Dict[str, Any]:
+    from ..check.diagnostics import check_rule_codes
     from ..models.registry import DOMAINS
 
     params = _expect_mapping(params, "lint")
@@ -307,9 +310,11 @@ def _normalize_lint(params: Mapping) -> Dict[str, Any]:
                         f"{sorted(DOMAINS)}",
                         hint=did_you_mean(key, DOMAINS))
         domains = sorted(set(domains))
-    return {"domains": domains,
-            "select": _string_list(params, "select"),
-            "ignore": _string_list(params, "ignore") or []}
+    select = _string_list(params, "select")
+    ignore = _string_list(params, "ignore") or []
+    check_rule_codes(select, "select")
+    check_rule_codes(ignore, "ignore")
+    return {"domains": domains, "select": select, "ignore": ignore}
 
 
 def _compute_lint(params: Dict[str, Any]) -> Dict[str, Any]:

@@ -30,9 +30,8 @@ from .expr import (
     sqrt,
     symbols,
 )
-from .compile import (CodegenExpr, CompiledExpr, compile_batch,
-                      compile_expr, fuse_tape, numeric_guard,
-                      numeric_policy, set_numeric_policy)
+from .compile import (CompiledExpr, compile_batch, compile_expr,
+                      numeric_guard, numeric_policy, set_numeric_policy)
 from .poly import (Poly, asymptotic_ratio, coefficient, degree, degrees,
                    expand, leading_term, nonnegative)
 from .solve import (bisect_increasing, evalf_fn, expand_bracket,
@@ -67,10 +66,8 @@ __all__ = [
     "expand_bracket",
     "evalf_fn",
     "CompiledExpr",
-    "CodegenExpr",
     "compile_expr",
     "compile_batch",
-    "fuse_tape",
     "numeric_guard",
     "numeric_policy",
     "set_numeric_policy",

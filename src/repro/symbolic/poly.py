@@ -26,9 +26,7 @@ Term order and bit-identity
 ---------------------------
 ``Poly.terms`` are sorted by the same total order ``Add`` uses for its
 canonical term order (reconstructed without building ``Expr`` nodes),
-and :meth:`Poly.evalf` performs the same float operations in the same
-order as ``Expr.evalf`` on the equivalent canonical tree — the two are
-bit-identical, not merely close.
+so :meth:`Poly.to_expr` rebuilds exactly the tree ``expand`` returns.
 """
 
 from __future__ import annotations
@@ -50,7 +48,6 @@ from .expr import (
     Pow,
     Symbol,
     _fold_const_pow,
-    _normalize_bindings,
     as_expr,
 )
 
@@ -85,14 +82,12 @@ class Poly:
     polys and never allocates ``Expr`` nodes.
     """
 
-    __slots__ = ("atoms", "terms", "_plan", "_sym_atoms")
+    __slots__ = ("atoms", "terms")
 
     def __init__(self, atoms: Tuple[Expr, ...],
                  terms: Tuple[Tuple[Fraction, Tuple[Fraction, ...]], ...]):
         self.atoms = atoms
         self.terms = terms
-        self._plan = None
-        self._sym_atoms = all(type(a) is Symbol for a in atoms)
 
     # -- constructors --------------------------------------------------
     @staticmethod
@@ -353,7 +348,7 @@ class Poly:
             out |= atom.free_symbols()
         return out
 
-    # -- conversion & evaluation ---------------------------------------
+    # -- conversion ----------------------------------------------------
     def to_expr(self) -> Expr:
         """Rebuild the canonical ``Expr`` tree (equal to ``expand``)."""
         parts = []
@@ -365,50 +360,6 @@ class Poly:
             )
             parts.append(Mul.of(*factors))
         return Add.of(*parts) if parts else Const(0)
-
-    def evalf(self, bindings: Mapping = None) -> float:
-        """Evaluate to a float — bit-identical to ``to_expr().evalf``."""
-        b = _normalize_bindings(bindings)
-        if self._sym_atoms:
-            # all atoms are plain symbols: probe the dict directly and
-            # keep only the error path on the dispatching slow walk
-            # (float() of a float is the identity, so this is still
-            # bit-identical to Symbol._evalf)
-            try:
-                vals = [float(b[a]) for a in self.atoms]
-            except (KeyError, TypeError):
-                vals = [a._evalf(b) for a in self.atoms]
-        else:
-            vals = [a._evalf(b) for a in self.atoms]
-        plan = self._eval_plan()
-        if len(plan) == 1:
-            # a lone term rebuilds to a top-level Mul, which multiplies
-            # its coefficient *first* (Mul._evalf); inside an Add the
-            # residual term is unit-coefficient and the coefficient
-            # lands last — mirror both orders exactly
-            cf, idx_exps = plan[0]
-            total = cf
-            for i, ef in idx_exps:
-                total *= vals[i] if ef == 1.0 else vals[i] ** ef
-            return total
-        total = 0.0
-        for cf, idx_exps in plan:
-            t = None
-            for i, ef in idx_exps:
-                p = vals[i] if ef == 1.0 else vals[i] ** ef
-                t = p if t is None else t * p
-            total += cf if t is None else cf * t
-        return total
-
-    def _eval_plan(self):
-        # float-lowered terms: [(float coeff, ((atom_idx, float exp)...))]
-        if self._plan is None:
-            self._plan = tuple(
-                (float(coeff),
-                 tuple((i, float(e)) for i, e in enumerate(exps) if e != 0))
-                for coeff, exps in self.terms
-            )
-        return self._plan
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):

@@ -76,8 +76,7 @@ def invert_power_law(scale: float, exponent: float, target: float) -> float:
 
 
 def evalf_fn(expr: Expr, sym: Symbol,
-             fixed: Mapping = None, *,
-             engine: str = "compiled") -> Callable[[float], float]:
+             fixed: Mapping = None) -> Callable[[float], float]:
     """Compile an Expr into a float function of one symbol.
 
     ``fixed`` supplies bindings for every other free symbol.  The
@@ -85,16 +84,8 @@ def evalf_fn(expr: Expr, sym: Symbol,
     (:mod:`repro.symbolic.compile`); ``fixed`` is resolved to the input
     vector here, so each call only writes one slot and replays the tape
     — no per-call dict rebuilding inside root-finding loops.
-
-    ``engine="codegen"`` replays the fused source-codegen form of the
-    tape (bit-identical floats, no dispatch loop) — worthwhile when the
-    returned function is probed many times, e.g. inside bisections.
     """
-    if engine not in ("compiled", "codegen"):
-        raise ValueError(f"unknown evalf_fn engine {engine!r}")
     program = compile_expr(expr)
-    if engine == "codegen":
-        program = program.codegen()
     base = program.bind_vector(fixed or {}, partial=True)
     try:
         slot = program.slot_of(sym)

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.check.cli import main
 
 
@@ -48,6 +50,24 @@ class TestRegistryGate:
         # exits zero and reports a clean run
         assert main(["--domain", "image", "--select", "T"]) == 0
         assert "0 error(s)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, hint", [
+        (["--select", "Q9"], "--list-rules"),
+        (["--select", "T005"], "T004"),
+        (["--select", "C,T0010"], "T001"),
+        (["--ignore", "g002"], "G002"),
+    ], ids=["unknown-family", "retired-rule", "overlong-code",
+            "lowercase"])
+    def test_unknown_rule_code_is_usage_error(self, capsys, argv, hint):
+        # a code no registered rule starts with would silently match
+        # nothing and report a clean run; reject it before linting
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--domain", "image", *argv])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "E-BIND" in err
+        assert "unknown rule code" in err
+        assert hint in err
 
     def test_proof_families_clean_on_registry_model(self, capsys):
         # the I-family interval proofs must hold over the image model's

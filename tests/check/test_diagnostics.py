@@ -38,7 +38,6 @@ EXPECTED_RULES = {
     "T002": ("malformed-instruction", ERROR),
     "T003": ("dead-instruction", WARNING),
     "T004": ("tape-tree-divergence", ERROR),
-    "T005": ("malformed-fused-payload", ERROR),
     "I001": ("interval-nonneg-refuted", ERROR),
     "I002": ("interval-overflow", WARNING),
     "I003": ("intensity-interval-refuted", WARNING),

@@ -1,7 +1,5 @@
 """Fixture tests for the compiled-tape verifier (T-family rules)."""
 
-import pytest
-
 from repro.check import equivalence_diagnostics, verify_tape
 from repro.symbolic import Const, symbols
 from repro.symbolic.compile import CompiledExpr, compile_batch, compile_expr
@@ -92,64 +90,3 @@ class TestT004TapeTreeEquivalence:
         bb = equivalence_diagnostics([x + Const(2)], prog=prog, seed=7)
         assert [d.message for d in a] == [d.message for d in bb]
 
-
-class TestT005FusedPayloadDiscipline:
-    _PPROD, _FMA = 10, 11
-
-    def test_fused_compiler_output_is_clean(self):
-        prog = compile_batch([x * y ** 2 + Const(3), (x + y) ** 2])
-        assert verify_tape(prog.fused()) == []
-
-    def test_pprod_slot_reference_exponent_flagged(self):
-        # exponent 1 must be an immediate (None/float), never a slot
-        prog = make_tape(
-            [(_SYM, 0), (self._PPROD, (1.0, ((0, 2),)))], 1, (1,))
-        assert "T005" in codes(verify_tape(prog))
-
-    def test_pprod_empty_factor_list_flagged(self):
-        prog = make_tape([(self._PPROD, (2.0, ()))], 0, (0,))
-        assert "T005" in codes(verify_tape(prog))
-
-    def test_pprod_non_float_coefficient_flagged(self):
-        prog = make_tape(
-            [(_SYM, 0), (self._PPROD, (True, ((0, None),)))], 1, (1,))
-        assert "T005" in codes(verify_tape(prog))
-
-    def test_fma_without_terms_flagged(self):
-        prog = make_tape([(self._FMA, (4.0, ()))], 0, (0,))
-        assert "T005" in codes(verify_tape(prog))
-
-    def test_fma_inlined_pprod_checked_recursively(self):
-        prog = make_tape(
-            [(_SYM, 0),
-             (self._FMA, (0.0, ((2.0, (1.0, ((0, 3),))),)))],
-            1, (1,))
-        found = [d for d in verify_tape(prog) if d.code == "T005"]
-        assert found
-        assert "inlined pprod" in found[0].message
-
-    def test_well_formed_fused_tape_clean(self):
-        prog = make_tape(
-            [(_SYM, 0), (_SYM, 1),
-             (self._PPROD, (1.0, ((0, 2.0), (1, None)))),
-             (self._FMA, (5.0, ((3.0, 2),)))],
-            2, (3,))
-        assert [d for d in verify_tape(prog) if d.code == "T005"] == []
-
-
-class TestEngineEquivalence:
-    def test_fused_and_codegen_engines_clean(self):
-        exprs = [x * y + Const(3), (x + y) ** 2, x ** x]
-        for engine in ("compiled", "fused", "codegen"):
-            assert equivalence_diagnostics(exprs, engine=engine) == []
-
-    def test_divergence_detected_under_every_engine(self):
-        prog = compile_expr(x + Const(1))
-        for engine in ("fused", "codegen"):
-            found = equivalence_diagnostics(
-                [x + Const(2)], prog=prog, engine=engine)
-            assert codes(found) == ["T004"]
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            equivalence_diagnostics([x], engine="interpreter")

@@ -74,6 +74,17 @@ def test_unknown_domain_gets_did_you_mean(server):
     assert "word_lm" in body["error"]["hint"]
 
 
+def test_unknown_lint_rule_code_gets_did_you_mean(server):
+    for field, code, hint in (("select", "T005", "T004"),
+                              ("ignore", "G02", "G002")):
+        status, body = http_post(server.url + "/v1/lint",
+                                 {"domains": ["image"], field: [code]})
+        assert status == 400
+        assert body["error"]["code"] == "E-BIND"
+        assert code in body["error"]["message"]
+        assert hint in body["error"]["hint"]
+
+
 def test_unknown_field_is_rejected(server):
     status, body = http_post(server.url + "/v1/sweep",
                              {"domain": "word_lm", "sises": [1]})
@@ -88,6 +99,16 @@ def test_invalid_engine_and_sizes(server):
         {"domain": "word_lm", "engine": "warp"})
     assert status == 400
     assert "engine" in body["error"]["message"]
+
+    # the generated-source engine was removed: a structured E-BIND
+    # naming the two engines that remain, not a 500
+    status, body = http_post(
+        server.url + "/v1/sweep",
+        {"domain": "word_lm", "engine": "codegen"})
+    assert status == 400
+    assert body["error"]["code"] == "E-BIND"
+    assert "compiled" in body["error"]["hint"]
+    assert "treewalk" in body["error"]["hint"]
 
     status, body = http_post(
         server.url + "/v1/sweep",

@@ -133,6 +133,17 @@ class TestBatchCompilation:
         out = batch.eval_many([{h: 1, b: 2}, {h: 3, b: 4}])
         np.testing.assert_array_equal(out, [[3.0, 2.0], [7.0, 12.0]])
 
+        # column layout over the kitchen sink agrees with a scalar loop
+        batch = compile_batch([KITCHEN_SINK, h * v + b])
+        cols = {"h": np.array([2.0, 512.0, 7.5]),
+                "b": np.array([1.0, 96.0, 0.5]),
+                "v": np.array([3.0, 10000.0, 1.0])}
+        out = batch.eval_many(cols)
+        assert out.shape == (3, 2)
+        for i in range(3):
+            binding = {k: float(col[i]) for k, col in cols.items()}
+            np.testing.assert_allclose(out[i], batch(binding), rtol=1e-9)
+
     def test_duplicate_expressions_share_one_slot(self):
         batch = compile_batch([h + b, h + b])
         assert batch.out_slots[0] == batch.out_slots[1]

@@ -8,9 +8,9 @@ that the codebase keeps for exactly this purpose:
   structurally, and on the ``ValueError`` domain — with the pre-flat
   recursive ``_*_treewalk`` implementations retained in
   :mod:`repro.symbolic.poly`;
-* **codegen ≡ replay** — the fused tape and the generated-source
-  evaluator must be *bit-identical* to plain tape replay and to the
-  recursive ``evalf`` tree walk on scalar paths.
+* **replay ≡ treewalk** — compiled tape replay (single and batch)
+  must be *bit-identical* to the recursive ``evalf`` tree walk on
+  scalar paths.
 """
 
 from fractions import Fraction
@@ -25,7 +25,6 @@ from repro.symbolic import (
     Log,
     Max,
     Min,
-    Poly,
     as_expr,
     coefficient,
     compile_batch,
@@ -180,33 +179,20 @@ class TestFlatVersusTreewalk:
         }
         assert degrees(expr) == want
 
-    @given(nested_posynomials(), bindings())
-    @settings(max_examples=100, deadline=None)
-    def test_poly_evalf_bit_identical_to_expanded_tree(self, expr, b):
-        poly = Poly.from_expr(expr)
-        assert poly.to_expr() == expand(expr)
-        assert poly.evalf(b) == poly.to_expr().evalf(b)
-
 
 class TestEngineBitIdentity:
     @given(full_expressions(), bindings())
     @settings(max_examples=150, deadline=None)
-    def test_fused_and_codegen_match_replay_and_tree(self, expr, b):
+    def test_replay_matches_tree(self, expr, b):
         prog = compile_expr(expr)
-        want = expr.evalf(b)
-        assert prog(b) == want
-        assert prog.fused()(b) == want
-        assert prog.codegen()(b) == want
+        assert prog(b) == expr.evalf(b)
 
     @given(st.lists(full_expressions(), min_size=2, max_size=4),
            bindings())
     @settings(max_examples=75, deadline=None)
     def test_batch_engines_bit_identical(self, exprs, b):
         prog = compile_batch(exprs)
-        want = [e.evalf(b) for e in exprs]
-        assert prog(b) == want
-        assert prog.fused()(b) == want
-        assert prog.codegen()(b) == want
+        assert prog(b) == [e.evalf(b) for e in exprs]
 
 
 class TestPrintingStability:

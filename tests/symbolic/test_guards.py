@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.errors import BindingError, NumericError, SolveError
 from repro.symbolic import (
+    Log,
     bisect_increasing,
     compile_expr,
     expand_bracket,
@@ -86,6 +87,11 @@ class TestNumericPolicy:
         with pytest.raises(NumericError) as info:
             program({"x": 1e200, "y": 2.0})
         assert "x=1e+200" in str(info.value)
+        # an output that overflows to inf, and log(1)/log(1) = 0/0
+        with pytest.raises(NumericError):
+            compile_expr(x * 2)({"x": 8.99e307})
+        with pytest.raises(NumericError):
+            compile_expr(Log.of(x) / Log.of(y))({"x": 1, "y": 1})
 
     def test_warn_policy_emits_runtime_warning(self):
         program = compile_expr(x * 2)
