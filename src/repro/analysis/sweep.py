@@ -95,6 +95,12 @@ class SweepResult:
 _SWEEP_CACHE: "OrderedDict[tuple, SweepResult]" = OrderedDict()
 _SWEEP_CACHE_MAX = 32
 
+#: registry-default sweeps (no sizes, subbatch or shards given), kept
+#: outside the LRU bound: every report and plan reads them, so novel
+#: sweeps must never evict them.  At most 5 domains x 2 footprint
+#: flags x 2 engines entries.
+_DEFAULT_SWEEPS: "OrderedDict[tuple, SweepResult]" = OrderedDict()
+
 #: StepCounts per domain — carries the batch-compiled aggregate tapes,
 #: which every sweep configuration of a domain shares
 _COUNTS_CACHE: dict = {}
@@ -132,10 +138,12 @@ def sweep_domain(key: str, *, subbatch: Optional[int] = None,
     cache_key = (key, subbatch, include_footprint,
                  tuple(sizes) if sizes is not None else None, engine,
                  shards)
-    cached = _SWEEP_CACHE.get(cache_key)
+    is_default = sizes is None and subbatch is None and shards is None
+    cache = _DEFAULT_SWEEPS if is_default else _SWEEP_CACHE
+    cached = cache.get(cache_key)
     if cached is not None:
         _CACHE_HIT.inc()
-        _SWEEP_CACHE.move_to_end(cache_key)
+        cache.move_to_end(cache_key)
         return cached
     _CACHE_MISS.inc()
     result = _sweep_domain_uncached(key, subbatch=subbatch,
@@ -143,7 +151,7 @@ def sweep_domain(key: str, *, subbatch: Optional[int] = None,
                                     sizes=sizes, engine=engine,
                                     shards=shards,
                                     max_workers=max_workers)
-    _SWEEP_CACHE[cache_key] = result
+    cache[cache_key] = result
     while len(_SWEEP_CACHE) > _SWEEP_CACHE_MAX:
         _SWEEP_CACHE.popitem(last=False)
         _CACHE_EVICT.inc()

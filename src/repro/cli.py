@@ -20,8 +20,8 @@ rates, tape statistics) after the reports::
 Exhibits are independent computations, so ``repro-report all
 --max-workers 4`` regenerates them as a task DAG on the
 :mod:`repro.exec` process pool, and rendered results are memoized in a
-content-addressed on-disk store (keyed on the registry's structural
-graph hashes) so a repeated invocation is warm-start; ``--no-cache`` /
+content-addressed on-disk store (keyed on source digest + bindings +
+version) so a repeated invocation is warm-start; ``--no-cache`` /
 ``--cache-dir`` control the store.
 
 Long multi-exhibit runs are resumable: ``--run-dir PATH`` journals

@@ -17,11 +17,12 @@ path:
       results = engine.run([Task("t1", fn, args=(...,))])
 
 * **store** (:mod:`.store`) — a content-addressed on-disk result store.
-  Keys hash the graph's structural fingerprint
-  (:func:`repro.graph.serialize.structural_hash`), the bindings, the
-  op-cost metadata, and the package version, so a second
+  Keys hash source digest + bindings + version: a memoized SHA-256
+  of the ``repro`` source tree (:func:`.store.source_digest`), the
+  bindings, and the package version, so a second
   ``repro-report``/``python -m repro.artifact`` invocation is
-  warm-start and any change that could alter a number misses cleanly.
+  warm-start and any code change that could alter a number misses
+  cleanly.  No key builds a graph.
 
 * **tasks** (:mod:`.tasks`) — the picklable module-level task functions
   the artifact pipeline fans out (config reports, report exhibits,

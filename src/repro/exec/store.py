@@ -1,15 +1,16 @@
 """Content-addressed on-disk result store (the warm-start layer).
 
 Every cacheable unit of the artifact pipeline — a per-config analysis
-report, a rendered table/figure, a sweep shard — is stored under a key
-that hashes *everything that could change the value*:
+report, a rendered table/figure, a sweep shard, a served query — is
+stored under a key that hashes *everything that could change the
+value*:
 
-* the structural hash of the model graph(s) involved
-  (:func:`repro.graph.serialize.structural_hash`, which already folds
-  in per-op-class cost metadata),
-* the bindings (size, subbatch, engine options),
-* the package version (:data:`repro.__version__`), so upgrades that
-  change formulas invalidate wholesale.
+* the source digest (:func:`source_digest`): SHA-256 over every
+  ``*.py`` file of the ``repro`` package plus the Python minor version
+  and ``numpy.__version__``, so editing a constant, a cost formula or
+  a graph builder invalidates every key;
+* the bindings (domain, size, subbatch, engine options, exhibit name);
+* the package version (:data:`repro.__version__`).
 
 Values are pickled to ``<root>/<kk>/<key>.pkl`` (two-level fan-out
 keeps directories small).  The store is append-mostly with an LRU-ish
@@ -25,13 +26,15 @@ import hashlib
 import json
 import os
 import pickle
+import sys
 import tempfile
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .. import __version__
 from ..obs.metrics import counter as _obs_counter
 
-__all__ = ["ResultStore", "content_key", "default_cache_dir"]
+__all__ = ["ResultStore", "content_key", "default_cache_dir",
+           "source_digest"]
 
 _HIT = _obs_counter("exec.store.hit")
 _MISS = _obs_counter("exec.store.miss")
@@ -43,15 +46,56 @@ _ERROR = _obs_counter("exec.store.error")
 _MISSING = object()
 
 
+#: the memoized :func:`source_digest` (computed on the first key, not
+#: at import, so interpreter start-up does not pay for it)
+_SOURCE_DIGEST: Optional[str] = None
+
+
+def source_digest() -> str:
+    """SHA-256 of the ``repro`` source tree and its numeric runtime.
+
+    Every result the store holds is a pure function of the package's
+    code (constants, cost formulas, graph builders) and its key's own
+    bindings, so hashing each ``*.py`` file's relative path and bytes,
+    in sorted order, plus the Python minor version and
+    ``numpy.__version__``, covers every input no binding names.
+    Computed once per process (a few ms).
+    """
+    global _SOURCE_DIGEST
+    if _SOURCE_DIGEST is None:
+        import numpy
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        files = []
+        for dirpath, _, names in os.walk(root):
+            for name in names:
+                if name.endswith(".py"):
+                    path = os.path.join(dirpath, name)
+                    rel = os.path.relpath(path, root).replace(os.sep, "/")
+                    files.append((rel, path))
+        digest = hashlib.sha256()
+        digest.update(repr((tuple(sys.version_info[:2]),
+                            numpy.__version__)).encode("utf-8"))
+        for rel, path in sorted(files):
+            with open(path, "rb") as handle:
+                blob = handle.read()
+            digest.update(f"\0{rel}\0{len(blob)}\0".encode("utf-8"))
+            digest.update(blob)
+        _SOURCE_DIGEST = digest.hexdigest()
+    return _SOURCE_DIGEST
+
+
 def content_key(*parts: Any) -> str:
-    """SHA-256 key over canonical-JSON-encoded parts + package version.
+    """SHA-256 key over canonical-JSON-encoded parts, the package
+    version and the :func:`source_digest`.
 
     Parts must be JSON-encodable (dicts are key-sorted; floats keep
-    full ``repr`` precision through ``json``).  The package version is
-    always folded in so a release that changes cost formulas never
-    reuses stale results.
+    full ``repr`` precision through ``json``).  The source digest is
+    always folded in, so any code change — a constant, a cost formula,
+    a graph builder — misses cleanly instead of reusing stale results.
     """
-    payload = {"version": __version__, "parts": parts}
+    payload = {"version": __version__, "source": source_digest(),
+               "parts": parts}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -10,9 +10,10 @@ key builders that make those payloads content-addressable:
 * :func:`sweep_shard` — one chunk of a domain sweep's binding matrix,
   merged row-for-row by :func:`repro.analysis.sweep.sweep_domain`.
 
-Keys combine the structural hash of every graph the computation reads
-(which folds in op-cost metadata), the bindings, and the package
-version — see :func:`repro.exec.store.content_key`.
+Keys combine the bindings (exhibit name, domain, size, subbatch, engine
+options) with the package version and the source digest that
+:func:`repro.exec.store.content_key` folds into every key: no key
+builder constructs or hashes a graph.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, \
     Sequence, Tuple
 
 from ..errors import error_context
-from ..graph.serialize import structural_hash
 from ..models.registry import DOMAINS, build_symbolic
 from .store import content_key
 
@@ -34,28 +34,15 @@ __all__ = [
     "run_traced",
 ]
 
-#: memoized per-domain structural hashes (building + hashing a large
-#: unrolled graph costs ~0.5 s; every key of a run reuses these)
-_DOMAIN_HASHES: Dict[str, str] = {}
-
-
-def domain_hash(key: str) -> str:
-    """Structural hash of one registry domain's training graph."""
-    cached = _DOMAIN_HASHES.get(key)
-    if cached is None:
-        cached = structural_hash(build_symbolic(key).graph)
-        _DOMAIN_HASHES[key] = cached
-    return cached
-
-
 def registry_fingerprint(keys: Optional[Sequence[str]] = None) -> str:
-    """One digest over several domains' graphs (default: all five).
+    """One digest over several domains (default: all five).
 
-    Report exhibits read multiple domains (a table row per domain), so
-    their cache keys fold in the whole registry.
+    Builds no graph: every domain's graph is a function of the source
+    tree, which :func:`~repro.exec.store.content_key` already folds in
+    as the :func:`~repro.exec.store.source_digest`.
     """
     keys = list(keys) if keys is not None else sorted(DOMAINS)
-    return content_key("registry", [(k, domain_hash(k)) for k in keys])
+    return content_key("registry", keys)
 
 
 # -- artifact config units ---------------------------------------------------
@@ -93,7 +80,7 @@ def artifact_config(key: str, size: float) -> dict:
 
 def artifact_config_key(key: str, size: float) -> str:
     return content_key("artifact_config", key, float(size),
-                       DOMAINS[key].subbatch, domain_hash(key))
+                       DOMAINS[key].subbatch)
 
 
 def artifact_payload_ok(payload: object) -> bool:
@@ -120,7 +107,7 @@ def report_exhibit(name: str):
 
 
 def report_exhibit_key(name: str) -> str:
-    return content_key("report_exhibit", name, registry_fingerprint())
+    return content_key("report_exhibit", name)
 
 
 # -- sweep shards ------------------------------------------------------------
@@ -149,8 +136,7 @@ def sweep_shard(key: str, sizes: Tuple[float, ...], subbatch: int,
 def sweep_shard_key(key: str, sizes: Sequence[float], subbatch: int,
                     include_footprint: bool, engine: str) -> str:
     return content_key("sweep_shard", key, [float(s) for s in sizes],
-                       subbatch, include_footprint, engine,
-                       domain_hash(key))
+                       subbatch, include_footprint, engine)
 
 
 # -- cross-process observability shim ----------------------------------------

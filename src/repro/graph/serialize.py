@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import weakref
 from typing import Any, Callable, Dict, Tuple
 
 from ..symbolic import as_expr
@@ -360,15 +359,6 @@ def cost_fingerprint(graph: Graph) -> Dict[str, Any]:
     return {name: out[name] for name in sorted(out)}
 
 
-#: graph -> ((n_ops, n_tensors), digest); the digest is a pure function
-#: of the graph's analyzable structure, and graphs are append-only, so
-#: the op/tensor counts are a sufficient invalidation key — the same
-#: convention :func:`repro.graph.traversal.size_program` uses.
-_HASH_CACHE: "weakref.WeakKeyDictionary[Graph, Tuple[tuple, str]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def structural_hash(graph: Graph) -> str:
     """Stable content hash of a graph's analyzable structure.
 
@@ -378,25 +368,15 @@ def structural_hash(graph: Graph) -> str:
     agree: tensors, shapes, dtypes, op wiring, op configuration, and
     declared cost semantics all feed the digest.  The hash is stable
     across processes and Python versions (no ``id()``/``hash()``
-    ingredients), so it is usable as an on-disk cache-key component.
-
-    Memoized per graph object (the result-store keys every artifact
-    task by it, so a report run used to re-serialize the same unrolled
-    graphs dozens of times); recomputed if ops or tensors were added.
+    ingredients).
     """
-    version = (len(graph.ops), len(graph.tensors))
-    cached = _HASH_CACHE.get(graph)
-    if cached is not None and cached[0] == version:
-        return cached[1]
     payload = {
         "checkpoint": save_graph(graph),
         "op_costs": cost_fingerprint(graph),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
-    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    _HASH_CACHE[graph] = (version, digest)
-    return digest
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
 def save_graph_file(graph: Graph, path: str) -> None:

@@ -25,8 +25,9 @@ Production concerns are the point:
 
 * **request coalescing** (:class:`~repro.serve.service.AnalysisService`)
   — identical in-flight queries share one computation, keyed by the
-  same structural-hash content keys the result store uses, and every
-  caller receives byte-identical response bodies;
+  same content keys (source digest + bindings + version) the result
+  store uses, and every caller receives byte-identical response
+  bodies;
 * **warm results** — response bytes are memoized in the
   content-addressed :class:`~repro.exec.store.ResultStore`, so a
   repeated query is a disk hit instead of a recomputation;

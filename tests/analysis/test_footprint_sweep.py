@@ -104,6 +104,19 @@ class TestSweep:
         sweep_domain("image", sizes=[2, 3], include_footprint=False)
         assert len(sweep_mod._SWEEP_CACHE) <= sweep_mod._SWEEP_CACHE_MAX
 
+    def test_novel_sweeps_never_evict_the_default_sweep(self):
+        from repro import obs
+        from repro.analysis import sweep as sweep_mod
+
+        default = sweep_domain("image", include_footprint=False)
+        for i in range(sweep_mod._SWEEP_CACHE_MAX + 8):
+            sweep_domain("image", sizes=[1 + i, 2 + i],
+                         include_footprint=False)
+        assert len(sweep_mod._SWEEP_CACHE) <= sweep_mod._SWEEP_CACHE_MAX
+        hits = obs.counter("analysis.sweep.cache.hit").value
+        assert sweep_domain("image", include_footprint=False) is default
+        assert obs.counter("analysis.sweep.cache.hit").value == hits + 1
+
     def test_engines_agree(self):
         """Compiled/vectorized sweep matches the seed tree-walk path."""
         from repro.analysis.sweep import _sweep_domain_uncached

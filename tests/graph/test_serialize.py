@@ -74,6 +74,15 @@ class TestGraphCheckpoints:
         r2 = execute_graph(g2, bindings=bindings, seed=7)
         np.testing.assert_allclose(r1[model.loss], r2[model.loss.name])
 
+    def test_structural_hash_survives_roundtrip(self):
+        from repro.graph.serialize import structural_hash
+
+        (word, _), (char, _) = _tiny_models()[:2]
+        digest = structural_hash(word.graph)
+        assert structural_hash(load_graph(save_graph(word.graph))) \
+            == digest
+        assert structural_hash(char.graph) != digest
+
     def test_file_roundtrip(self, tmp_path):
         model, _ = _tiny_models()[0]
         path = str(tmp_path / "ckpt.json")
