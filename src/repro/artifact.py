@@ -114,7 +114,6 @@ def generate_results(out_dir: str,
                      *,
                      max_workers: int = 0,
                      store: Optional[ResultStore] = None,
-                     engine: Optional[ExecutionEngine] = None,
                      journal: Optional[RunJournal] = None,
                      stop=None,
                      ) -> List[str]:
@@ -164,16 +163,8 @@ def generate_results(out_dir: str,
             atomic_write_bytes(os.path.join(out_dir, rel), blob)
         return {"files": {rel: hashlib.sha256(blob).hexdigest()}}
 
-    if engine is None:
-        engine = ExecutionEngine(max_workers=max_workers, store=store,
-                                 journal=journal, stop=stop)
-    else:
-        if store is not None and engine.store is None:
-            engine.store = store
-        if journal is not None and engine.journal is None:
-            engine.journal = journal
-        if stop is not None and engine.stop is None:
-            engine.stop = stop
+    engine = ExecutionEngine(max_workers=max_workers, store=store,
+                             journal=journal, stop=stop)
     results = engine.run(tasks, on_result=write_output)
 
     written: List[str] = []

@@ -6,12 +6,13 @@ figure, and artifact output file is an independent
 the ROADMAP's "sharding, batching, async, caching" layer to that hot
 path:
 
-* **engine** (:mod:`.engine`) — a process-pool execution engine that
-  runs a task DAG (one task per artifact unit, plus chunked
-  binding-matrix shards for large sweeps) with per-task timeouts,
-  bounded retry with exponential backoff, and graceful degradation to
-  serial in-process execution when a worker dies, hangs, or
-  ``max_workers=0``::
+* **engine** (:mod:`.engine`) — a task-DAG execution engine (one task
+  per artifact unit, plus chunked binding-matrix shards for large
+  sweeps) with per-task timeouts, bounded retry with exponential
+  backoff, and graceful degradation to serial in-process execution
+  when a worker dies, hangs, or ``max_workers=0``.  Its workers come
+  from :class:`.engine.SupervisedPool`, the package's one process pool,
+  which also runs ``repro-serve``'s cold computes::
 
       engine = ExecutionEngine(max_workers=4)
       results = engine.run([Task("t1", fn, args=(...,))])

@@ -1,21 +1,25 @@
-"""Process-pool task-DAG execution engine with serial fallback.
+"""Task-DAG execution engine and the package's one worker-process pool.
 
 The artifact pipeline fans out as a DAG of picklable tasks (one per
 (model, table/figure) unit, plus chunked sweep shards).  This engine
-runs that DAG on a ``multiprocessing`` pool with the failure semantics
-a batch artifact needs:
+runs that DAG on a :class:`SupervisedPool` — the same crash-supervised
+``concurrent.futures`` pool that serves ``repro-serve``'s cold path, and
+the only class in the package that starts worker processes — and layers
+the failure policy a batch artifact needs above it:
 
 * **per-task timeouts** — a worker that hangs past its deadline is
-  killed (the pool is terminated and rebuilt; unaffected in-flight
-  tasks are resubmitted without penalty);
+  killed (:meth:`SupervisedPool.restart` SIGKILLs the pool; unaffected
+  in-flight tasks are resubmitted without penalty);
 * **bounded retry with exponential backoff** — a task that raises,
   times out, or returns a payload its validator rejects is retried up
-  to ``retries`` times in the pool;
+  to ``retries`` times in the pool; the pool's own restart backoff
+  after a worker crash is a wait, never a charged attempt;
 * **graceful degradation to serial** — after pool retries are
   exhausted the task runs once in-process (the mode the seed shipped),
   so a flaky pool can slow the artifact down but not fail it.  With
   ``max_workers=0`` the engine *is* the serial path: same code, no
-  processes.  Too many pool restarts degrade the whole run to serial.
+  processes.  More than ``max_pool_restarts`` pool rebuilds hand the
+  rest of the run to that serial path.
 
 Results can be warm-started through a
 :class:`~repro.exec.store.ResultStore`: tasks carrying a ``key`` are
@@ -52,7 +56,6 @@ Two resilience hooks make whole runs (not just tasks) fault-tolerant:
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 import threading
 import time
@@ -71,7 +74,6 @@ from typing import (
 from .. import obs
 from ..errors import ReproError, RunInterrupted
 from .journal import RunJournal
-from .signals import ignore_interrupts_in_worker
 from .store import ResultStore
 from .tasks import run_traced
 
@@ -94,6 +96,10 @@ _INTERRUPTED = obs.counter("resilience.signals.runs_interrupted")
 #: polling granularity of the result-collection loop, seconds.  Tasks
 #: are second-scale analyses, so 10 ms adds no measurable latency.
 _POLL_INTERVAL = 0.01
+
+#: growth factor and cap (seconds) of the pool's restart backoff gate
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF = 5.0
 
 
 @dataclass
@@ -173,14 +179,14 @@ class ExecError(ReproError, RuntimeError):
 class _Pending:
     """Book-keeping for one not-yet-finished task."""
 
-    __slots__ = ("task", "attempts", "not_before", "async_result",
+    __slots__ = ("task", "attempts", "not_before", "future",
                  "deadline", "started", "submit_ns", "flow")
 
     def __init__(self, task: Task):
         self.task = task
         self.attempts = 0
         self.not_before = 0.0       # backoff gate for resubmission
-        self.async_result = None
+        self.future = None
         self.deadline = float("inf")
         self.started = 0.0
         self.submit_ns = 0          # obs clock at dispatch
@@ -230,7 +236,6 @@ class ExecutionEngine:
                  backoff: float = 0.05,
                  store: Optional[ResultStore] = None,
                  max_pool_restarts: int = 3,
-                 mp_context: Optional[str] = None,
                  journal: Optional[RunJournal] = None,
                  stop: Optional[Callable[[], bool]] = None):
         if max_workers < 0:
@@ -243,9 +248,6 @@ class ExecutionEngine:
         self.max_pool_restarts = max_pool_restarts
         self.journal = journal
         self.stop = stop
-        self._mp_context = mp_context
-        self._pool = None
-        self._pool_restarts = 0
         self._on_result: Optional[Callable[[Task, TaskResult],
                                            Optional[Mapping]]] = None
         self._run_id: Optional[str] = None
@@ -319,7 +321,6 @@ class ExecutionEngine:
                 else:
                     self._run_pool(order, results)
             finally:
-                self._shutdown_pool()
                 self._on_result = None
                 self._run_span = None
                 if self.journal is not None:
@@ -347,8 +348,16 @@ class ExecutionEngine:
             hint="rerun with --resume to continue from the journal",
         )
 
-    def _finish_ok(self, task: Task, result: TaskResult) -> None:
-        """Parent-side completion hook: callback + journal append."""
+    def _finish(self, task: Task, result: TaskResult) -> None:
+        """Parent-side completion hook for a fresh or store-hit result:
+        store put (fresh only), ``on_result`` callback, journal append."""
+        if not result.ok:
+            if self.journal is not None:
+                self.journal.record_failed(task.id, result.error)
+            return
+        if result.source != "cache" and self.store is not None \
+                and task.key is not None:
+            self.store.put(task.key, result.value)
         extra: Optional[Mapping] = None
         if self._on_result is not None:
             extra = self._on_result(task, result)
@@ -357,19 +366,40 @@ class ExecutionEngine:
             self.journal.record_ok(task.id, result.value,
                                    key=task.key, files=files)
 
-    def _finish_failed(self, task: Task, result: TaskResult) -> None:
-        if self.journal is not None and result.error is not None:
-            self.journal.record_failed(task.id, result.error)
-
-    def _check_journal(self, task: Task) -> Optional[TaskResult]:
-        """Verified journal replay (the resume skip path), or None."""
-        if self.journal is None:
-            return None
-        value = self.journal.replay(task.id, task.key)
-        if RunJournal.is_missing(value):
-            return None
-        self._record_outcome_span(task, "replayed")
-        return TaskResult(id=task.id, value=value, source="journal")
+    def _settle(self, task: Task,
+                results: Dict[str, TaskResult]) -> bool:
+        """Resolve ``task`` without running it, if it can be: a failed
+        dependency, a verified journal replay (the resume skip path),
+        or a store hit.  True when ``results`` now holds it."""
+        bad = [d for d in task.deps
+               if d in results and not results[d].ok]
+        if bad:
+            _FAILURES.inc()
+            results[task.id] = TaskResult(
+                id=task.id,
+                error=RuntimeError(
+                    f"dependency failed: {', '.join(bad)}"
+                ),
+            )
+            return True
+        if self.journal is not None:
+            value = self.journal.replay(task.id, task.key)
+            if not RunJournal.is_missing(value):
+                self._record_outcome_span(task, "replayed")
+                results[task.id] = TaskResult(id=task.id, value=value,
+                                              source="journal")
+                return True
+        if self.store is not None and task.key is not None:
+            sentinel = object()
+            value = self.store.get(task.key, sentinel)
+            if value is not sentinel:
+                _CACHE_HITS.inc()
+                self._record_outcome_span(task, "cache")
+                results[task.id] = TaskResult(id=task.id, value=value,
+                                              source="cache")
+                self._finish(task, results[task.id])
+                return True
+        return False
 
     # -- shared helpers ------------------------------------------------
     def _effective_retries(self, task: Task) -> int:
@@ -377,17 +407,6 @@ class ExecutionEngine:
 
     def _effective_timeout(self, task: Task) -> Optional[float]:
         return self.timeout if task.timeout is None else task.timeout
-
-    def _check_cache(self, task: Task) -> Optional[TaskResult]:
-        if self.store is None or task.key is None:
-            return None
-        sentinel = object()
-        value = self.store.get(task.key, sentinel)
-        if value is sentinel:
-            return None
-        _CACHE_HITS.inc()
-        self._record_outcome_span(task, "cache")
-        return TaskResult(id=task.id, value=value, source="cache")
 
     # -- trace propagation ---------------------------------------------
     def _trace_ctx(self, p: "_Pending") -> Dict[str, Any]:
@@ -421,7 +440,7 @@ class ExecutionEngine:
             task=task.id, outcome=outcome, **extra,
         )
 
-    def _absorb_worker_payload(self, p: "_Pending", raw: Any,
+    def _absorb_worker_payload(self, p: "_Pending", raw: Dict[str, Any],
                                end_ns: int
                                ) -> Tuple[Any, Optional[BaseException]]:
         """Merge a worker shim payload; returns (value, worker error).
@@ -430,11 +449,8 @@ class ExecutionEngine:
         worker's own pid track, clamped into the parent-side
         (submit, collect) window so per-task wall times reconcile with
         the parent dispatch span; metric deltas are folded into the
-        process registry.  A raw (non-shim) payload passes through —
-        the serial fallback and tests that stub the pool never wrap.
+        process registry.
         """
-        if not (isinstance(raw, dict) and raw.get("__repro_worker__")):
-            return raw, None
         delta = raw.get("metrics")
         if delta:
             obs.REGISTRY.merge_delta(delta)
@@ -446,10 +462,6 @@ class ExecutionEngine:
             )
         return raw.get("value"), raw.get("error")
 
-    def _store_result(self, task: Task, value: Any) -> None:
-        if self.store is not None and task.key is not None:
-            self.store.put(task.key, value)
-
     def _validated(self, task: Task, value: Any) -> Any:
         """Returns the value or raises on a corrupt payload."""
         if task.validate is not None and not task.validate(value):
@@ -460,13 +472,16 @@ class ExecutionEngine:
             )
         return value
 
-    def _run_one_serial(self, task: Task) -> TaskResult:
+    def _run_one_serial(self, task: Task, *,
+                        retries: Optional[int] = None,
+                        mode: str = "serial") -> TaskResult:
         """Execute one task in-process with bounded retries."""
-        retries = self._effective_retries(task)
+        if retries is None:
+            retries = self._effective_retries(task)
         attempts = 0
         start = time.perf_counter()
         with obs.span("exec.task", "exec", task=task.id,
-                      mode="serial") as span:
+                      mode=mode) as span:
             while True:
                 attempts += 1
                 attempt_ns = obs.monotonic_ns()
@@ -498,142 +513,71 @@ class ExecutionEngine:
                     )
                     time.sleep(self.backoff * (2 ** (attempts - 1)))
 
-    def _deps_ok(self, task: Task,
-                 results: Dict[str, TaskResult]) -> bool:
-        """False (and a recorded failure) if a dependency failed."""
-        bad = [d for d in task.deps
-               if d in results and not results[d].ok]
-        if bad:
-            _FAILURES.inc()
-            results[task.id] = TaskResult(
-                id=task.id,
-                error=RuntimeError(
-                    f"dependency failed: {', '.join(bad)}"
-                ),
-            )
-            return False
-        return True
-
     def _run_serial(self, order: Sequence[Task],
                     results: Dict[str, TaskResult]) -> None:
         for task in order:
+            if task.id in results:  # finished before a pool degraded
+                continue
             if self._stop_requested():
                 self._interrupt(order, results)
-            if not self._deps_ok(task, results):
+            if self._settle(task, results):
                 continue
-            replayed = self._check_journal(task)
-            if replayed is not None:
-                results[task.id] = replayed
-                continue
-            cached = self._check_cache(task)
-            if cached is not None:
-                results[task.id] = cached
-                self._finish_ok(task, cached)
-                continue
-            result = self._run_one_serial(task)
-            if result.ok:
-                self._store_result(task, result.value)
-                self._finish_ok(task, result)
-            else:
-                self._finish_failed(task, result)
-            results[task.id] = result
+            results[task.id] = self._run_one_serial(task)
+            self._finish(task, results[task.id])
 
     # -- pool path -----------------------------------------------------
-    def _make_pool(self):
-        ctx = (multiprocessing.get_context(self._mp_context)
-               if self._mp_context else multiprocessing.get_context())
-        # workers ignore SIGINT: a Ctrl-C lands on the whole process
-        # group, but the drain/abort decision belongs to the parent
-        return ctx.Pool(processes=self.max_workers,
-                        initializer=ignore_interrupts_in_worker)
-
-    def _shutdown_pool(self) -> None:
-        if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
-            self._pool = None
-
-    def _restart_pool(self) -> bool:
-        """Kill and rebuild the pool; False once restarts are spent."""
-        self._shutdown_pool()
-        self._pool_restarts += 1
-        _POOL_RESTARTS.inc()
-        if self._pool_restarts > self.max_pool_restarts:
-            return False
-        self._pool = self._make_pool()
-        return True
-
     def _run_pool(self, order: Sequence[Task],
                   results: Dict[str, TaskResult]) -> None:
-        self._pool_restarts = 0
         try:
-            self._pool = self._make_pool()
+            # the platform start method (fork on Linux: workers inherit
+            # the parent's warmed memo caches) at full priority
+            pool = SupervisedPool(self.max_workers, niceness=0,
+                                  start_method=None)
         except Exception:
             _DEGRADED.inc()
             self._run_serial(order, results)
             return
+        try:
+            degraded = self._dispatch(pool, order, results)
+        finally:
+            pool.close()
+        if degraded:
+            _DEGRADED.inc()
+            self._run_serial(order, results)
 
+    def _dispatch(self, pool: "SupervisedPool", order: Sequence[Task],
+                  results: Dict[str, TaskResult]) -> bool:
+        """Drive the DAG on ``pool``; True once more than
+        ``max_pool_restarts`` rebuilds hand the rest to serial."""
         pending: Dict[str, _Pending] = {
             task.id: _Pending(task) for task in order
         }
         waiting: List[str] = [task.id for task in order]  # topo order
         running: List[str] = []
-        degraded = False
         draining = False
 
-        def finish(result: TaskResult, task: Optional[Task] = None
-                   ) -> None:
-            results[result.id] = result
-            pending.pop(result.id, None)
-            if task is not None:
-                if result.ok:
-                    self._finish_ok(task, result)
-                else:
-                    self._finish_failed(task, result)
-
-        def serial_fallback(p: _Pending) -> None:
-            """Last resort after pool retries: one in-process run."""
-            _FALLBACKS.inc()
-            task = p.task
-            start = time.perf_counter()
-            with obs.span("exec.task", "exec", task=task.id,
-                          mode="serial-fallback") as span:
-                try:
-                    value = self._validated(
-                        task, task.fn(*task.args, **task.kwargs)
-                    )
-                    span.set(outcome="ok")
-                except Exception as error:
-                    _FAILURES.inc()
-                    span.set(outcome="failed",
-                             error=type(error).__name__)
-                    finish(TaskResult(
-                        id=task.id, error=error, source="serial",
-                        attempts=p.attempts + 1,
-                        duration=time.perf_counter() - start,
-                    ), task)
-                    return
-            _COMPLETED.inc()
-            self._store_result(task, value)
-            finish(TaskResult(
-                id=task.id, value=value, source="serial",
-                attempts=p.attempts + 1,
-                duration=time.perf_counter() - start,
-            ), task)
+        def finish(p: _Pending, result: TaskResult) -> None:
+            results[p.task.id] = result
+            del pending[p.task.id]
+            self._finish(p.task, result)
 
         def register_failure(p: _Pending,
                              error: BaseException) -> None:
-            p.async_result = None
-            if p.attempts <= self._effective_retries(p.task) \
-                    and not degraded:
+            p.future = None
+            if p.attempts <= self._effective_retries(p.task):
                 _RETRIES.inc()
                 p.not_before = (
                     time.monotonic()
                     + self.backoff * (2 ** (p.attempts - 1))
                 )
                 waiting.insert(0, p.task.id)
-            else:
-                serial_fallback(p)
+                return
+            # last resort after pool retries: one in-process run
+            _FALLBACKS.inc()
+            result = self._run_one_serial(p.task, retries=0,
+                                          mode="serial-fallback")
+            result.attempts += p.attempts
+            finish(p, result)
 
         def submit(p: _Pending) -> None:
             task = p.task
@@ -649,14 +593,20 @@ class ExecutionEngine:
                 # every pool task travels through the run_traced shim
                 # with a trace context; the worker sends spans + metric
                 # deltas home alongside the value
-                p.async_result = self._pool.apply_async(
-                    run_traced,
-                    (self._trace_ctx(p), task.fn, task.args,
-                     dict(task.kwargs)),
-                )
+                p.future = pool.submit(
+                    run_traced, self._trace_ctx(p), task.fn,
+                    task.args, dict(task.kwargs))
             except Exception as error:
-                # dispatch itself failed (unpicklable fn, dead pool):
-                # same retry/fallback ladder as a worker-side error
+                gate = pool.backoff_remaining()
+                if gate > 0:
+                    # the pool is rebuilding after a worker crash: a
+                    # wait for the engine, never a failed attempt
+                    p.attempts -= 1
+                    p.not_before = time.monotonic() + gate
+                    waiting.insert(0, task.id)
+                    return
+                # dispatch itself failed: same retry/fallback ladder
+                # as a worker-side error
                 _WORKER_ERRORS.inc()
                 register_failure(p, error)
                 return
@@ -666,25 +616,19 @@ class ExecutionEngine:
             task = p.task
             end_ns = obs.monotonic_ns()
             try:
-                raw = p.async_result.get(0)
+                raw = p.future.result()
             except Exception as error:
                 # transport-level failure: the payload (and its spans)
-                # died with the worker or could not be unpickled
-                _WORKER_ERRORS.inc()
-                self._record_outcome_span(
-                    task, "worker_error", start_ns=p.submit_ns,
-                    end_ns=end_ns, error=error, mode="pool",
-                    attempt=p.attempts, flow=p.flow, flow_role="out",
-                )
-                register_failure(p, error)
-                return
-            value, worker_error = self._absorb_worker_payload(
-                p, raw, end_ns)
-            if worker_error is None:
-                try:
-                    value = self._validated(task, value)
-                except Exception as error:
-                    worker_error = error
+                # died with the worker or could not be pickled
+                value, worker_error = None, error
+            else:
+                value, worker_error = self._absorb_worker_payload(
+                    p, raw, end_ns)
+                if worker_error is None:
+                    try:
+                        value = self._validated(task, value)
+                    except Exception as error:
+                        worker_error = error
             if worker_error is not None:
                 _WORKER_ERRORS.inc()
                 self._record_outcome_span(
@@ -700,81 +644,38 @@ class ExecutionEngine:
                 mode="pool", attempt=p.attempts, flow=p.flow,
                 flow_role="out",
             )
-            self._store_result(task, value)
-            finish(TaskResult(
+            finish(p, TaskResult(
                 id=task.id, value=value, source="pool",
                 attempts=p.attempts,
                 duration=time.monotonic() - p.started,
-            ), task)
+            ))
 
         while pending:
-            now = time.monotonic()
             if not draining and self._stop_requested():
                 # graceful drain: stop launching, let in-flight pool
                 # jobs finish and be journaled, then raise resumable
                 draining = True
             if draining and not running:
                 self._interrupt(order, results)
-
-            if degraded:
-                # pool gone for good: drain the remainder serially, in
-                # dependency order (`order` is already a toposort)
-                for task in order:
-                    if self._stop_requested():
-                        self._interrupt(order, results)
-                    p = pending.get(task.id)
-                    if p is None or task.id in running:
-                        continue
-                    if not self._deps_ok(task, results):
-                        pending.pop(task.id, None)
-                        continue
-                    replayed = self._check_journal(task)
-                    if replayed is not None:
-                        finish(replayed)
-                        continue
-                    cached = self._check_cache(task)
-                    if cached is not None:
-                        finish(cached, task)
-                        continue
-                    result = self._run_one_serial(task)
-                    if result.ok:
-                        self._store_result(task, result.value)
-                    finish(result, task)
-                break
+            degraded = pool.restarts > self.max_pool_restarts
+            if degraded and not running:
+                return True
 
             # promote ready tasks into the pool (bounded in-flight)
-            for tid in list(waiting):
-                if draining:
-                    break
-                if len(running) >= 2 * self.max_workers:
-                    break
-                p = pending.get(tid)
-                if p is None:
+            now = time.monotonic()
+            if not (draining or degraded or pool.backoff_remaining()):
+                for tid in list(waiting):
+                    if len(running) >= 2 * self.max_workers:
+                        break
+                    p = pending[tid]
+                    if p.not_before > now or any(
+                            d in pending for d in p.task.deps):
+                        continue
                     waiting.remove(tid)
-                    continue
-                if p.not_before > now:
-                    continue
-                task = p.task
-                if any(d in pending for d in task.deps):
-                    if not self._deps_ok(task, results):
-                        waiting.remove(tid)
-                        pending.pop(tid, None)
-                    continue
-                if not self._deps_ok(task, results):
-                    waiting.remove(tid)
-                    pending.pop(tid, None)
-                    continue
-                replayed = self._check_journal(task)
-                if replayed is not None:
-                    waiting.remove(tid)
-                    finish(replayed)
-                    continue
-                cached = self._check_cache(task)
-                waiting.remove(tid)
-                if cached is not None:
-                    finish(cached, task)
-                    continue
-                submit(p)
+                    if self._settle(p.task, results):
+                        del pending[tid]
+                    else:
+                        submit(p)
 
             if not running:
                 if pending:
@@ -784,31 +685,25 @@ class ExecutionEngine:
             # collect finished / timed-out pool jobs
             progressed = False
             for tid in list(running):
-                p = pending.get(tid)
-                if p is None or p.async_result is None:
-                    running.remove(tid)
-                    continue
-                if p.async_result.ready():
+                p = pending[tid]
+                if p.future.done():
                     progressed = True
                     running.remove(tid)
                     collect(p)
                 elif time.monotonic() > p.deadline:
                     progressed = True
                     _TIMEOUTS.inc()
-                    # the hung worker must die: terminate the whole
-                    # pool; innocent in-flight tasks are requeued with
-                    # no attempt penalty
+                    # the hung worker must die: kill the whole pool;
+                    # innocent in-flight tasks are requeued with no
+                    # attempt penalty
                     running.remove(tid)
-                    innocents = [pending[i] for i in running
-                                 if i in pending]
+                    for other in running:
+                        innocent = pending[other]
+                        innocent.future = None
+                        innocent.attempts -= 1
+                        waiting.insert(0, other)
                     running.clear()
-                    if not self._restart_pool():
-                        degraded = True
-                        _DEGRADED.inc()
-                    for other in innocents:
-                        other.async_result = None
-                        other.attempts -= 1
-                        waiting.insert(0, other.task.id)
+                    pool.restart()
                     timeout_error = TimeoutError(
                         f"task {tid!r} exceeded "
                         f"{self._effective_timeout(p.task):g}s"
@@ -823,6 +718,7 @@ class ExecutionEngine:
                     break
             if not progressed:
                 time.sleep(_POLL_INTERVAL)
+        return pool.restarts > self.max_pool_restarts
 
 
 def run_tasks(tasks: Sequence[Task], *, max_workers: int = 0,
@@ -833,13 +729,13 @@ def run_tasks(tasks: Sequence[Task], *, max_workers: int = 0,
 
 
 def _pool_worker_init(niceness: int) -> None:
-    """Bootstrap for :class:`SupervisedPool` workers.
+    """The one worker bootstrap, for every pool the package starts.
 
-    Shields the worker from group-delivered TERM (the parent drains),
-    then renices it: cold computes are batch work, and on small
-    machines the pool processes would otherwise compete with the
-    latency-sensitive listener threads for cores.  Must stay
-    module-level so the forkserver can pickle it by name.
+    Shields the worker from group-delivered INT/TERM (the parent
+    drains; the pool SIGKILLs workers it wants gone), then renices it
+    when asked: the server's cold computes are batch work that must
+    not starve its listener threads of CPU.  Must stay module-level so
+    the forkserver can pickle it by name.
     """
     from .signals import ignore_termination_in_worker
 
@@ -851,78 +747,89 @@ def _pool_worker_init(niceness: int) -> None:
             pass
 
 
+def _kill(executor) -> None:
+    """SIGKILL an executor's workers and reap them.
+
+    SIGKILL, not SIGTERM: the worker bootstrap ignores SIGTERM, and a
+    task blocked in ``sleep`` or in C code cannot be stopped otherwise.
+    """
+    for process in list((executor._processes or {}).values()):
+        process.kill()
+    executor.shutdown(wait=True, cancel_futures=True)
+
+
 class SupervisedPool:
-    """Crash-isolated one-call executor for the serve cold path.
+    """The package's one worker-process pool, with crash supervision.
 
-    :class:`ExecutionEngine` runs task *DAGs*; the server instead
-    needs "run this single compute somewhere a segfault cannot take
-    down the listener".  This wraps
-    :class:`concurrent.futures.ProcessPoolExecutor` (whose
+    Both the task-DAG engine and the server's cold path run on this
+    wrapper of :class:`concurrent.futures.ProcessPoolExecutor` (whose
     ``BrokenProcessPool`` cleanly reports a worker death, where
-    ``multiprocessing.Pool`` would hang the waiter forever) with the
-    supervision policy:
+    ``multiprocessing``'s own pool would hang the waiter forever):
 
-    * a dead worker surfaces as
+    * :meth:`submit` returns a future; :meth:`call` is
+      ``submit(...).result()`` with a dead worker surfacing as
       :class:`~repro.errors.WorkerCrashError` (E-EXEC → structured
       503) on the call that was riding it;
-    * the broken executor is discarded and rebuilt behind an
-      **exponential backoff gate** (``restart_backoff`` doubling up to
-      ``max_backoff``; calls landing inside the gate fail fast with
-      E-EXEC instead of blocking a server thread), counted on
-      ``exec.pool.restarts``;
-    * a successful call resets the backoff.
+    * an executor a worker death broke is discarded and rebuilt behind
+      an **exponential backoff gate** (``restart_backoff`` doubling up
+      to 5 s; submits landing inside the gate fail fast with E-EXEC
+      instead of blocking, and :meth:`backoff_remaining` says how long
+      to wait); a successful :meth:`call` resets the backoff;
+    * :meth:`restart` SIGKILLs every worker and rebuilds, which is how
+      the engine stops a hung task.  Every rebuild counts once on
+      ``exec.pool.restarts`` and on :attr:`restarts`.
 
-    Workers start via the ``forkserver`` context where available: the
-    fork happens from a clean single-threaded helper process, never
-    from the lock-holding multithreaded server parent.  Worker
-    bootstrap (:func:`_pool_worker_init`) ignores SIGINT/SIGTERM so a
-    group-delivered TERM drains through the parent, and renices the
-    worker (``niceness``, default +10) so batch cold computes never
-    starve the latency-sensitive listener threads of CPU.
+    Workers ignore SIGINT/SIGTERM (:func:`_pool_worker_init`), so
+    :meth:`close` SIGKILLs them: no worker outlives its pool.
+
+    ``start_method`` and ``niceness`` differ between the two callers.
+    The server keeps the defaults, ``forkserver`` (the fork happens
+    from a clean single-threaded helper, never from the lock-holding
+    multithreaded server) and +10 (batch computes never starve the
+    listener threads).  The engine passes ``None`` (the platform
+    default, fork on Linux, so workers inherit the parent's warmed
+    caches) and 0.
     """
 
     def __init__(self, workers: int = 2, *,
                  restart_backoff: float = 0.1,
-                 backoff_factor: float = 2.0,
-                 max_backoff: float = 5.0,
                  niceness: int = 10,
-                 mp_context: Optional[str] = None):
+                 start_method: Optional[str] = "forkserver"):
+        import multiprocessing
+
         self.workers = max(1, int(workers))
         self.niceness = max(0, int(niceness))
+        self.restarts = 0
+        if start_method not in multiprocessing.get_all_start_methods():
+            start_method = None  # e.g. no forkserver on Windows
+        self.start_method = start_method
         self._base_backoff = float(restart_backoff)
-        self._backoff_factor = float(backoff_factor)
-        self._max_backoff = float(max_backoff)
-        self._mp_context = mp_context
-        self._lock = threading.Lock()
-        self._executor = None
         self._backoff = self._base_backoff
         self._gate_until = 0.0   # monotonic; 0 = no gate
+        self._lock = threading.Lock()
+        self._executor = None
         self._closed = False
-        self._ensure_executor()
         # force the workers (and the forkserver) to start now, while
         # the parent is still single-threaded
-        self.call(os.getpid)
+        try:
+            self._ensure_executor().submit(os.getpid).result()
+        except BaseException:
+            self.close()
+            raise
 
     # -- executor lifecycle --------------------------------------------
-    def _context(self):
-        name = self._mp_context
-        if name is None:
-            name = ("forkserver" if "forkserver"
-                    in multiprocessing.get_all_start_methods()
-                    else None)
-        return (multiprocessing.get_context(name)
-                if name else multiprocessing.get_context())
-
     def _ensure_executor(self):
-        """Build (or rebuild) the executor; honors the backoff gate.
+        """The live executor, built on demand.
 
-        Returns the live executor or raises
-        :class:`~repro.errors.WorkerCrashError` while gated/closed.
+        Raises :class:`~repro.errors.WorkerCrashError` while closed or
+        inside the restart backoff gate.
         """
+        import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         from ..errors import WorkerCrashError
 
+        self._reap()
         with self._lock:
             if self._closed:
                 raise WorkerCrashError("worker pool is closed")
@@ -938,28 +845,63 @@ class SupervisedPool:
                 )
             self._executor = ProcessPoolExecutor(
                 max_workers=self.workers,
-                mp_context=self._context(),
+                mp_context=multiprocessing.get_context(self.start_method),
                 initializer=_pool_worker_init,
                 initargs=(self.niceness,))
             return self._executor
 
-    def _mark_broken(self, executor) -> None:
-        """Discard a broken executor and arm the backoff gate."""
+    def _reap(self) -> None:
+        """Discard an executor a worker death broke; arm the gate."""
         with self._lock:
-            if self._executor is not executor:
-                return  # someone else already handled it
+            executor = self._executor
+            if executor is None or not executor._broken:
+                return
             self._executor = None
             self._gate_until = time.monotonic() + self._backoff
-            self._backoff = min(self._max_backoff,
-                                self._backoff * self._backoff_factor)
+            self._backoff = min(_MAX_BACKOFF,
+                                self._backoff * _BACKOFF_FACTOR)
+            self.restarts += 1
             _POOL_RESTARTS.inc()
-        try:
-            executor.shutdown(wait=False)
-        except Exception:
-            pass
+        _kill(executor)
+
+    def backoff_remaining(self) -> float:
+        """Seconds until the pool takes work again (0.0 when it does)."""
+        self._reap()
+        return max(0.0, self._gate_until - time.monotonic())
+
+    def restart(self) -> None:
+        """SIGKILL every worker; the next :meth:`submit` rebuilds.
+
+        Futures still riding the old workers fail; callers requeue
+        them.  No backoff gate: a deliberate kill is not a crash.
+        """
+        with self._lock:
+            executor, self._executor = self._executor, None
+            self.restarts += 1
+            _POOL_RESTARTS.inc()
+        if executor is not None:
+            _kill(executor)
 
     # -- calls ---------------------------------------------------------
-    def call(self, fn, *args, timeout: Optional[float] = None):
+    def submit(self, fn, *args):
+        """Schedule ``fn(*args)`` on a worker; returns its future.
+
+        Raises :class:`~repro.errors.WorkerCrashError` when the pool
+        is closed, inside its restart backoff, or rejects the call.
+        """
+        from concurrent.futures.process import BrokenProcessPool
+
+        from ..errors import WorkerCrashError
+
+        executor = self._ensure_executor()
+        try:
+            return executor.submit(fn, *args)
+        except (BrokenProcessPool, RuntimeError) as error:
+            self._reap()
+            raise WorkerCrashError(
+                f"worker pool rejected the call: {error}") from error
+
+    def call(self, fn, *args):
         """Run ``fn(*args)`` on a worker and return its result.
 
         Raises :class:`~repro.errors.WorkerCrashError` when the worker
@@ -968,32 +910,20 @@ class SupervisedPool:
         the boundary via pickling, which every
         :class:`~repro.errors.ReproError` supports).
         """
-        from concurrent.futures import TimeoutError as FuturesTimeout
         from concurrent.futures.process import BrokenProcessPool
 
         from ..errors import WorkerCrashError
 
-        executor = self._ensure_executor()
         try:
-            future = executor.submit(fn, *args)
-        except (BrokenProcessPool, RuntimeError) as error:
-            self._mark_broken(executor)
-            raise WorkerCrashError(
-                f"worker pool rejected the call: {error}") from error
-        try:
-            result = future.result(timeout=timeout)
+            result = self.submit(fn, *args).result()
         except BrokenProcessPool as error:
-            self._mark_broken(executor)
+            self._reap()
             raise WorkerCrashError(
                 "a pool worker died mid-computation; the pool is "
                 "restarting",
                 hint="retry the request; repeated crashes open the "
                      "endpoint's circuit breaker",
             ) from error
-        except FuturesTimeout:
-            future.cancel()
-            _TIMEOUTS.inc()
-            raise
         with self._lock:
             self._backoff = self._base_backoff
         return result
@@ -1022,8 +952,9 @@ class SupervisedPool:
         return pid
 
     def close(self) -> None:
+        """Stop the pool, SIGKILLing its workers (they ignore TERM)."""
         with self._lock:
             executor, self._executor = self._executor, None
             self._closed = True
         if executor is not None:
-            executor.shutdown(wait=False)
+            _kill(executor)

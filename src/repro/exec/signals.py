@@ -18,12 +18,11 @@ from __future__ import annotations
 import signal
 import sys
 import threading
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from .. import obs
 
-__all__ = ["GracefulShutdown", "ignore_interrupts_in_worker",
-           "ignore_termination_in_worker"]
+__all__ = ["GracefulShutdown", "ignore_termination_in_worker"]
 
 _RECEIVED = obs.counter("resilience.signals.received")
 _DRAINS = obs.counter("resilience.signals.drain_started")
@@ -91,30 +90,17 @@ class GracefulShutdown:
         self._restore()
 
 
-def ignore_interrupts_in_worker() -> None:
-    """Pool-worker initializer: leave SIGINT to the parent.
-
-    A terminal Ctrl-C is delivered to the whole foreground process
-    group; workers must not die mid-task from it — the parent decides
-    whether to drain or abort (terminating the pool on abort).
-    """
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
-
-
 def ignore_termination_in_worker() -> None:
-    """Serve-pool worker initializer: ignore SIGINT *and* SIGTERM.
+    """Pool-worker bootstrap: ignore SIGINT *and* SIGTERM.
 
-    ``kill <server pid>`` from an init system is often delivered to
-    the whole process group; the server parent runs the two-stage
-    drain, and a compute worker dying mid-task would turn a graceful
-    shutdown into a spurious 503.  The supervisor terminates workers
-    explicitly when it actually wants them gone.
+    A terminal Ctrl-C, like a ``kill`` from an init system, is often
+    delivered to the whole process group.  The parent decides whether
+    to drain or abort; a worker dying mid-task would turn a graceful
+    drain into a failed task or a spurious 503.  The pool SIGKILLs its
+    workers when it actually wants them gone.
     """
-    ignore_interrupts_in_worker()
-    try:
-        signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - non-main thread
-        pass
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        try:
+            signal.signal(sig, signal.SIG_IGN)
+        except (ValueError, OSError):  # pragma: no cover - non-main thread
+            pass

@@ -10,8 +10,8 @@ key builders that make those payloads content-addressable:
 * :func:`sweep_shard` — one chunk of a domain sweep's binding matrix,
   merged row-for-row by :func:`repro.analysis.sweep.sweep_domain`.
 
-Keys combine the bindings (exhibit name, domain, size, subbatch, engine
-options) with the package version and the source digest that
+Keys combine the bindings (exhibit name, domain, size, subbatch) with
+the package version and the source digest that
 :func:`repro.exec.store.content_key` folds into every key: no key
 builder constructs or hashes a graph.
 """
@@ -133,12 +133,6 @@ def sweep_shard(key: str, sizes: Tuple[float, ...], subbatch: int,
     return [astuple(row) for row in rows]
 
 
-def sweep_shard_key(key: str, sizes: Sequence[float], subbatch: int,
-                    include_footprint: bool, engine: str) -> str:
-    return content_key("sweep_shard", key, [float(s) for s in sizes],
-                       subbatch, include_footprint, engine)
-
-
 # -- cross-process observability shim ----------------------------------------
 
 def _picklable_error(error: BaseException) -> BaseException:
@@ -165,7 +159,7 @@ def run_traced(ctx: Mapping[str, Any], fn: Callable[..., Any],
     registry (baseline snapshot at task start), and returns the
     completed spans and metric deltas *alongside* the result::
 
-        {"__repro_worker__": True, "pid": ..., "value"/"error": ...,
+        {"pid": ..., "value"/"error": ...,
          "spans": [Span.to_record()...], "metrics": delta}
 
     Exceptions are caught and shipped home in the payload (made
@@ -205,7 +199,6 @@ def run_traced(ctx: Mapping[str, Any], fn: Callable[..., Any],
         records = [s.to_record() for s in tracer.spans()]
         tracer.clear()
     return {
-        "__repro_worker__": True,
         "pid": os.getpid(),
         "value": value,
         "error": error,

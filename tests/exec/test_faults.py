@@ -7,9 +7,14 @@ engine's serial fallback runs it in the parent — proving degradation
 rescues the batch rather than merely retrying the same failure.
 """
 
+import multiprocessing
+import time
+
 import pytest
 
-from repro.exec.engine import ExecutionEngine, Task, run_tasks
+from repro.errors import RunInterrupted
+from repro.exec.engine import (ExecError, ExecutionEngine, SupervisedPool,
+                               Task, run_tasks)
 from repro.obs import metrics
 
 from . import _workers
@@ -102,7 +107,7 @@ class TestArtifactUnderFaults:
         serial bytes) even when every pool dispatch raises."""
         from repro import artifact
 
-        def poisoned_apply_async(self, fn, args=(), kwds=None):
+        def poisoned_submit(self, fn, *args):
             raise RuntimeError("injected dispatch failure")
 
         serial_dir = tmp_path / "serial"
@@ -110,15 +115,45 @@ class TestArtifactUnderFaults:
         configs = (("word_lm", 1024), ("image", 1))
         artifact.generate_results(str(serial_dir), configs)
 
-        import multiprocessing.pool
-        monkeypatch.setattr(multiprocessing.pool.Pool, "apply_async",
-                            poisoned_apply_async)
-        engine = ExecutionEngine(max_workers=2, retries=0,
-                                 backoff=0.001)
+        monkeypatch.setattr(SupervisedPool, "submit", poisoned_submit)
         artifact.generate_results(str(faulty_dir), configs,
-                                  engine=engine)
+                                  max_workers=2)
 
         for name in sorted(p.name for p in serial_dir.iterdir()):
             with open(serial_dir / name) as a, \
                     open(faulty_dir / name) as b:
                 assert a.read() == b.read(), name
+
+
+def _timeout_fallback_run():
+    run_tasks([Task(id="h", fn=_workers.hang_in_worker, args=(5,),
+                    timeout=0.4)],
+              max_workers=2, retries=1, backoff=0.001)
+
+
+def _failing_run():
+    with pytest.raises(ExecError):
+        run_tasks([Task(id="bad", fn=int, args=("x",), retries=0)],
+                  max_workers=2)
+
+
+def _interrupted_run():
+    done = []
+    engine = ExecutionEngine(max_workers=2, stop=lambda: bool(done))
+    tasks = [Task(id=f"t{i}", fn=_workers.double, args=(i,))
+             for i in range(6)]
+    with pytest.raises(RunInterrupted):
+        engine.run(tasks, on_result=lambda task, result: done.append(1))
+
+
+class TestNoWorkerOutlivesARun:
+    """Workers ignore SIGTERM, so only a SIGKILL cleanup passes: waiting
+    for the hung worker instead would take its full 30 s sleep."""
+
+    @pytest.mark.parametrize("run", [_timeout_fallback_run, _failing_run,
+                                     _interrupted_run])
+    def test_no_live_children_after_run(self, run):
+        start = time.monotonic()
+        run()
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 15.0

@@ -15,7 +15,7 @@ import pytest
 
 from repro.exec.store import source_digest
 from repro.exec.tasks import (artifact_config_key, registry_fingerprint,
-                              report_exhibit_key, sweep_shard_key)
+                              report_exhibit_key)
 from repro.models.registry import DOMAINS
 
 from ..helpers import REPO_ROOT
@@ -105,9 +105,7 @@ class TestKeysBuildNoGraph:
                 registry_fingerprint(["word_lm", "image"])}
         for domain, entry in DOMAINS.items():
             keys.add(artifact_config_key(domain, entry.sweep_sizes[0]))
-            keys.add(sweep_shard_key(domain, entry.sweep_sizes[:2],
-                                     entry.subbatch, True, "compiled"))
-        assert len(keys) == 4 + 2 * len(DOMAINS)
+        assert len(keys) == 4 + len(DOMAINS)
 
     @pytest.mark.parametrize("endpoint,params", [
         ("sweep", {"domain": "char_lm", "sizes": [256, 512]}),
