@@ -10,6 +10,12 @@ at three levels:
 * the full ``sweep_domain`` pipeline (``engine="treewalk"`` — the seed
   recursive path — vs ``engine="compiled"``).
 
+It also records, for every registry graph, how far op classes compress
+it (ops ÷ distinct op classes, ``Graph.op_classes``).  Every per-op
+cost loop runs once per class, so a signature change that silently
+splits classes shows up as a falling ratio; the ratio is
+deterministic, so its floor cannot flake.
+
 Writes ``BENCH_compile_eval.json`` at the repo root and asserts the
 acceptance criteria: the compiled sweep on the largest stock domain
 (word_lm) is at least 5x faster than the tree walk with every row
@@ -38,6 +44,7 @@ from repro.graph.traversal import (
     evaluate_sizes,
     size_program,
 )
+from repro.models.registry import DOMAINS as REGISTRY
 from repro.models.registry import build_symbolic, get_domain
 
 DOMAINS = ("word_lm", "image")  # word LM + ResNet, per the paper's Fig 7
@@ -206,8 +213,19 @@ def _bench_sweep_cache(key: str) -> dict:
     return stats
 
 
+def _bench_op_classes(key: str) -> dict:
+    graph = build_symbolic(key).graph
+    n_classes = len(graph.op_classes())
+    return {
+        "ops": len(graph.ops),
+        "classes": n_classes,
+        "ratio": round(len(graph.ops) / n_classes, 2),
+    }
+
+
 def test_compile_eval(bench_json):
     results = {
+        "op_classes": {k: _bench_op_classes(k) for k in sorted(REGISTRY)},
         "aggregates": {k: _bench_aggregates(k) for k in DOMAINS},
         "tensor_sizes": {k: _bench_tensor_sizes(k) for k in DOMAINS},
         "sweep_domain": {k: _bench_sweep(k) for k in DOMAINS},
@@ -223,6 +241,9 @@ def test_compile_eval(bench_json):
             speed = stats.get("speedup", stats.get("speedup_vectorized"))
             print(f"{section:>13} {key:<8} treewalk {stats['treewalk_s']:8.3f}s"
                   f"  compiled {stats['compiled_s']:8.3f}s  {speed:6.1f}x")
+    for key, stats in results["op_classes"].items():
+        print(f"   op_classes {key:<8} {stats['ops']:6d} ops  "
+              f"{stats['classes']:4d} classes  {stats['ratio']:8.1f}x")
     for key, stats in results["sweep_cache"].items():
         print(f"  sweep_cache {key:<8} cold {stats['cold_s']:8.3f}s"
               f"  warm {stats['warm_s']:8.3f}s"

@@ -45,7 +45,7 @@ from ..graph.op import Op
 from ..symbolic import Expr, Symbol
 from ..symbolic.poly import degrees, nonnegative
 from .absint import record_outcome
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, per_op_findings
 
 __all__ = ["cost_diagnostics", "probe_bindings"]
 
@@ -121,17 +121,22 @@ def _lower_bound_violation(value: Expr, bound: Expr,
 
 
 def cost_diagnostics(graph: Graph) -> List[Diagnostic]:
-    """Run the C-family rules over every op of ``graph``."""
+    """Run the C-family rules over every op of ``graph``.
+
+    Each op class is checked once through its representative; only a
+    class with findings is re-checked op by op.
+    """
     probes = probe_bindings(graph.free_symbols())
-    out: List[Diagnostic] = []
     elem_degrees: Dict[object, Optional[Dict[Symbol, object]]] = {}
 
-    for op in graph.ops:
+    def check(op: Op) -> List[Diagnostic]:
         costs = _OpCosts(op, probes)
-        out.extend(_check_byte_bounds(costs))
-        out.extend(_check_flops_degree(costs, elem_degrees))
-        out.extend(_check_matmul_form(costs))
-        out.extend(_check_intensity(costs))
+        return (_check_byte_bounds(costs)
+                + _check_flops_degree(costs, elem_degrees)
+                + _check_matmul_form(costs)
+                + _check_intensity(costs))
+
+    out = per_op_findings(graph, check)
     for d in out:
         d.graph = graph.name
     return out

@@ -18,9 +18,14 @@ codes are grouped by pass family:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List,
+                    Optional, Sequence)
 
 from ..errors import BindingError, did_you_mean
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..graph.graph import Graph
+    from ..graph.op import Op
 
 __all__ = [
     "ERROR",
@@ -33,6 +38,7 @@ __all__ = [
     "check_rule_codes",
     "filter_diagnostics",
     "max_severity",
+    "per_op_findings",
 ]
 
 ERROR = "error"
@@ -249,3 +255,22 @@ def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[str]:
         if best is None or SEVERITY_RANK[d.severity] < SEVERITY_RANK[best]:
             best = d.severity
     return best
+
+
+def per_op_findings(graph: "Graph",
+                    check: Callable[["Op"], List[Diagnostic]]
+                    ) -> List[Diagnostic]:
+    """``check`` over every op of ``graph``, run once per op class.
+
+    Per-op rules that read only what an op class shares (its cost
+    formulas, declared cost metadata and tensor geometry) clear a
+    whole class through its representative.  A class with any finding
+    is re-checked op by op, so each diagnostic names its own op and
+    the list stays in op order.
+    """
+    failing = graph.per_op(lambda rep: bool(check(rep)))
+    out: List[Diagnostic] = []
+    for op, fails in zip(graph.ops, failing):
+        if fails:
+            out.extend(check(op))
+    return out

@@ -23,7 +23,7 @@ Every obligation ticks ``check.absint.proved/fallback/refuted``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..graph.graph import Graph
 from ..models.base import BuiltModel
@@ -31,7 +31,7 @@ from ..models.registry import DOMAINS
 from ..symbolic import Expr
 from ..symbolic.poly import nonnegative
 from .absint import BindingDomain, Interval, interval_of_expr, record_outcome
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, per_op_findings
 
 __all__ = [
     "interval_diagnostics",
@@ -89,8 +89,9 @@ def _binding_repr(binding: Dict[str, float]) -> str:
     return ", ".join(f"{k}={v:g}" for k, v in sorted(binding.items()))
 
 
-def _check_formula(op, label: str, expr: Expr,
-                   domain: BindingDomain) -> List[Diagnostic]:
+def _check_formula(op, label: str, expr: Expr, domain: BindingDomain,
+                   interval: Callable[[Expr], Interval]
+                   ) -> List[Diagnostic]:
     out: List[Diagnostic] = []
     proof = {
         "method": "interval",
@@ -99,11 +100,10 @@ def _check_formula(op, label: str, expr: Expr,
 
     # nonnegativity: posynomial coefficients decide globally; the
     # interval bound covers the rest of the fragment
+    iv = interval(expr)
     if nonnegative(expr) is True:
         record_outcome("proved")
-        iv = interval_of_expr(expr, domain)
     else:
-        iv = interval_of_expr(expr, domain)
         if iv.lo >= 0.0 and not iv.maybe_nan:
             record_outcome("proved")
         else:
@@ -143,18 +143,20 @@ def _check_formula(op, label: str, expr: Expr,
 
 
 def _check_intensity_interval(op, flops: Expr, bytes_expr: Expr,
-                              domain: BindingDomain) -> List[Diagnostic]:
+                              domain: BindingDomain,
+                              interval: Callable[[Expr], Interval]
+                              ) -> List[Diagnostic]:
     """I003: lb(flops) > ub(bytes)·ub(cap) refutes the bound everywhere."""
     tensors = tuple(op.inputs) + tuple(op.outputs)
     if not tensors:
         return []
-    f_iv = interval_of_expr(flops, domain)
+    f_iv = interval(flops)
     if f_iv.lo <= 0.0:
         return []
-    by_iv = interval_of_expr(bytes_expr, domain)
+    by_iv = interval(bytes_expr)
     cap_iv: Optional[Interval] = None
     for t in tensors:
-        t_iv = interval_of_expr(t.num_elements(), domain)
+        t_iv = interval(t.num_elements())
         cap_iv = t_iv if cap_iv is None else cap_iv.max_(t_iv)
     bound = by_iv.mul(cap_iv)
     bound_hi = bound.hi
@@ -183,17 +185,32 @@ def _check_intensity_interval(op, flops: Expr, bytes_expr: Expr,
 def interval_diagnostics(graph: Graph,
                          domain: Optional[BindingDomain] = None
                          ) -> List[Diagnostic]:
-    """Run the I-family rules over every op of ``graph``."""
+    """Run the I-family rules over every op of ``graph``.
+
+    Each op class is checked once through its representative; only a
+    class with findings is re-checked op by op.
+    """
     if domain is None:
         domain = BindingDomain({})
-    out: List[Diagnostic] = []
-    for op in graph.ops:
+    # formulas and tensor sizes recur across ops and rules: bound each
+    # distinct expression once per pass
+    intervals: Dict[Expr, Interval] = {}
+
+    def interval(expr: Expr) -> Interval:
+        iv = intervals.get(expr)
+        if iv is None:
+            iv = intervals[expr] = interval_of_expr(expr, domain)
+        return iv
+
+    def check(op) -> List[Diagnostic]:
         flops = op.flops()
         bytes_expr = op.bytes_accessed()
-        out.extend(_check_formula(op, "FLOP", flops, domain))
-        out.extend(_check_formula(op, "bytes", bytes_expr, domain))
-        out.extend(_check_intensity_interval(op, flops, bytes_expr,
-                                             domain))
+        return (_check_formula(op, "FLOP", flops, domain, interval)
+                + _check_formula(op, "bytes", bytes_expr, domain, interval)
+                + _check_intensity_interval(op, flops, bytes_expr,
+                                            domain, interval))
+
+    out = per_op_findings(graph, check)
     for d in out:
         d.graph = graph.name
     return out

@@ -4,17 +4,30 @@ The graph is a DAG of :class:`~repro.graph.op.Op` nodes connected by
 :class:`~repro.graph.tensor.Tensor` edges.  It provides aggregate
 algorithmic counts (FLOPs, bytes, parameters) as symbolic expressions —
 the quantities the paper profiles with TFprof, here derived exactly.
+
+Unrolled training graphs are thousands of copies of a few dozen
+distinct ops.  :meth:`Graph.op_classes` groups ops whose costs are
+provably the same (same op type, same declared
+:meth:`~repro.graph.op.Op.cost_signature`, same tensor geometry), so
+every per-op cost loop builds and evaluates one expression per class
+instead of one per op.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-from ..symbolic import Add, Const, Expr
+from ..symbolic import Add, Const, Expr, Mul
 from .op import Op
 from .tensor import Dim, Tensor, TensorKind
 
 __all__ = ["Graph"]
+
+T = TypeVar("T")
+
+
+def _tensor_signature(t: Tensor) -> tuple:
+    return (t.shape, t.dtype_bytes, t.kind, t.int_bound)
 
 
 class Graph:
@@ -34,6 +47,10 @@ class Graph:
         self._op_names: set = set()
         self._name_counters: Dict[str, int] = {}
         self._aggregate_cache: Dict[str, Expr] = {}
+        self._finalized = False
+        #: (classes, class index of each op), memoized once finalized
+        self._classes: Optional[Tuple[List[Tuple[Op, List[Op]]],
+                                      List[int]]] = None
 
     # -- construction -----------------------------------------------------
     def unique_name(self, prefix: str) -> str:
@@ -76,6 +93,10 @@ class Graph:
 
     def add_op(self, op: Op) -> Op:
         """Register an op: wire producer/consumer links and check names."""
+        if self._finalized:
+            raise ValueError(
+                f"graph {self.name} is finalized; cannot add op {op.name!r}"
+            )
         if op.name in self._op_names:
             raise ValueError(f"duplicate op name {op.name!r}")
         for t in op.inputs:
@@ -105,6 +126,62 @@ class Graph:
         self._aggregate_cache.clear()
         return op
 
+    def finalize(self) -> "Graph":
+        """Freeze the op list: later :meth:`add_op` calls raise.
+
+        A finalized graph memoizes its :meth:`op_classes`; nothing else
+        can change them (tensor shapes are immutable and the rewrite
+        passes in ``fusion``/``inplace`` never mutate the graph).
+        """
+        self._finalized = True
+        return self
+
+    # -- op classes --------------------------------------------------------
+    def _classify(self) -> Tuple[List[Tuple[Op, List[Op]]], List[int]]:
+        if self._classes is not None:
+            return self._classes
+        index: Dict[tuple, int] = {}
+        classes: List[Tuple[Op, List[Op]]] = []
+        class_of: List[int] = []
+        for op in self.ops:
+            key = (type(op), op.cost_signature(),
+                   tuple(map(_tensor_signature, op.inputs)),
+                   tuple(map(_tensor_signature, op.outputs)))
+            i = index.get(key)
+            if i is None:
+                i = index[key] = len(classes)
+                classes.append((op, []))
+            classes[i][1].append(op)
+            class_of.append(i)
+        if self._finalized:
+            self._classes = (classes, class_of)
+        return classes, class_of
+
+    def op_classes(self) -> List[Tuple[Op, List[Op]]]:
+        """Ops grouped by cost-determining signature.
+
+        Two ops share a class when they have the same type, the same
+        :meth:`~repro.graph.op.Op.cost_signature`, and the same shape,
+        dtype width, kind and integer bound on every input and output
+        tensor — so their ``flops()`` and ``bytes_accessed()`` are the
+        same interned expression.  Returns ``(representative,
+        members)`` pairs in order of first appearance, members in op
+        order.  Memoized on a finalized graph, recomputed per call
+        otherwise.
+        """
+        return self._classify()[0]
+
+    def per_op(self, cost: Callable[[Op], T]) -> List[T]:
+        """``cost(representative)`` once per op class, laid out per op.
+
+        The result aligns with :attr:`ops`, so a caller can keep a
+        per-op accumulation loop (and its float summation order) while
+        evaluating each distinct op only once.
+        """
+        classes, class_of = self._classify()
+        values = [cost(rep) for rep, _ in classes]
+        return [values[i] for i in class_of]
+
     # -- queries -----------------------------------------------------------
     def parameters(self) -> List[Tensor]:
         """All trainable weight tensors, in creation order."""
@@ -131,24 +208,33 @@ class Graph:
         sizes = [t.size_bytes() for t in self.parameters()]
         return Add.of(*sizes) if sizes else Const(0)
 
+    def class_sum(self, cost: Callable[[Op], Expr]) -> Expr:
+        """``Σ cost(op)`` over all ops, one ``count · cost`` per class.
+
+        Exact rational coefficients make this the same interned
+        expression as the per-op sum.
+        """
+        return Add.of(Const(0), *(
+            Mul.of(Const(len(members)), cost(rep))
+            for rep, members in self.op_classes()
+        ))
+
     def total_flops(self) -> Expr:
-        """Sum of algorithmic FLOPs across all ops (one graph traversal).
+        """Sum of algorithmic FLOPs across all ops.
 
         Cached until the graph changes — large unrolled models reuse
         the same aggregate at every sweep binding.
         """
         if "flops" not in self._aggregate_cache:
-            self._aggregate_cache["flops"] = Add.of(
-                Const(0), *(op.flops() for op in self.ops)
-            )
+            self._aggregate_cache["flops"] = self.class_sum(
+                lambda op: op.flops())
         return self._aggregate_cache["flops"]
 
     def total_bytes_accessed(self) -> Expr:
         """Sum of algorithmic bytes accessed across all ops (cached)."""
         if "bytes" not in self._aggregate_cache:
-            self._aggregate_cache["bytes"] = Add.of(
-                Const(0), *(op.bytes_accessed() for op in self.ops)
-            )
+            self._aggregate_cache["bytes"] = self.class_sum(
+                lambda op: op.bytes_accessed())
         return self._aggregate_cache["bytes"]
 
     def algorithmic_io_bytes(self) -> Expr:

@@ -68,6 +68,18 @@ class Op:
         self.outputs: Tuple[Tensor, ...] = tuple(outputs)
 
     # -- algorithmic accounting ------------------------------------------
+    def cost_signature(self) -> tuple:
+        """The op's own attributes its cost formulas depend on.
+
+        Together with the op type and its tensors' geometry this keys
+        :meth:`repro.graph.Graph.op_classes`: ops agreeing on all three
+        must return the same ``flops()`` and ``bytes_accessed()``.
+        Subclasses whose costs read attributes beyond their tensors
+        (transpose flags, kernel geometry, the activation function)
+        extend it.
+        """
+        return ()
+
     def flops(self) -> Expr:
         """Algorithmic FLOPs; default 0 (data movement / bookkeeping ops)."""
         return Const(0)

@@ -104,12 +104,10 @@ def cache_aware_total_bytes(graph: Graph, cache_bytes: float) -> Expr:
     """Training-step bytes with matmul re-streaming under a finite cache.
 
     Non-matmul ops keep their algorithmic bytes; matmul-like ops use
-    the tiled-streaming traffic model.
+    the tiled-streaming traffic model.  Built once per op class.
     """
-    parts = [Const(0)]
-    for op in graph.ops:
-        parts.append(cache_aware_op_bytes(op, cache_bytes))
-    return Add.of(*parts)
+    return graph.class_sum(
+        lambda op: cache_aware_op_bytes(op, cache_bytes))
 
 
 def cache_aware_op_bytes(op, cache_bytes: float) -> Expr:
@@ -133,14 +131,18 @@ def cache_aware_step_time(graph: Graph, accel, bindings=None) -> dict:
     when the aggregate intensity clears the ridge point.  Returns a
     dict with ``step_time``, total ``flops``/``bytes``, and the derived
     ``flop_utilization``.
+
+    Each op class is evaluated once; the sums still run per op, in op
+    order, so the floats match a per-op evaluation exactly.
     """
+    per_op = graph.per_op(lambda op: (
+        op.flops().evalf(bindings),
+        cache_aware_op_bytes(op, accel.cache_bytes).evalf(bindings),
+    ))
     total_time = 0.0
     total_flops = 0.0
     total_bytes = 0.0
-    for op in graph.ops:
-        flops = op.flops().evalf(bindings)
-        byts = cache_aware_op_bytes(op, cache_bytes=accel.cache_bytes)
-        byts = byts.evalf(bindings)
+    for flops, byts in per_op:
         total_time += max(flops / accel.achievable_flops,
                           byts / accel.achievable_bandwidth)
         total_flops += flops

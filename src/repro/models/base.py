@@ -37,9 +37,15 @@ class BuiltModel:
         return self.graph.parameter_count()
 
     def with_training_step(self) -> "BuiltModel":
-        """Append backward + SGD update ops (idempotent via meta flag)."""
+        """Append backward + SGD update ops and finalize the graph.
+
+        Idempotent via a meta flag.  The finished training step is
+        frozen (:meth:`~repro.graph.Graph.finalize`), so its op classes
+        are computed once and shared by every cost pass.
+        """
         if not self.meta.get("training_step_built"):
             grads = build_training_step(self.graph, self.loss)
+            self.graph.finalize()
             self.meta["training_step_built"] = True
             # keep the param→grad map for the autodiff lint pass
             # (repro.check.autodiff re-verifies it against the graph)

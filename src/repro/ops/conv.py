@@ -85,6 +85,9 @@ class Conv2DOp(Op):
         self.padding = padding
         self.kernel = (_as_int(w.shape[0]), _as_int(w.shape[1]))
 
+    def cost_signature(self) -> tuple:
+        return (self.kernel, self.stride, self.padding)
+
     def flops(self) -> Expr:
         x, w = self.inputs
         out = self.outputs[0]
@@ -149,6 +152,9 @@ class Conv2DInputGradOp(Op):
         self.padding = forward.padding
         self.kernel = forward.kernel
 
+    def cost_signature(self) -> tuple:
+        return (self.kernel, self.stride, self.padding)
+
     def flops(self) -> Expr:
         dy, w = self.inputs
         return Mul.of(Const(2), w.num_elements(), dy.shape[0],
@@ -190,6 +196,9 @@ class Conv2DFilterGradOp(Op):
         self.stride = forward.stride
         self.padding = forward.padding
         self.kernel = forward.kernel
+
+    def cost_signature(self) -> tuple:
+        return (self.kernel, self.stride, self.padding)
 
     def flops(self) -> Expr:
         dy = self.inputs[1]

@@ -39,6 +39,9 @@ class MatMulOp(Op):
         self.transpose_a = transpose_a
         self.transpose_b = transpose_b
 
+    def cost_signature(self) -> tuple:
+        return (self.transpose_a, self.transpose_b)
+
     def _dims(self) -> Tuple[Expr, Expr, Expr]:
         a, b = self.inputs
         m, k = (a.shape[1], a.shape[0]) if self.transpose_a else a.shape
@@ -127,6 +130,9 @@ class BatchMatMulOp(Op):
         super().__init__(name, [a, b], [out])
         self.transpose_a = transpose_a
         self.transpose_b = transpose_b
+
+    def cost_signature(self) -> tuple:
+        return (self.transpose_a, self.transpose_b)
 
     def _dims(self):
         a, b = self.inputs

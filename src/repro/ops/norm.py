@@ -87,6 +87,9 @@ class BatchNormGradOp(Op):
         super().__init__(name, [x, gamma, dy], outs)
         self._wants = (dx is not None, dgamma is not None, dbeta is not None)
 
+    def cost_signature(self) -> tuple:
+        return self._wants
+
     def flops(self) -> Expr:
         return Mul.of(Const(14), self.inputs[0].num_elements())
 

@@ -37,6 +37,9 @@ class SGDUpdateOp(Op):
         super().__init__(name, [weight, grad], [])
         self.lr = float(lr)
 
+    def cost_signature(self) -> tuple:
+        return (self.lr,)
+
     def flops(self) -> Expr:
         # scale + subtract per element
         return Mul.of(Const(2), self.inputs[0].num_elements())

@@ -54,6 +54,9 @@ class UnaryOp(Op):
         self.fn = fn
         self.kind = fn
 
+    def cost_signature(self) -> tuple:
+        return (self.fn,)
+
     def flops(self) -> Expr:
         cost = _UNARY_TABLE[self.fn][0]
         return Mul.of(Const(cost), self.outputs[0].num_elements())
@@ -86,6 +89,9 @@ class UnaryGradOp(Op):
         super().__init__(name, [y, x, dy], [out])
         self.fn = fn
         self.kind = fn + "_grad"
+
+    def cost_signature(self) -> tuple:
+        return (self.fn,)
 
     def flops(self) -> Expr:
         cost = _UNARY_TABLE[self.fn][2]
@@ -133,6 +139,9 @@ class BinaryOp(Op):
         self.fn = fn
         self.kind = fn
         self.broadcast = _broadcast_kind(a, b)
+
+    def cost_signature(self) -> tuple:
+        return (self.fn, self.broadcast)
 
     def flops(self) -> Expr:
         return self.outputs[0].num_elements()
@@ -183,6 +192,9 @@ class ScaleOp(Op):
     def __init__(self, name: str, x: Tensor, factor: float, out: Tensor):
         super().__init__(name, [x], [out])
         self.factor = float(factor)
+
+    def cost_signature(self) -> tuple:
+        return (self.factor,)
 
     def flops(self) -> Expr:
         return self.outputs[0].num_elements()

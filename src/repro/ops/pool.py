@@ -29,6 +29,9 @@ class MaxPool2DOp(Op):
         self.stride = int(stride)
         self.padding = padding
 
+    def cost_signature(self) -> tuple:
+        return (self.window, self.stride, self.padding)
+
     def flops(self) -> Expr:
         # window² comparisons per output element
         return Mul.of(Const(self.window * self.window),
@@ -77,6 +80,9 @@ class MaxPool2DGradOp(Op):
         self.stride = forward.stride
         self.padding = forward.padding
 
+    def cost_signature(self) -> tuple:
+        return (self.window, self.stride, self.padding)
+
     def flops(self) -> Expr:
         return Mul.of(Const(self.window * self.window),
                       self.inputs[2].num_elements())
@@ -114,6 +120,9 @@ class AvgPool1DOp(Op):
         super().__init__(name, [x], [out])
         self.window = int(window)
         self.stride = int(stride)
+
+    def cost_signature(self) -> tuple:
+        return (self.window, self.stride)
 
     def flops(self) -> Expr:
         return Mul.of(Const(self.window),
@@ -161,6 +170,9 @@ class AvgPool1DGradOp(Op):
         super().__init__(name, [dy], [dx])
         self.window = int(window)
         self.stride = int(stride)
+
+    def cost_signature(self) -> tuple:
+        return (self.window, self.stride)
 
     def flops(self) -> Expr:
         return Mul.of(Const(self.window), self.inputs[0].num_elements())

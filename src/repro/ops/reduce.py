@@ -33,6 +33,9 @@ class ReduceOp(Op):
         self.mean = mean
         self.kind = "reduce_mean" if mean else "reduce_sum"
 
+    def cost_signature(self) -> tuple:
+        return (self.axes, self.mean)
+
     def flops(self) -> Expr:
         # one add per input element (plus a final divide for mean,
         # negligible and absorbed to first order)
@@ -80,6 +83,9 @@ class BroadcastOp(Op):
         super().__init__(name, [x], [out])
         self.axes = tuple(sorted(axes))
         self.normalize = normalize
+
+    def cost_signature(self) -> tuple:
+        return (self.axes, self.normalize)
 
     def flops(self) -> Expr:
         if not self.normalize:

@@ -91,13 +91,19 @@ def split_stages(
                 return stage
         return order[-1]
 
-    for op in graph.ops:
+    # one evaluation per op class, accumulated per op in op order
+    per_op = graph.per_op(lambda op: (
+        op.flops().evalf(bindings),
+        op.bytes_accessed().evalf(bindings),
+        [out.size_bytes().evalf(bindings)
+         for out in op.outputs if not out.is_persistent],
+    ))
+    for op, (flops, byts, activations) in zip(graph.ops, per_op):
         stage = costs[stage_of(op.name)]
-        stage.flops += op.flops().evalf(bindings)
-        stage.bytes_accessed += op.bytes_accessed().evalf(bindings)
-        for out in op.outputs:
-            if not out.is_persistent:
-                stage.activation_bytes += out.size_bytes().evalf(bindings)
+        stage.flops += flops
+        stage.bytes_accessed += byts
+        for size in activations:
+            stage.activation_bytes += size
 
     for t in graph.tensors.values():
         if t.is_param:

@@ -94,12 +94,14 @@ def profile_graph(graph: Graph,
                   bindings: Optional[Mapping] = None) -> StepProfile:
     """Algorithmic per-op profile (no execution) under bindings."""
     profile = StepProfile(graph.name)
-    for op in graph.ops:
+    per_op = graph.per_op(lambda op: (op.flops().evalf(bindings),
+                                      op.bytes_accessed().evalf(bindings)))
+    for op, (flops, byts) in zip(graph.ops, per_op):
         profile.ops.append(OpProfile(
             name=op.name,
             kind=op.kind,
-            flops=op.flops().evalf(bindings),
-            bytes_accessed=op.bytes_accessed().evalf(bindings),
+            flops=flops,
+            bytes_accessed=byts,
         ))
     return profile
 

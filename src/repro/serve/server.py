@@ -25,8 +25,9 @@ minimal E-INT 500.  Each request increments
 ``serve.http.<route>.latency_ns``.
 
 The server is ``ThreadingHTTPServer`` (one thread per connection,
-``daemon_threads=True``) speaking HTTP/1.1 with explicit
-Content-Length, so load generators can reuse keep-alive connections.
+``daemon_threads=True``, a listen backlog of 64) speaking HTTP/1.1
+with explicit Content-Length, so load generators can reuse keep-alive
+connections.
 Slow-loris defense: every connection read runs under
 ``config.header_timeout`` (socket timeout — a client dribbling header
 bytes gets disconnected by the stdlib's ``handle_one_request``
@@ -380,6 +381,19 @@ class _Handler(BaseHTTPRequestHandler):
             f"POST routes: /v1/jobs and /v1/{{{', '.join(sorted(ENDPOINTS))}}}")
 
 
+class _HTTPServer(ThreadingHTTPServer):
+    """The daemon's listener: one thread per connection.
+
+    ``socketserver``'s default listen backlog of 5 holds only six
+    pending connects; the rest of a burst of simultaneous clients
+    waits out the kernel's SYN retries (1 s and more) before the
+    accept loop ever sees it.
+    """
+
+    request_queue_size = 64
+    daemon_threads = True
+
+
 class ReproServer:
     """The daemon: service + job queue + threading HTTP server."""
 
@@ -422,8 +436,7 @@ class ReproServer:
             pool=self.pool, chaos=chaos)
         self.jobs = JobQueue(self.service, run_dir=run_dir,
                              resume=resume, workers=job_workers)
-        self.httpd = ThreadingHTTPServer((host, port), _Handler)
-        self.httpd.daemon_threads = True
+        self.httpd = _HTTPServer((host, port), _Handler)
         self.httpd.repro = self  # type: ignore[attr-defined]
         self.started_at = time.time()
         self._thread: Optional[threading.Thread] = None

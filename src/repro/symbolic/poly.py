@@ -569,9 +569,23 @@ def nonnegative(expr: Expr) -> Optional[bool]:
     values).  Returns ``True``/``False`` for those cases and ``None``
     when the sign is indeterminate by coefficient inspection alone
     (mixed signs, or non-posynomial structure such as ``log``).
+
+    Reads the signs straight off the flat form: the coefficient signs
+    of its terms, provided every atom a term uses has a known sign.
     """
-    expr = expand(as_expr(expr))
-    signs = _term_signs(expr)
+    p = _flatten(as_expr(expr))
+    used = {i for _, exps in p.terms for i, e in enumerate(exps) if e != 0}
+    if any(_term_signs(p.atoms[i]) is None for i in used):
+        return None
+    return _sign_verdict([1 if c > 0 else -1 for c, _ in p.terms])
+
+
+def _nonnegative_treewalk(expr: Expr) -> Optional[bool]:
+    """Oracle for :func:`nonnegative`: signs of the rebuilt tree."""
+    return _sign_verdict(_term_signs(expand(as_expr(expr))))
+
+
+def _sign_verdict(signs: Optional[list]) -> Optional[bool]:
     if signs is None:
         return None
     has_neg = any(s < 0 for s in signs)

@@ -12,6 +12,14 @@ def codes(diagnostics):
     return sorted(d.code for d in diagnostics)
 
 
+class HalfMatMulOp(Op):
+    kind = "matmul"  # claims matmul but drops the factor 2
+
+    def flops(self):
+        a, bb = self.inputs
+        return Mul.of(a.shape[0], a.shape[1], bb.shape[1])
+
+
 def one_op_graph(op_cls, in_shape=(b, h), out_shape=(b, h)):
     g = Graph("fixture")
     x = g.input("x", in_shape)
@@ -113,13 +121,6 @@ class TestC003FlopsDegreeAnomaly:
 
 class TestC004MatmulForm:
     def test_triggering(self):
-        class HalfMatMulOp(Op):
-            kind = "matmul"  # claims matmul but drops the factor 2
-
-            def flops(self):
-                a, bb = self.inputs
-                return Mul.of(a.shape[0], a.shape[1], bb.shape[1])
-
         g = Graph("fixture")
         a = g.input("a", (m, k))
         bb = g.input("b", (k, n))
@@ -127,6 +128,23 @@ class TestC004MatmulForm:
         g.add_op(HalfMatMulOp("mm", [a, bb], [out]))
         found = cost_diagnostics(g)
         assert "C004" in codes(found)
+
+    def test_each_member_of_a_faulty_class_reported(self):
+        # three identical faulty ops form one op class, interleaved
+        # with clean matmuls: one finding per faulty op, by its own
+        # name, in op order
+        g = Graph("fixture")
+        a = g.input("a", (m, k))
+        bb = g.input("b", (k, n))
+        for i in range(3):
+            out = g.tensor(f"out{i}", (m, n))
+            g.add_op(HalfMatMulOp(f"half{i}", [a, bb], [out]))
+            matmul(g, a, bb, name=f"real{i}")
+        assert [len(members) for _, members in g.op_classes()] == [3, 3]
+        found = [d for d in cost_diagnostics(g) if d.code == "C004"]
+        assert [d.obj for d in found] == ["half0", "half1", "half2"]
+        for d in found:
+            assert f"op {d.obj} (matmul)" in d.message
 
     def test_real_matmul_clean(self):
         g = Graph("fixture")

@@ -9,8 +9,12 @@ from repro.symbolic import Symbol, as_expr, symbols
 b, h = symbols("b h")
 
 
-def small_trained_model():
-    """A real built model: forward + autodiff + SGD updates."""
+def small_trained_model(extra_ops=None):
+    """A real built model: forward + autodiff + SGD updates.
+
+    ``extra_ops(graph)`` adds ops before the training step is built
+    (a finished training step is finalized and takes no more ops).
+    """
     g = Graph("tiny")
     x = g.input("x", (b, h))
     labels = g.input("labels", (b,))
@@ -19,6 +23,8 @@ def small_trained_model():
     logits = matmul(g, x, w, name="logits")
     loss_vec, _ = softmax_cross_entropy(g, logits, labels, name="xent")
     loss = reduce_mean(g, loss_vec, [0], name="loss")
+    if extra_ops is not None:
+        extra_ops(g)
     model = BuiltModel(domain="test", graph=g, loss=loss,
                        batch=Symbol("b"), size_symbol=Symbol("h"))
     model.with_training_step()
@@ -35,12 +41,13 @@ class TestLintGraph:
     def test_runs_all_pass_families(self):
         # seed one defect per family in a single graph and check each
         # family reports (proving the driver actually runs them all)
-        model = small_trained_model()
+        def dead_matmul(g):
+            w_dead = g.parameter("w_dead", (h, h))
+            matmul(g, g.find("x"), w_dead, name="dead_mm")  # G001/G002
+
+        model = small_trained_model(dead_matmul)
         g = model.graph
         g.tensor("orphan", (b,))                      # S001
-        x = g.find("x")
-        w_dead = g.parameter("w_dead", (h, h))
-        matmul(g, x, w_dead, name="dead_mm")          # G001/G002
         found = lint_graph(g, loss=model.loss,
                            param_grads=model.meta["param_grads"])
         assert {d.code for d in found} >= {"S001", "G001", "G002"}

@@ -18,6 +18,14 @@ def codes(diagnostics):
     return sorted(d.code for d in diagnostics)
 
 
+class NegativeFlopsOp(Op):
+    kind = "negflops"
+
+    def flops(self):
+        # b*h - 100000: negative at small sizes in the domain
+        return self.inputs[0].num_elements() + Const(-100000)
+
+
 def one_op_graph(op_cls):
     g = Graph("fixture")
     x = g.input("x", (b, h))
@@ -28,13 +36,6 @@ def one_op_graph(op_cls):
 
 class TestI001NonnegativityRefuted:
     def test_triggering_with_witness(self):
-        class NegativeFlopsOp(Op):
-            kind = "negflops"
-
-            def flops(self):
-                # b*h - 100000: negative at small sizes in the domain
-                return self.inputs[0].num_elements() + Const(-100000)
-
         found = interval_diagnostics(one_op_graph(NegativeFlopsOp),
                                      DOMAIN)
         assert "I001" in codes(found)
@@ -45,6 +46,24 @@ class TestI001NonnegativityRefuted:
         assert proof["method"] == "interval"
         assert DOMAIN.contains(proof["witness"])
         assert proof["interval"][0] < 0.0
+
+    def test_each_member_of_a_faulty_class_reported(self):
+        # three identical faulty ops form one op class, interleaved
+        # with clean ones: one finding per faulty op, by its own name,
+        # in op order
+        g = Graph("fixture")
+        x = g.input("x", (b, h))
+        for i in range(3):
+            g.add_op(NegativeFlopsOp(f"neg{i}", [x],
+                                     [g.tensor(f"neg{i}:out", (b, h))]))
+            g.add_op(Op(f"plain{i}", [x],
+                        [g.tensor(f"plain{i}:out", (b, h))]))
+        assert [len(members) for _, members in g.op_classes()] == [3, 3]
+        found = [d for d in interval_diagnostics(g, DOMAIN)
+                 if d.code == "I001"]
+        assert [d.obj for d in found] == ["neg0", "neg1", "neg2"]
+        for d in found:
+            assert f"op {d.obj} (negflops)" in d.message
 
     def test_clean_posynomial(self):
         class LinearOp(Op):

@@ -4,7 +4,8 @@ Two families of properties, each checked against an independent oracle
 that the codebase keeps for exactly this purpose:
 
 * **flat ≡ treewalk** — ``expand`` / ``degree`` / ``coefficient`` /
-  ``degrees`` computed on the flat ``Poly`` arrays must agree —
+  ``degrees`` / ``nonnegative`` computed on the flat ``Poly`` arrays
+  must agree —
   structurally, and on the ``ValueError`` domain — with the pre-flat
   recursive ``_*_treewalk`` implementations retained in
   :mod:`repro.symbolic.poly`;
@@ -38,6 +39,8 @@ from repro.symbolic.poly import (
     _coefficient_treewalk,
     _degree_treewalk,
     _expand_treewalk,
+    _nonnegative_treewalk,
+    nonnegative,
 )
 from repro.symbolic.printing import to_str
 
@@ -178,6 +181,16 @@ class TestFlatVersusTreewalk:
             s: _degree_treewalk(expr, s) for s in expr.free_symbols()
         }
         assert degrees(expr) == want
+
+    @given(st.one_of(with_opaque_atoms(), full_expressions()),
+           st.one_of(with_opaque_atoms(), full_expressions()),
+           st.sampled_from([0, 1, Fraction(1, 3), 2]))
+    @settings(max_examples=150, deadline=None)
+    def test_nonnegative_matches_treewalk(self, a, b, weight):
+        # differences give mixed-sign coefficients; the weight 0 case
+        # keeps the pure (all-positive) side covered too
+        expr = a - b * weight
+        assert nonnegative(expr) == _nonnegative_treewalk(expr)
 
 
 class TestEngineBitIdentity:
