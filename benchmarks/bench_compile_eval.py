@@ -7,8 +7,11 @@ at three levels:
   tree walk vs compiled tape replay vs the vectorized path;
 * per-tensor size evaluation for the training graph (treewalk vs
   compiled replay);
-* the full ``sweep_domain`` pipeline (``engine="treewalk"`` — the seed
-  recursive path — vs ``engine="compiled"``).
+* the full sweep pipeline: the seed sweep, rebuilt here from the
+  retained oracles (``Expr.evalf`` of each aggregate; tree-walk tensor
+  sizes, program order and the reference greedy schedule for the
+  footprint; the same first-order fit) vs ``sweep_domain``'s compiled
+  path.
 
 It also records, for every registry graph, how far op classes compress
 it (ops ÷ distinct op classes, ``Graph.op_classes``).  Every per-op
@@ -18,7 +21,7 @@ deterministic, so its floor cannot flake.
 
 Writes ``BENCH_compile_eval.json`` at the repo root and asserts the
 acceptance criteria: the compiled sweep on the largest stock domain
-(word_lm) is at least 5x faster than the tree walk with every row
+(word_lm) is at least 5x faster than the seed sweep with every row
 matching to 1e-9 relative, and the scalar replay bit-identical to the
 tree.  Committed floors for every recorded
 speedup live in ``benchmarks/BENCH_floors.json`` and are enforced by
@@ -38,9 +41,18 @@ from time import perf_counter
 
 from repro import obs
 from repro.analysis.counters import _SWEEP_AGGREGATES, StepCounts
-from repro.analysis.sweep import _sweep_domain_uncached, sweep_domain
+from repro.analysis.firstorder import derive_symbolic, fit_numeric
+from repro.analysis.footprint import GREEDY_OP_LIMIT
+from repro.analysis.sweep import (
+    SweepRow,
+    _counts_for,
+    _sweep_domain_uncached,
+    sweep_domain,
+)
+from repro.graph import liveness_peak, topological_order
 from repro.graph.traversal import (
     _evaluate_sizes_treewalk,
+    _memory_greedy_order_reference,
     evaluate_sizes,
     size_program,
 )
@@ -171,25 +183,67 @@ def _bench_tensor_sizes(key: str) -> dict:
     }
 
 
+def _seed_sweep(key: str, counts: StepCounts) -> list:
+    """The seed sweep over the registry sizes, from retained oracles.
+
+    One recursive ``evalf`` per aggregate per size; per size, tensor
+    sizes by tree walk and the footprint as the smaller liveness peak
+    of program order and the reference (rescanning) greedy schedule,
+    skipped above ``GREEDY_OP_LIMIT`` as in the sweep.  Fits the same
+    first-order model, so both timed paths do the same work.
+    """
+    entry = get_domain(key)
+    graph = counts.model.graph
+    use_greedy = len(graph) <= GREEDY_OP_LIMIT
+    rows = []
+    for size in entry.sweep_sizes:
+        bindings = counts.bind(size, entry.subbatch)
+        sizes = _evaluate_sizes_treewalk(graph, bindings)
+        orders = [topological_order(graph)]
+        if use_greedy:
+            orders.append(_memory_greedy_order_reference(graph, sizes))
+        step_bytes = counts.step_bytes.evalf(bindings)
+        rows.append(SweepRow(
+            size=size,
+            params=counts.params.evalf(bindings),
+            flops_per_sample=counts.flops_per_sample.evalf(bindings),
+            step_bytes=step_bytes,
+            intensity=(counts.step_flops.evalf(bindings) / step_bytes
+                       if step_bytes else 0.0),
+            footprint_bytes=float(min(
+                liveness_peak(graph, order, sizes) for order in orders)),
+            bytes_fixed=counts.bytes_fixed.evalf(bindings),
+            bytes_per_sample=counts.bytes_per_sample.evalf(bindings),
+        ))
+    fitted = fit_numeric(
+        key, [r.params for r in rows],
+        [r.flops_per_sample for r in rows],
+        [r.bytes_fixed for r in rows],
+        [r.bytes_per_sample for r in rows],
+        [r.footprint_bytes for r in rows],
+        footprint_subbatch=entry.subbatch,
+    )
+    derive_symbolic(counts, delta=fitted.delta)
+    return rows
+
+
 def _bench_sweep(key: str) -> dict:
-    counts = StepCounts(build_symbolic(key))
+    # the sweep's own StepCounts: both paths read its aggregates, so
+    # neither is charged for building them
+    counts = _counts_for(key)
     _warm_aggregates(counts)
 
-    treewalk_s, slow = _timed(
-        lambda: _sweep_domain_uncached(key, engine="treewalk")
-    )
+    treewalk_s, slow = _timed(lambda: _seed_sweep(key, counts))
     before = _counter_snapshot()
-    compiled_s, fast = _timed(
-        lambda: _sweep_domain_uncached(key, engine="compiled")
-    )
+    compiled_s, fast = _timed(lambda: _sweep_domain_uncached(key))
     cache_stats = _cache_delta(before)
 
     err = max(
         _rel_err(getattr(ra, f.name), getattr(rb, f.name))
-        for ra, rb in zip(fast.rows, slow.rows)
+        for ra, rb in zip(fast.rows, slow)
         for f in fields(ra)
     )
-    assert err <= 1e-9, f"{key}: engines diverged (rel err {err})"
+    assert err <= 1e-9, f"{key}: sweep diverged from seed (rel err {err})"
 
     return {
         "n_sizes": len(fast.rows),

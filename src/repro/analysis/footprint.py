@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from ..graph import (
-    Graph,
     evaluate_sizes,
     inplace_aliases,
     liveness_peak,
@@ -23,14 +22,18 @@ from ..graph import (
     memory_greedy_order,
     topological_order,
 )
-from ..graph.traversal import (
-    _evaluate_sizes_treewalk,
-    _memory_greedy_order_reference,
-)
 from ..models.base import BuiltModel
 from ..obs.tracer import TRACER as _TRACER
 
-__all__ = ["FootprintEstimate", "estimate_footprint"]
+__all__ = ["FootprintEstimate", "estimate_footprint",
+           "GREEDY_OP_LIMIT"]
+
+#: graphs with more ops than this skip the greedy schedule and report
+#: the program-order bound.  Sweeps pay the greedy pass once per point,
+#: and it grows with the graph: char_lm and speech have about 46k ops
+#: each, the other registry graphs at most 6k.  The goldens record
+#: program order for those two domains.
+GREEDY_OP_LIMIT = 20_000
 
 
 @dataclass
@@ -62,8 +65,7 @@ class FootprintEstimate:
 def estimate_footprint(model: BuiltModel,
                        bindings: Optional[Mapping] = None, *,
                        use_greedy: bool = True,
-                       inplace: bool = False,
-                       engine: str = "compiled") -> FootprintEstimate:
+                       inplace: bool = False) -> FootprintEstimate:
     """Evaluate footprint bounds for one concrete configuration.
 
     ``bindings`` must bind the model's size symbol and subbatch.  Set
@@ -72,30 +74,19 @@ def estimate_footprint(model: BuiltModel,
     ``inplace=True`` applies the §4.5 TensorFlow optimization: eligible
     pointwise ops reuse their input's buffer.
 
-    ``engine`` selects the evaluation path: ``"compiled"`` (default)
-    sizes tensors through the batch-compiled tape and schedules with
-    the incremental greedy; ``"treewalk"`` is the seed recursive-evalf
-    / rescan path, kept as the benchmark baseline and behavioral
-    oracle — both produce identical estimates.
+    Tensors are sized through the graph's compiled size program and
+    the greedy schedule is the incremental one; tests hold both to
+    the seed oracles in :mod:`repro.graph.traversal`.
     """
-    if engine not in ("compiled", "treewalk"):
-        raise ValueError(f"unknown footprint engine {engine!r}")
     graph = model.graph
     with _TRACER.span("analysis.footprint", "footprint",
-                      graph=graph.name, engine=engine,
-                      use_greedy=use_greedy):
-        return _estimate_footprint(graph, bindings, use_greedy,
-                                   inplace, engine)
+                      graph=graph.name, use_greedy=use_greedy):
+        return _estimate_footprint(graph, bindings, use_greedy, inplace)
 
 
-def _estimate_footprint(graph, bindings, use_greedy, inplace,
-                        engine) -> FootprintEstimate:
-    if engine == "treewalk":
-        sizes = _evaluate_sizes_treewalk(graph, bindings)
-        greedy_schedule = _memory_greedy_order_reference
-    else:
-        sizes = evaluate_sizes(graph, bindings)
-        greedy_schedule = memory_greedy_order
+def _estimate_footprint(graph, bindings, use_greedy,
+                        inplace) -> FootprintEstimate:
+    sizes = evaluate_sizes(graph, bindings)
 
     persistent = sum(
         sizes[t] for t in graph.tensors.values()
@@ -109,7 +100,7 @@ def _estimate_footprint(graph, bindings, use_greedy, inplace,
     else:
         program = liveness_peak(graph, order, sizes)
     if use_greedy:
-        greedy_order = greedy_schedule(graph, sizes)
+        greedy_order = memory_greedy_order(graph, sizes)
         if aliases:
             greedy = liveness_peak_aliased(graph, greedy_order, sizes,
                                            aliases)

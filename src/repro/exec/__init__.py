@@ -7,10 +7,10 @@ the ROADMAP's "sharding, batching, async, caching" layer to that hot
 path:
 
 * **engine** (:mod:`.engine`) — a task-DAG execution engine (one task
-  per artifact unit, plus chunked binding-matrix shards for large
-  sweeps) with per-task timeouts, bounded retry with exponential
-  backoff, and graceful degradation to serial in-process execution
-  when a worker dies, hangs, or ``max_workers=0``.  Its workers come
+  per artifact unit or report exhibit) with per-task timeouts, bounded
+  retry with exponential backoff, and graceful degradation to serial
+  in-process execution when a worker dies, hangs, or
+  ``max_workers=0``.  Its workers come
   from :class:`.engine.SupervisedPool`, the package's one process pool,
   which also runs ``repro-serve``'s cold computes::
 
@@ -26,8 +26,7 @@ path:
   cleanly.  No key builds a graph.
 
 * **tasks** (:mod:`.tasks`) — the picklable module-level task functions
-  the artifact pipeline fans out (config reports, report exhibits,
-  sweep shards).
+  the artifact pipeline fans out (config reports, report exhibits).
 
 * **journal** (:mod:`.journal`) — the crash-safe append-only run
   journal behind ``--resume``: every task completion is durable the

@@ -1,8 +1,8 @@
 """Task-DAG execution engine and the package's one worker-process pool.
 
 The artifact pipeline fans out as a DAG of picklable tasks (one per
-(model, table/figure) unit, plus chunked sweep shards).  This engine
-runs that DAG on a :class:`SupervisedPool` — the same crash-supervised
+(model, table/figure) unit).  This engine runs that DAG on a
+:class:`SupervisedPool` — the same crash-supervised
 ``concurrent.futures`` pool that serves ``repro-serve``'s cold path, and
 the only class in the package that starts worker processes — and layers
 the failure policy a batch artifact needs above it:

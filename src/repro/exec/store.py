@@ -1,7 +1,7 @@
 """Content-addressed on-disk result store (the warm-start layer).
 
 Every cacheable unit of the artifact pipeline — a per-config analysis
-report, a rendered table/figure, a sweep shard, a served query — is
+report, a rendered table/figure, a served query — is
 stored under a key that hashes *everything that could change the
 value*:
 
@@ -9,7 +9,8 @@ value*:
   ``*.py`` file of the ``repro`` package plus the Python minor version
   and ``numpy.__version__``, so editing a constant, a cost formula or
   a graph builder invalidates every key;
-* the bindings (domain, size, subbatch, engine options, exhibit name);
+* the bindings (domain, size, subbatch, exhibit name, a served
+  query's normalized parameters);
 * the package version (:data:`repro.__version__`).
 
 Values are pickled to ``<root>/<kk>/<key>.pkl`` (two-level fan-out

@@ -6,9 +6,7 @@ key builders that make those payloads content-addressable:
 
 * :func:`artifact_config` — one ``output_<domain>_<size>.txt`` report
   plus its summary-table cells (the per-(model, table) unit);
-* :func:`report_exhibit` — one rendered paper table/figure;
-* :func:`sweep_shard` — one chunk of a domain sweep's binding matrix,
-  merged row-for-row by :func:`repro.analysis.sweep.sweep_domain`.
+* :func:`report_exhibit` — one rendered paper table/figure.
 
 Keys combine the bindings (exhibit name, domain, size, subbatch) with
 the package version and the source digest that
@@ -30,7 +28,7 @@ from .store import content_key
 __all__ = [
     "artifact_config", "artifact_config_key",
     "report_exhibit", "report_exhibit_key",
-    "sweep_shard", "registry_fingerprint",
+    "registry_fingerprint",
     "run_traced",
 ]
 
@@ -108,29 +106,6 @@ def report_exhibit(name: str):
 
 def report_exhibit_key(name: str) -> str:
     return content_key("report_exhibit", name)
-
-
-# -- sweep shards ------------------------------------------------------------
-
-def sweep_shard(key: str, sizes: Tuple[float, ...], subbatch: int,
-                include_footprint: bool,
-                engine: str) -> List[tuple]:
-    """Worker payload: the sweep rows for one chunk of sizes.
-
-    Rows come back as plain tuples (``dataclasses.astuple`` order) so
-    the payload pickles small; the parent rebuilds ``SweepRow`` and
-    fits the first-order model over the merged series.
-    """
-    from dataclasses import astuple
-
-    from ..analysis.sweep import compute_sweep_rows
-
-    with error_context(model=key, stage="sweep_shard",
-                       sizes=tuple(sizes)):
-        rows = compute_sweep_rows(key, list(sizes), subbatch,
-                                  include_footprint=include_footprint,
-                                  engine=engine)
-    return [astuple(row) for row in rows]
 
 
 # -- cross-process observability shim ----------------------------------------

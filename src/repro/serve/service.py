@@ -154,7 +154,6 @@ def _string_list(params: Mapping, field: str) -> Optional[List[str]]:
 
 # -- endpoint: /v1/sweep -----------------------------------------------------
 
-_SWEEP_ENGINES = ("compiled", "treewalk")
 _MAX_SWEEP_SIZES = 4096
 
 
@@ -162,19 +161,12 @@ def _normalize_sweep(params: Mapping) -> Dict[str, Any]:
     from ..models.registry import get_domain
 
     params = _expect_mapping(params, "sweep")
-    _check_fields(params, ("domain", "subbatch", "sizes", "engine",
+    _check_fields(params, ("domain", "subbatch", "sizes",
                            "include_footprint"), "sweep")
     domain = _domain_param(params)
     entry = get_domain(domain)
     subbatch = _positive_number(params, "subbatch", entry.subbatch,
                                 integer=True)
-    engine = params.get("engine", "compiled")
-    if engine not in _SWEEP_ENGINES:
-        _reject(f"unknown sweep engine {engine!r}; one of "
-                f"{list(_SWEEP_ENGINES)}",
-                hint=did_you_mean(str(engine), _SWEEP_ENGINES)
-                or "use 'compiled' (the default) or 'treewalk' (the "
-                   "reference tree walk)")
     sizes = params.get("sizes")
     if sizes is None:
         sizes = list(entry.sweep_sizes)
@@ -201,7 +193,7 @@ def _normalize_sweep(params: Mapping) -> Dict[str, Any]:
     if not isinstance(include_footprint, bool):
         _reject("field 'include_footprint' must be a boolean")
     return {"domain": domain, "subbatch": subbatch,
-            "sizes": clean_sizes, "engine": engine,
+            "sizes": clean_sizes,
             "include_footprint": include_footprint}
 
 
@@ -220,13 +212,12 @@ def _compute_sweep(params: Dict[str, Any]) -> Dict[str, Any]:
 
     result = sweep_domain(
         params["domain"], subbatch=params["subbatch"],
-        sizes=tuple(params["sizes"]), engine=params["engine"],
+        sizes=tuple(params["sizes"]),
         include_footprint=params["include_footprint"],
     )
     return {
         "domain": result.domain,
         "subbatch": result.subbatch,
-        "engine": params["engine"],
         "rows": [asdict(row) for row in result.rows],
         "fitted": _model_dict(result.fitted),
         "symbolic": _model_dict(result.symbolic),

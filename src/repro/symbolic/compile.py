@@ -508,11 +508,10 @@ class CompiledExpr:
         return out
 
     # -- pickling ------------------------------------------------------
-    # Tapes cross process boundaries (repro.exec ships compiled sweep
-    # shards to pool workers) and land in the on-disk result store, so
-    # the pickle payload is the tape proper: code, symbols, and output
-    # slots.  ``_sym_index`` is derived state, rebuilt by __init__ on
-    # load instead of serialized.
+    # Tapes can cross process boundaries (pool workers, the on-disk
+    # result store), so the pickle payload is the tape proper: code,
+    # symbols, and output slots.  ``_sym_index`` is derived state,
+    # rebuilt by __init__ on load instead of serialized.
     def __reduce__(self):
         return (_rebuild_compiled, (self.code, self.symbols,
                                     self.out_slots, self._single))

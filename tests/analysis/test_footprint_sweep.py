@@ -118,19 +118,46 @@ class TestSweep:
         assert obs.counter("analysis.sweep.cache.hit").value == hits + 1
 
     def test_engines_agree(self):
-        """Compiled/vectorized sweep matches the seed tree-walk path."""
+        """The compiled sweep engine matches rows rebuilt from the seed
+        oracles: ``Expr.evalf`` of each aggregate, and for the
+        footprint the tree-walk tensor sizes under program order and
+        the reference greedy schedule."""
+        from repro.analysis import StepCounts
         from repro.analysis.sweep import _sweep_domain_uncached
+        from repro.graph import liveness_peak, topological_order
+        from repro.graph.traversal import (
+            _evaluate_sizes_treewalk,
+            _memory_greedy_order_reference,
+        )
+        from repro.models.registry import build_symbolic
 
-        fast = _sweep_domain_uncached("image", sizes=[1, 2],
-                                      engine="compiled")
-        slow = _sweep_domain_uncached("image", sizes=[1, 2],
-                                      engine="treewalk")
-        for ra, rb in zip(fast.rows, slow.rows):
-            for name in ("params", "flops_per_sample", "step_bytes",
-                         "intensity", "footprint_bytes", "bytes_fixed",
-                         "bytes_per_sample"):
-                va, vb = getattr(ra, name), getattr(rb, name)
-                assert va == pytest.approx(vb, rel=1e-9), name
+        result = _sweep_domain_uncached("image", sizes=[1, 2])
+        counts = StepCounts(build_symbolic("image"))
+        graph = counts.model.graph
+        assert [r.size for r in result.rows] == [1, 2]
+        for row in result.rows:
+            bindings = counts.bind(row.size, result.subbatch)
+            sizes = _evaluate_sizes_treewalk(graph, bindings)
+            orders = (topological_order(graph),
+                      _memory_greedy_order_reference(graph, sizes))
+            step_bytes = counts.step_bytes.evalf(bindings)
+            oracle = {
+                "params": counts.params.evalf(bindings),
+                "flops_per_sample":
+                    counts.flops_per_sample.evalf(bindings),
+                "step_bytes": step_bytes,
+                "intensity":
+                    counts.step_flops.evalf(bindings) / step_bytes,
+                "footprint_bytes": min(
+                    liveness_peak(graph, order, sizes)
+                    for order in orders),
+                "bytes_fixed": counts.bytes_fixed.evalf(bindings),
+                "bytes_per_sample":
+                    counts.bytes_per_sample.evalf(bindings),
+            }
+            for name, want in oracle.items():
+                assert getattr(row, name) == pytest.approx(
+                    want, rel=1e-9), name
 
     def test_sweep_without_footprint_has_no_delta(self):
         result = sweep_domain("image", sizes=(1, 2),

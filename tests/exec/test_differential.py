@@ -1,14 +1,12 @@
 """Differential oracles: parallel execution must change nothing.
 
-The engine's contract is that worker count and sharding are pure
-performance knobs — the serial in-process path is the oracle and every
-parallel configuration must reproduce it exactly (bytes on disk, rows
-in memory).
+The engine's contract is that worker count is a pure performance knob
+— the serial in-process path is the oracle and every parallel
+configuration must reproduce it exactly (bytes on disk).
 """
 
 import pytest
 
-from repro.analysis.sweep import sweep_domain
 from repro.artifact import generate_results
 
 #: trimmed config set: two domains, three tasks — enough to exercise
@@ -45,31 +43,3 @@ class TestArtifactByteIdentity:
             "output_word_lm_1024.txt", "output_word_lm_2048.txt",
             "output_image_1.txt", "summary.txt",
         }
-
-
-class TestSweepShardMerge:
-    SIZES = [256, 512, 1024, 1536, 2048]
-
-    @pytest.fixture(scope="class")
-    def unsharded(self):
-        return sweep_domain("word_lm", sizes=self.SIZES)
-
-    @pytest.mark.parametrize("shards", [2, 3, 5])
-    def test_sharded_rows_equal_unsharded(self, shards, unsharded):
-        sharded = sweep_domain("word_lm", sizes=self.SIZES,
-                               shards=shards)
-        assert len(sharded.rows) == len(unsharded.rows)
-        for merged, oracle in zip(sharded.rows, unsharded.rows):
-            assert merged == oracle  # dataclass field-wise equality
-
-    def test_sharded_fit_equal(self, unsharded):
-        sharded = sweep_domain("word_lm", sizes=self.SIZES, shards=3)
-        assert sharded.fitted == unsharded.fitted
-        assert sharded.symbolic == unsharded.symbolic
-
-    def test_sharded_with_workers(self, unsharded):
-        # shards=4 is not in the memo cache yet, so this actually
-        # exercises the pool path rather than returning a cached sweep
-        pooled = sweep_domain("word_lm", sizes=self.SIZES, shards=4,
-                              max_workers=2)
-        assert pooled.rows == unsharded.rows

@@ -20,6 +20,7 @@ from repro.check import ERROR, INFO, WARNING
 from repro.check.driver import lint_registry
 from repro.hardware.accelerator import V100_LIKE
 from repro.hardware.roofline import roofline_time
+from repro.models.registry import get_domain
 from repro.planner.subbatch import choose_subbatch
 from repro.reports import ALL_REPORTS
 from repro.scaling.project import project_all
@@ -59,13 +60,18 @@ def test_sweep_rows_match_library(server):
 
 
 def test_sweep_engine_and_footprint_flags(server):
+    """The footprint flag reaches the library; the reply no longer
+    names an evaluation engine (the sweep has one)."""
     body = post(server, "/v1/sweep",
                 {"domain": "image", "sizes": [1.0, 2.0],
-                 "engine": "treewalk", "include_footprint": False})
+                 "include_footprint": False})
     oracle = sweep_domain("image", sizes=(1.0, 2.0),
-                          engine="treewalk",
                           include_footprint=False)
     assert body["result"]["rows"] == [asdict(r) for r in oracle.rows]
+    assert all(row["footprint_bytes"] == 0.0
+               for row in body["result"]["rows"])
+    assert "engine" not in body["result"]
+    assert "engine" not in body["params"]
 
 
 def test_plan_matches_library(server):
@@ -123,7 +129,8 @@ def test_equivalent_requests_share_one_key(server):
     omitted field are the same query (and the same cache entry)."""
     explicit = post(server, "/v1/sweep",
                     {"domain": "word_lm", "sizes": SIZES,
-                     "engine": "compiled", "include_footprint": True})
+                     "subbatch": get_domain("word_lm").subbatch,
+                     "include_footprint": True})
     implicit = post(server, "/v1/sweep",
                     {"domain": "word_lm", "sizes": SIZES})
     assert explicit["key"] == implicit["key"]

@@ -94,21 +94,18 @@ def test_unknown_field_is_rejected(server):
 
 
 def test_invalid_engine_and_sizes(server):
-    status, body = http_post(
-        server.url + "/v1/sweep",
-        {"domain": "word_lm", "engine": "warp"})
-    assert status == 400
-    assert "engine" in body["error"]["message"]
-
-    # the generated-source engine was removed: a structured E-BIND
-    # naming the two engines that remain, not a 500
-    status, body = http_post(
-        server.url + "/v1/sweep",
-        {"domain": "word_lm", "engine": "codegen"})
-    assert status == 400
-    assert body["error"]["code"] == "E-BIND"
-    assert "compiled" in body["error"]["hint"]
-    assert "treewalk" in body["error"]["hint"]
+    # the sweep has one evaluation path, so 'engine' is an unknown
+    # field: a structured E-BIND naming the allowed fields, not a 500
+    for engine in ("compiled", "treewalk"):
+        status, body = http_post(
+            server.url + "/v1/sweep",
+            {"domain": "word_lm", "engine": engine})
+        assert status == 400
+        assert body["error"]["code"] == "E-BIND"
+        message = body["error"]["message"]
+        assert "unknown field 'engine'" in message
+        assert ("allowed: ['domain', 'include_footprint', 'sizes', "
+                "'subbatch']") in message
 
     status, body = http_post(
         server.url + "/v1/sweep",
