@@ -22,6 +22,7 @@ from ..graph import (
     memory_greedy_order,
     topological_order,
 )
+from ..graph.traversal import liveness_bounds
 from ..models.base import BuiltModel
 from ..obs.tracer import TRACER as _TRACER
 
@@ -87,12 +88,6 @@ def estimate_footprint(model: BuiltModel,
 def _estimate_footprint(graph, bindings, use_greedy,
                         inplace) -> FootprintEstimate:
     sizes = evaluate_sizes(graph, bindings)
-
-    persistent = sum(
-        sizes[t] for t in graph.tensors.values()
-        if t.is_persistent or t.producer is None
-    )
-
     aliases = inplace_aliases(graph) if inplace else None
     order = topological_order(graph)
     if aliases:
@@ -108,14 +103,7 @@ def _estimate_footprint(graph, bindings, use_greedy,
             greedy = liveness_peak(graph, greedy_order, sizes)
     else:
         greedy = program
-
-    working_set = 0
-    for op in graph.ops:
-        local = sum(
-            sizes[t] for t in set(op.inputs) | set(op.outputs)
-            if not (t.is_persistent or t.producer is None)
-        )
-        working_set = max(working_set, local)
+    persistent, working_set = liveness_bounds(graph, sizes)
 
     return FootprintEstimate(
         program_order_bytes=program,

@@ -82,23 +82,18 @@ class SweepResult:
 _SWEEP_CACHE: "OrderedDict[tuple, SweepResult]" = OrderedDict()
 _SWEEP_CACHE_MAX = 32
 
-#: registry-default sweeps (no sizes or subbatch given), kept outside
-#: the LRU bound: every report and plan reads them, so novel sweeps
-#: must never evict them.  At most 5 domains x 2 footprint flags
+#: registry-default sweeps (however the defaults were spelled), kept
+#: outside the LRU bound: every report and plan reads them, so novel
+#: sweeps must never evict them.  At most 5 domains x 2 footprint flags
 #: entries.
 _DEFAULT_SWEEPS: "OrderedDict[tuple, SweepResult]" = OrderedDict()
 
-#: StepCounts per domain — carries the batch-compiled aggregate tapes,
-#: which every sweep configuration of a domain shares
-_COUNTS_CACHE: dict = {}
-
 
 def _counts_for(key: str) -> StepCounts:
-    counts = _COUNTS_CACHE.get(key)
-    if counts is None or counts.model is not build_symbolic(key):
-        counts = StepCounts(build_symbolic(key))
-        _COUNTS_CACHE[key] = counts
-    return counts
+    """The domain's StepCounts, whose compiled aggregate tapes every
+    sweep configuration of the domain shares (kept on its graph)."""
+    model = build_symbolic(key)
+    return model.graph.memo("step_counts", lambda: StepCounts(model))
 
 
 def sweep_domain(key: str, *, subbatch: Optional[int] = None,
@@ -107,13 +102,19 @@ def sweep_domain(key: str, *, subbatch: Optional[int] = None,
     """Run the Figure 7–10 sweep for one domain (memoized).
 
     Sweeps over large unrolled graphs are expensive; reports and
-    benchmarks share one cached result per configuration.  The result
+    benchmarks share one cached result per configuration, keyed on the
+    resolved arguments (registry defaults filled in, sizes as floats),
+    so spelling out the defaults shares the default entry.  The result
     is frozen (rows are a tuple of frozen dataclasses), so the cache
     returns the master directly — mutation raises.
     """
-    cache_key = (key, subbatch, include_footprint,
-                 tuple(sizes) if sizes is not None else None)
-    is_default = sizes is None and subbatch is None
+    entry = get_domain(key)
+    default_sizes = tuple(float(x) for x in entry.sweep_sizes)
+    subbatch = subbatch if subbatch is not None else entry.subbatch
+    sizes = (tuple(float(x) for x in sizes) if sizes is not None
+             else default_sizes)
+    cache_key = (key, subbatch, include_footprint, sizes)
+    is_default = subbatch == entry.subbatch and sizes == default_sizes
     cache = _DEFAULT_SWEEPS if is_default else _SWEEP_CACHE
     cached = cache.get(cache_key)
     if cached is not None:

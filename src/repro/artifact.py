@@ -15,9 +15,9 @@ The configurations are independent, so the batch fans out on the
 :mod:`repro.exec` engine (``--max-workers N``); workers return rendered
 payloads and the parent writes all files, so parallel output is
 byte-identical to the serial run.  Payloads are memoized in a
-content-addressed result store keyed on each model's structural graph
-hash, so repeated invocations are warm-start (``--no-cache`` /
-``--cache-dir`` control this).
+content-addressed result store keyed on each configuration and a
+digest of the package source, so repeated invocations are warm-start
+(``--no-cache`` / ``--cache-dir`` control this).
 
 Runs are **crash-safe and resumable**: each output file is written
 atomically (tmp + rename) *as its task completes*, and every completion

@@ -46,11 +46,9 @@ class Graph:
         self.tensors: Dict[str, Tensor] = {}
         self._op_names: set = set()
         self._name_counters: Dict[str, int] = {}
-        self._aggregate_cache: Dict[str, Expr] = {}
         self._finalized = False
-        #: (classes, class index of each op), memoized once finalized
-        self._classes: Optional[Tuple[List[Tuple[Op, List[Op]]],
-                                      List[int]]] = None
+        #: derived state by key, filled by :meth:`memo` once finalized
+        self._derived: Dict[str, object] = {}
 
     # -- construction -----------------------------------------------------
     def unique_name(self, prefix: str) -> str:
@@ -72,6 +70,9 @@ class Graph:
         kind: str = TensorKind.ACTIVATION,
     ) -> Tensor:
         """Create and register a tensor with a unique name."""
+        if self._finalized:
+            raise ValueError(f"graph {self.name} is finalized; "
+                             f"cannot add tensor {prefix!r}")
         if dtype_bytes is None:
             dtype_bytes = self.default_dtype_bytes
         t = Tensor(self.unique_name(prefix), shape,
@@ -123,23 +124,40 @@ class Graph:
                 t.requires_grad = True
         self.ops.append(op)
         self._op_names.add(op.name)
-        self._aggregate_cache.clear()
         return op
 
     def finalize(self) -> "Graph":
-        """Freeze the op list: later :meth:`add_op` calls raise.
+        """Freeze the graph: later :meth:`tensor` and :meth:`add_op` raise.
 
-        A finalized graph memoizes its :meth:`op_classes`; nothing else
-        can change them (tensor shapes are immutable and the rewrite
-        passes in ``fusion``/``inplace`` never mutate the graph).
+        Freezing is the one condition under which state derived from
+        the graph is reused (:meth:`memo`).  Nothing else can change
+        it: tensor shapes are immutable and the rewrite passes in
+        ``fusion``/``inplace`` never mutate the graph.
         """
         self._finalized = True
         return self
 
+    def memo(self, key: str, build: Callable[[], T], *,
+             hit=None, miss=None) -> T:
+        """``build()``, kept under ``key`` once the graph is finalized.
+
+        Before that every call builds afresh, so derived state is never
+        stale.  ``hit``/``miss`` are optional counters to bump.
+        """
+        if self._finalized and key in self._derived:
+            if hit is not None:
+                hit.inc()
+            return self._derived[key]
+        if miss is not None:
+            miss.inc()
+        value = build()
+        if self._finalized:
+            # under concurrent callers the first stored value wins
+            value = self._derived.setdefault(key, value)
+        return value
+
     # -- op classes --------------------------------------------------------
     def _classify(self) -> Tuple[List[Tuple[Op, List[Op]]], List[int]]:
-        if self._classes is not None:
-            return self._classes
         index: Dict[tuple, int] = {}
         classes: List[Tuple[Op, List[Op]]] = []
         class_of: List[int] = []
@@ -153,8 +171,6 @@ class Graph:
                 classes.append((op, []))
             classes[i][1].append(op)
             class_of.append(i)
-        if self._finalized:
-            self._classes = (classes, class_of)
         return classes, class_of
 
     def op_classes(self) -> List[Tuple[Op, List[Op]]]:
@@ -169,7 +185,7 @@ class Graph:
         order.  Memoized on a finalized graph, recomputed per call
         otherwise.
         """
-        return self._classify()[0]
+        return self.memo("op_classes", self._classify)[0]
 
     def per_op(self, cost: Callable[[Op], T]) -> List[T]:
         """``cost(representative)`` once per op class, laid out per op.
@@ -178,7 +194,7 @@ class Graph:
         per-op accumulation loop (and its float summation order) while
         evaluating each distinct op only once.
         """
-        classes, class_of = self._classify()
+        classes, class_of = self.memo("op_classes", self._classify)
         values = [cost(rep) for rep, _ in classes]
         return [values[i] for i in class_of]
 
@@ -220,22 +236,14 @@ class Graph:
         ))
 
     def total_flops(self) -> Expr:
-        """Sum of algorithmic FLOPs across all ops.
-
-        Cached until the graph changes — large unrolled models reuse
-        the same aggregate at every sweep binding.
-        """
-        if "flops" not in self._aggregate_cache:
-            self._aggregate_cache["flops"] = self.class_sum(
-                lambda op: op.flops())
-        return self._aggregate_cache["flops"]
+        """Sum of algorithmic FLOPs across all ops (memoized)."""
+        return self.memo("flops",
+                         lambda: self.class_sum(lambda op: op.flops()))
 
     def total_bytes_accessed(self) -> Expr:
-        """Sum of algorithmic bytes accessed across all ops (cached)."""
-        if "bytes" not in self._aggregate_cache:
-            self._aggregate_cache["bytes"] = self.class_sum(
-                lambda op: op.bytes_accessed())
-        return self._aggregate_cache["bytes"]
+        """Sum of algorithmic bytes accessed across all ops (memoized)."""
+        return self.memo("bytes", lambda: self.class_sum(
+            lambda op: op.bytes_accessed()))
 
     def algorithmic_io_bytes(self) -> Expr:
         """Bytes of training data consumed per step (paper's algorithmic IO)."""

@@ -10,6 +10,7 @@ the concrete counts for one configuration, exactly how Catamount binds
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 from ..symbolic import Const, Expr, Mul, as_expr
@@ -41,6 +42,14 @@ def shape_elements(shape: Sequence[Dim]) -> Expr:
     return Mul.of(*dims)
 
 
+# Tens of thousands of tensors share a few dozen geometries.  Bounded,
+# since these entries keep otherwise weakly interned expressions alive.
+@lru_cache(maxsize=4096)
+def _geometry(shape: Tuple[Expr, ...], dtype_bytes: int) -> Tuple[Expr, Expr]:
+    elements = shape_elements(shape)
+    return elements, Mul.of(Const(dtype_bytes), elements)
+
+
 class Tensor:
     """A named, shaped edge of the compute graph.
 
@@ -57,8 +66,6 @@ class Tensor:
         "consumers",
         "requires_grad",
         "int_bound",
-        "_num_elements",
-        "_size_bytes",
     )
 
     def __init__(
@@ -84,8 +91,6 @@ class Tensor:
         #: (vocabulary ids, class labels); used by the runtime to
         #: synthesize valid feeds
         self.int_bound: Optional[Expr] = None
-        self._num_elements: Optional[Expr] = None
-        self._size_bytes: Optional[Expr] = None
 
     # -- geometry -------------------------------------------------------
     @property
@@ -93,17 +98,12 @@ class Tensor:
         return len(self.shape)
 
     def num_elements(self) -> Expr:
-        """Symbolic element count (product of dims), cached."""
-        if self._num_elements is None:
-            self._num_elements = shape_elements(self.shape)
-        return self._num_elements
+        """Symbolic product of dims, memoized per geometry."""
+        return _geometry(self.shape, self.dtype_bytes)[0]
 
     def size_bytes(self) -> Expr:
-        """Symbolic allocated size in bytes, cached."""
-        if self._size_bytes is None:
-            self._size_bytes = Mul.of(Const(self.dtype_bytes),
-                                      self.num_elements())
-        return self._size_bytes
+        """Symbolic allocated size in bytes, memoized per geometry."""
+        return _geometry(self.shape, self.dtype_bytes)[1]
 
     # -- roles ----------------------------------------------------------
     @property

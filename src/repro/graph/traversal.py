@@ -18,7 +18,6 @@ mark of live bytes; persistent tensors (weights) are charged once.
 from __future__ import annotations
 
 import heapq
-import weakref
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.metrics import counter as _obs_counter
@@ -32,6 +31,7 @@ __all__ = [
     "topological_order",
     "memory_greedy_order",
     "liveness_peak",
+    "liveness_bounds",
     "evaluate_sizes",
     "evaluate_sizes_many",
     "size_program",
@@ -39,7 +39,7 @@ __all__ = [
 
 
 class _GraphSkeleton:
-    """Int-indexed traversal structure of one graph (cached per graph).
+    """Int-indexed traversal structure of one graph (memoized on it).
 
     The schedulers and the liveness replay are called once per sweep
     point, but everything they need besides the concrete sizes —
@@ -52,7 +52,7 @@ class _GraphSkeleton:
     """
 
     __slots__ = (
-        "version", "name", "ops", "tensors", "op_index",
+        "name", "ops", "tensors", "op_index",
         "pending0", "edge_consumers", "consumer_counts",
         "out_grow", "out_live", "greedy_uses", "holders", "live_uses",
         "persistent_idx", "topo",
@@ -61,7 +61,6 @@ class _GraphSkeleton:
     def __init__(self, graph: Graph):
         ops = tuple(graph.ops)
         tensors = tuple(graph.tensors.values())
-        self.version = (len(ops), len(tensors))
         self.name = graph.name
         self.ops = ops
         self.tensors = tensors
@@ -123,23 +122,13 @@ class _GraphSkeleton:
         self.topo: Optional[List[Op]] = None
 
 
-_SKELETONS: "weakref.WeakKeyDictionary[Graph, _GraphSkeleton]" = (
-    weakref.WeakKeyDictionary()
-)
 _SKEL_HIT = _obs_counter("graph.skeleton.cache.hit")
 _SKEL_MISS = _obs_counter("graph.skeleton.cache.miss")
 
 
 def _skeleton(graph: Graph) -> _GraphSkeleton:
-    cached = _SKELETONS.get(graph)
-    if (cached is None
-            or cached.version != (len(graph.ops), len(graph.tensors))):
-        _SKEL_MISS.inc()
-        cached = _GraphSkeleton(graph)
-        _SKELETONS[graph] = cached
-    else:
-        _SKEL_HIT.inc()
-    return cached
+    return graph.memo("skeleton", lambda: _GraphSkeleton(graph),
+                      hit=_SKEL_HIT, miss=_SKEL_MISS)
 
 
 def _size_array(sk: _GraphSkeleton, sizes: Mapping[Tensor, int]) -> List[int]:
@@ -152,8 +141,8 @@ def topological_order(graph: Graph) -> List[Op]:
 
     Raises ``ValueError`` if the graph has a cycle (malformed
     construction) — every valid compute graph is a DAG.  The order is
-    a pure function of the graph's wiring, so it is computed once per
-    graph and a copy returned on later calls.
+    a pure function of the graph's wiring, so a finalized graph keeps
+    it with its skeleton and later calls return a copy.
     """
     sk = _skeleton(graph)
     if sk.topo is None:
@@ -179,11 +168,6 @@ def topological_order(graph: Graph) -> List[Op]:
     return list(sk.topo)
 
 
-#: graph -> (tensor count at compile time, tensor tuple, compiled batch)
-_SIZE_PROGRAMS: "weakref.WeakKeyDictionary[Graph, tuple]" = (
-    weakref.WeakKeyDictionary()
-)
-
 # Size-program cache effectiveness (a miss batch-compiles every tensor
 # size expression of the graph) and greedy-scheduler heap traffic.
 _SIZE_HIT = _obs_counter("graph.size_program.cache.hit")
@@ -195,27 +179,23 @@ _SCHEDULES = _obs_counter("graph.greedy.schedules")
 
 
 def size_program(graph: Graph) -> Tuple[Tuple[Tensor, ...], CompiledExpr]:
-    """Batch-compile every tensor's byte-size expression (cached).
+    """Batch-compile every tensor's byte-size expression.
 
     The tensor-size expressions of an unrolled graph share most of
     their subtrees (the same ``h``/``b`` products appear in thousands
     of shapes); compiling them into one CSE'd tape means each shared
     subterm is evaluated once per binding instead of once per tensor.
-    Recompiles automatically if tensors were added since the last call.
     """
-    cached = _SIZE_PROGRAMS.get(graph)
-    if cached is None or cached[0] != len(graph.tensors):
-        _SIZE_MISS.inc()
-        with _TRACER.span("graph.size_program.compile", "compile",
-                          graph=graph.name,
-                          n_tensors=len(graph.tensors)):
-            tensors = tuple(graph.tensors.values())
-            program = compile_batch([t.size_bytes() for t in tensors])
-        cached = (len(tensors), tensors, program)
-        _SIZE_PROGRAMS[graph] = cached
-    else:
-        _SIZE_HIT.inc()
-    return cached[1], cached[2]
+    return graph.memo("size_program", lambda: _compile_sizes(graph),
+                      hit=_SIZE_HIT, miss=_SIZE_MISS)
+
+
+def _compile_sizes(graph: Graph) -> Tuple[Tuple[Tensor, ...],
+                                          CompiledExpr]:
+    with _TRACER.span("graph.size_program.compile", "compile",
+                      graph=graph.name, n_tensors=len(graph.tensors)):
+        tensors = tuple(graph.tensors.values())
+        return tensors, compile_batch([t.size_bytes() for t in tensors])
 
 
 def evaluate_sizes(graph: Graph,
@@ -439,3 +419,24 @@ def liveness_peak(
                 live -= size_arr[t]
     base = persistent if include_params else 0
     return base + peak
+
+
+def liveness_bounds(graph: Graph,
+                    sizes: Mapping[Tensor, int]) -> Tuple[int, int]:
+    """``(persistent, working_set)`` bytes under the liveness rule.
+
+    ``persistent`` is what :func:`liveness_peak` charges for the whole
+    step; ``working_set`` is the largest live input plus output bytes
+    of one op (disjoint in an acyclic graph), live at once under every
+    schedule, so their sum bounds every traversal's peak from below.
+    """
+    sk = _skeleton(graph)
+    size_arr = _size_array(sk, sizes)
+    persistent = sum(size_arr[i] for i in sk.persistent_idx)
+    working_set = 0
+    for outs, uses in zip(sk.out_live, sk.live_uses):
+        local = (sum(size_arr[t] for t in outs)
+                 + sum(size_arr[t] for t, _ in uses))
+        if local > working_set:
+            working_set = local
+    return persistent, working_set

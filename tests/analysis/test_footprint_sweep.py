@@ -59,6 +59,40 @@ class TestFootprint:
         assert with_greedy.minimal_bytes <= without.minimal_bytes
 
 
+def seed_bounds(graph, sizes):
+    """The seed's persistent bytes and op working-set lower bound."""
+    persistent = sum(
+        sizes[t] for t in graph.tensors.values()
+        if t.is_persistent or t.producer is None
+    )
+    working_set = 0
+    for op in graph.ops:
+        local = sum(
+            sizes[t] for t in set(op.inputs) | set(op.outputs)
+            if not (t.is_persistent or t.producer is None)
+        )
+        working_set = max(working_set, local)
+    return persistent, persistent + working_set
+
+
+@pytest.mark.parametrize("inplace", [False, True])
+@pytest.mark.parametrize("which,size,batch", [
+    ("image", 1, 4), ("image", 2, 32),
+    ("word_lm", 16, 4), ("word_lm", 48, 64),
+])
+def test_footprint_bounds_match_seed_formula(small_model, which, size,
+                                             batch, inplace):
+    from repro.graph import evaluate_sizes
+    from repro.models.registry import build_symbolic
+
+    m = build_symbolic("image") if which == "image" else small_model
+    bindings = {m.size_symbol: size, m.batch: batch}
+    est = estimate_footprint(m, bindings, use_greedy=False,
+                             inplace=inplace)
+    want = seed_bounds(m.graph, evaluate_sizes(m.graph, bindings))
+    assert (est.persistent_bytes, est.lower_bound_bytes) == want
+
+
 class TestSweep:
     def test_small_sweep_structure(self):
         result = sweep_domain("image", sizes=[1, 2],
@@ -116,6 +150,27 @@ class TestSweep:
         hits = obs.counter("analysis.sweep.cache.hit").value
         assert sweep_domain("image", include_footprint=False) is default
         assert obs.counter("analysis.sweep.cache.hit").value == hits + 1
+
+    def test_spelled_out_defaults_share_the_default_entry(self,
+                                                          monkeypatch):
+        from collections import OrderedDict
+
+        from repro import obs
+        from repro.analysis import sweep as sweep_mod
+        from repro.models.registry import get_domain
+
+        monkeypatch.setattr(sweep_mod, "_DEFAULT_SWEEPS", OrderedDict())
+        entry = get_domain("image")
+        hit = obs.counter("analysis.sweep.cache.hit")
+        miss = obs.counter("analysis.sweep.cache.miss")
+        hits, misses = hit.value, miss.value
+        default = sweep_domain("image", include_footprint=False)
+        # spelled as /v1/sweep sends them: float sizes, int subbatch
+        explicit = sweep_domain(
+            "image", include_footprint=False, subbatch=entry.subbatch,
+            sizes=[float(s) for s in entry.sweep_sizes])
+        assert explicit is default
+        assert (hit.value - hits, miss.value - misses) == (1, 1)
 
     def test_engines_agree(self):
         """The compiled sweep engine matches rows rebuilt from the seed

@@ -9,11 +9,16 @@ from repro.symbolic import Symbol, as_expr, symbols
 b, h = symbols("b h")
 
 
+def add_orphan(g):
+    g.tensor("orphan", (b,))                          # S001
+
+
 def small_trained_model(extra_ops=None):
     """A real built model: forward + autodiff + SGD updates.
 
-    ``extra_ops(graph)`` adds ops before the training step is built
-    (a finished training step is finalized and takes no more ops).
+    ``extra_ops(graph)`` adds ops or tensors before the training step
+    is built (a finished training step is finalized and takes no
+    more).
     """
     g = Graph("tiny")
     x = g.input("x", (b, h))
@@ -41,21 +46,20 @@ class TestLintGraph:
     def test_runs_all_pass_families(self):
         # seed one defect per family in a single graph and check each
         # family reports (proving the driver actually runs them all)
-        def dead_matmul(g):
+        def defects(g):
             w_dead = g.parameter("w_dead", (h, h))
             matmul(g, g.find("x"), w_dead, name="dead_mm")  # G001/G002
+            add_orphan(g)
 
-        model = small_trained_model(dead_matmul)
+        model = small_trained_model(defects)
         g = model.graph
-        g.tensor("orphan", (b,))                      # S001
         found = lint_graph(g, loss=model.loss,
                            param_grads=model.meta["param_grads"])
         assert {d.code for d in found} >= {"S001", "G001", "G002"}
 
     def test_select_and_ignore(self):
-        model = small_trained_model()
+        model = small_trained_model(add_orphan)
         g = model.graph
-        g.tensor("orphan", (b,))
         found = lint_graph(g, loss=model.loss, select=["S"])
         assert {d.code[0] for d in found} == {"S"}
         found = lint_graph(g, loss=model.loss, ignore=["S001"])
@@ -70,8 +74,7 @@ class TestLintModel:
         assert [d for d in found if d.severity == ERROR] == []
 
     def test_meta_suppressions_honored(self):
-        model = small_trained_model()
-        model.graph.tensor("orphan", (b,))
+        model = small_trained_model(add_orphan)
         assert any(d.code == "S001" for d in lint_model(model))
         model.meta["lint_suppress"] = ["S001"]
         assert not any(d.code == "S001" for d in lint_model(model))

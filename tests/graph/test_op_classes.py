@@ -7,7 +7,9 @@ so the soundness of the grouping is what keeps those numbers exact.
 
 import pytest
 
-from repro.graph import Graph, Tensor
+from repro import obs
+from repro.graph import Graph, Tensor, topological_order
+from repro.graph.traversal import size_program
 from repro.hardware.cache import _matmul_like_dims
 from repro.models.registry import DOMAINS, build_symbolic
 from repro.ops import matmul, sigmoid, tanh
@@ -83,3 +85,35 @@ def test_training_step_finalizes_the_graph():
     late = UnaryOp("late", "sigmoid", x, Tensor("late:out", x.shape))
     with pytest.raises(ValueError, match="finalized"):
         graph.add_op(late)
+
+
+def test_finalized_graph_memoizes_derived_state():
+    graph = build_symbolic("image").graph
+    assert size_program(graph) is size_program(graph)
+    assert graph.total_flops() is graph.total_flops()
+    assert graph.total_bytes_accessed() is graph.total_bytes_accessed()
+    topological_order(graph)
+    misses = obs.counter("graph.skeleton.cache.miss").value
+    hits = obs.counter("graph.skeleton.cache.hit").value
+    assert topological_order(graph) == topological_order(graph)
+    assert obs.counter("graph.skeleton.cache.miss").value == misses
+    assert obs.counter("graph.skeleton.cache.hit").value == hits + 2
+    with pytest.raises(ValueError, match="finalized"):
+        graph.tensor("late", (b,))
+    by_geometry = {}
+    for t in graph.tensors.values():
+        by_geometry.setdefault((t.shape, t.dtype_bytes), []).append(t)
+    first, second = next(ts for ts in by_geometry.values()
+                         if len(ts) > 1)[:2]
+    assert first.size_bytes() is second.size_bytes()
+    assert first.num_elements() is second.num_elements()
+
+
+def test_unfinalized_graph_rebuilds_derived_state():
+    g = Graph("open")
+    x = g.input("x", (b, h))
+    sigmoid(g, x)
+    misses = obs.counter("graph.size_program.cache.miss").value
+    assert size_program(g) is not size_program(g)
+    assert obs.counter("graph.size_program.cache.miss").value \
+        == misses + 2
