@@ -18,7 +18,6 @@ from ..graph import (
     evaluate_sizes,
     inplace_aliases,
     liveness_peak,
-    liveness_peak_aliased,
     memory_greedy_order,
     topological_order,
 )
@@ -89,18 +88,11 @@ def _estimate_footprint(graph, bindings, use_greedy,
                         inplace) -> FootprintEstimate:
     sizes = evaluate_sizes(graph, bindings)
     aliases = inplace_aliases(graph) if inplace else None
-    order = topological_order(graph)
-    if aliases:
-        program = liveness_peak_aliased(graph, order, sizes, aliases)
-    else:
-        program = liveness_peak(graph, order, sizes)
+    program = liveness_peak(graph, topological_order(graph), sizes,
+                            aliases=aliases)
     if use_greedy:
-        greedy_order = memory_greedy_order(graph, sizes)
-        if aliases:
-            greedy = liveness_peak_aliased(graph, greedy_order, sizes,
-                                           aliases)
-        else:
-            greedy = liveness_peak(graph, greedy_order, sizes)
+        greedy = liveness_peak(graph, memory_greedy_order(graph, sizes),
+                               sizes, aliases=aliases)
     else:
         greedy = program
     persistent, working_set = liveness_bounds(graph, sizes)

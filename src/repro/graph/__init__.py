@@ -3,12 +3,16 @@
 This is the substrate the paper's artifact (Catamount) provides: a
 graph representation whose dimensions stay symbolic, over which
 algorithmic FLOPs, memory accesses, and memory footprint are computed.
+The liveness rule behind the footprint is stated once, in
+:mod:`.traversal`'s per-graph skeleton; every schedule replay (the
+footprint, its in-place variant, the allocator model and the measured
+profile) reads it from there.
 """
 
 from .autodiff import attach_sgd_update, build_training_step, differentiate
 from .fusion import fused_op_bytes, fused_total_bytes, fusion_groups
 from .graph import Graph
-from .inplace import inplace_aliases, liveness_peak_aliased
+from .inplace import inplace_aliases
 from .serialize import (
     load_graph,
     load_graph_file,
@@ -35,7 +39,6 @@ __all__ = [
     "memory_greedy_order",
     "liveness_peak",
     "inplace_aliases",
-    "liveness_peak_aliased",
     "fusion_groups",
     "fused_total_bytes",
     "fused_op_bytes",

@@ -3,13 +3,14 @@
 The paper notes its topological footprint estimates slightly
 *over*-estimate TensorFlow's allocator because "Tensorflow optimizes to
 perform some ops on tensors in-place rather than allocating separate
-output tensors."  This pass reproduces that optimization:
+output tensors."  This pass reproduces that optimization.
 
-* :func:`inplace_aliases` — find safe candidates: a pointwise-style op
-  whose first input is a transient activation with no other consumer
-  can write its output over the input buffer;
-* :func:`liveness_peak_aliased` — liveness replay where aliased chains
-  share one allocation, freed when the whole chain is dead.
+:func:`inplace_aliases` finds safe candidates: a pointwise-style op
+whose first input is a transient activation with no other consumer can
+write its output over the input buffer.  Passing the map to
+:func:`repro.graph.liveness_peak` as ``aliases=`` replays a schedule
+with each aliased chain sharing one allocation, freed when the whole
+chain is dead.
 
 Eligibility is conservative (single-consumer, same element count and
 dtype, not a weight/input), matching what a framework can prove
@@ -18,13 +19,12 @@ statically.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict
 
 from .graph import Graph
-from .op import Op
 from .tensor import Tensor
 
-__all__ = ["inplace_aliases", "liveness_peak_aliased"]
+__all__ = ["inplace_aliases"]
 
 #: op kinds that compute elementwise over their first input and may
 #: safely reuse its buffer
@@ -64,90 +64,3 @@ def inplace_aliases(graph: Graph) -> Dict[Tensor, Tensor]:
             continue
         aliases[out] = src
     return aliases
-
-
-def _roots(aliases: Mapping[Tensor, Tensor]):
-    cache: Dict[Tensor, Tensor] = {}
-
-    def root(t: Tensor) -> Tensor:
-        seen = []
-        while t in aliases and t not in cache:
-            seen.append(t)
-            t = aliases[t]
-        base = cache.get(t, t)
-        for s in seen:
-            cache[s] = base
-        return base
-
-    return root
-
-
-def liveness_peak_aliased(
-    graph: Graph,
-    order: Sequence[Op],
-    sizes: Mapping[Tensor, int],
-    aliases: Optional[Mapping[Tensor, Tensor]] = None,
-    *,
-    include_params: bool = True,
-) -> int:
-    """Peak live bytes when aliased chains share one buffer.
-
-    With an empty alias map this equals
-    :func:`repro.graph.traversal.liveness_peak`.  A shared buffer is
-    allocated when the chain's first tensor is produced and freed when
-    *every* chain member has been produced and fully consumed.
-    """
-    aliases = aliases or {}
-    root = _roots(aliases)
-
-    # chain bookkeeping per root
-    members: Dict[Tensor, list] = {}
-    for t in graph.tensors.values():
-        if t.is_persistent or t.producer is None:
-            continue
-        members.setdefault(root(t), []).append(t)
-
-    persistent = sum(
-        sizes[t] for t in graph.tensors.values()
-        if t.is_persistent or t.producer is None
-    )
-
-    remaining = {t: len(t.consumers) for t in graph.tensors.values()}
-    produced: Dict[Tensor, bool] = {}
-    allocated: Dict[Tensor, int] = {}
-    live = 0
-    peak = 0
-
-    def chain_dead(r: Tensor) -> bool:
-        for m in members.get(r, ()):
-            if not produced.get(m, False):
-                return False
-            if remaining[m] > 0:
-                return False
-            # a chain tail with no consumers is a graph output: keep it
-            if not m.consumers:
-                return False
-        return True
-
-    for op in order:
-        for out in op.outputs:
-            if out.is_persistent or out.producer is None:
-                continue
-            produced[out] = True
-            r = root(out)
-            if r not in allocated:
-                allocated[r] = sizes[r]
-                live += sizes[r]
-        peak = max(peak, live)
-        seen = set()
-        for t in op.inputs:
-            if t.is_persistent or t.producer is None or t in seen:
-                continue
-            seen.add(t)
-            remaining[t] -= sum(1 for c in t.consumers if c is op)
-            r = root(t)
-            if r in allocated and chain_dead(r):
-                live -= allocated.pop(r)
-
-    base = persistent if include_params else 0
-    return base + peak

@@ -13,6 +13,14 @@ are cheap and close to optimal in practice:
 
 :func:`liveness_peak` replays any schedule and returns the high-water
 mark of live bytes; persistent tensors (weights) are charged once.
+
+This module is the one home of the liveness rule — weights and graph
+inputs are pinned for the whole step, a tensor is born when its
+producer runs and dies after its last consumer.  :func:`skeleton`
+resolves it to tensor indices once per graph, and every schedule
+replay reads it from there: :func:`liveness_peak` (with in-place
+aliases too), the allocator model in :mod:`repro.runtime.allocator`
+and the measured replay in :mod:`repro.runtime.profiler`.
 """
 
 from __future__ import annotations
@@ -32,16 +40,17 @@ __all__ = [
     "memory_greedy_order",
     "liveness_peak",
     "liveness_bounds",
+    "skeleton",
     "evaluate_sizes",
     "evaluate_sizes_many",
     "size_program",
 ]
 
 
-class _GraphSkeleton:
+class GraphSkeleton:
     """Int-indexed traversal structure of one graph (memoized on it).
 
-    The schedulers and the liveness replay are called once per sweep
+    The schedulers and the liveness replays are called once per sweep
     point, but everything they need besides the concrete sizes —
     producer counts, consumer edges, per-op input use counts — depends
     only on the graph's wiring.  Resolving tensors and ops to dense
@@ -49,13 +58,18 @@ class _GraphSkeleton:
     arithmetic; every function below produces *identical* results to
     its original mapping-based body (the reference oracles and
     equivalence tests are unchanged).
+
+    The liveness rule is held by ``persistent_idx`` (pinned for the
+    step), ``out_live`` (born when the op runs) and ``consumer_counts``
+    counted down by ``live_uses`` (dead at zero); :meth:`touch_order`
+    adds the read order for replays that track recency.
     """
 
     __slots__ = (
         "name", "ops", "tensors", "op_index",
         "pending0", "edge_consumers", "consumer_counts",
         "out_grow", "out_live", "greedy_uses", "holders", "live_uses",
-        "persistent_idx", "topo",
+        "touches", "persistent_idx", "topo",
     )
 
     def __init__(self, graph: Graph):
@@ -120,18 +134,33 @@ class _GraphSkeleton:
             if t.is_persistent or t.producer is None
         )
         self.topo: Optional[List[Op]] = None
+        self.touches: Optional[List[Tuple[int, ...]]] = None
+
+    def touch_order(self) -> List[Tuple[int, ...]]:
+        """Each op's live input reads in ``op.inputs`` order, repeats
+        kept.  Only the allocator replay reads it, so it is built on
+        first use rather than for every graph."""
+        if self.touches is None:
+            index = {t: i for i, t in enumerate(self.tensors)}
+            self.touches = [
+                tuple(index[t] for t in op.inputs
+                      if not (t.is_persistent or t.producer is None))
+                for op in self.ops
+            ]
+        return self.touches
 
 
 _SKEL_HIT = _obs_counter("graph.skeleton.cache.hit")
 _SKEL_MISS = _obs_counter("graph.skeleton.cache.miss")
 
 
-def _skeleton(graph: Graph) -> _GraphSkeleton:
-    return graph.memo("skeleton", lambda: _GraphSkeleton(graph),
+def skeleton(graph: Graph) -> GraphSkeleton:
+    """The graph's traversal skeleton (kept on it once finalized)."""
+    return graph.memo("skeleton", lambda: GraphSkeleton(graph),
                       hit=_SKEL_HIT, miss=_SKEL_MISS)
 
 
-def _size_array(sk: _GraphSkeleton, sizes: Mapping[Tensor, int]) -> List[int]:
+def _size_array(sk: GraphSkeleton, sizes: Mapping[Tensor, int]) -> List[int]:
     """Sizes resolved to the skeleton's tensor indexing (one dict pass)."""
     return [sizes[t] for t in sk.tensors]
 
@@ -144,7 +173,7 @@ def topological_order(graph: Graph) -> List[Op]:
     a pure function of the graph's wiring, so a finalized graph keeps
     it with its skeleton and later calls return a copy.
     """
-    sk = _skeleton(graph)
+    sk = skeleton(graph)
     if sk.topo is None:
         pending = list(sk.pending0)
         ready: List[int] = []
@@ -263,7 +292,7 @@ def memory_greedy_order(graph: Graph,
     O(V·ready·degree) to O((V + E) log V) while producing the *same*
     order as the reference scan (verified by tests).
     """
-    sk = _skeleton(graph)
+    sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
     n = len(sk.ops)
     uses = sk.greedy_uses
@@ -388,7 +417,7 @@ def liveness_peak(
     order: Sequence[Op],
     sizes: Mapping[Tensor, int],
     *,
-    include_params: bool = True,
+    aliases: Optional[Mapping[Tensor, Tensor]] = None,
 ) -> int:
     """Peak live bytes over a schedule (the footprint of that traversal).
 
@@ -396,29 +425,65 @@ def liveness_peak(
     its last consumer executes.  Graph outputs (no consumers) stay live
     to the end.  Persistent tensors (weights) and graph inputs are live
     for the whole step.
+
+    ``aliases`` maps in-place outputs to the input whose buffer they
+    reuse (see :func:`repro.graph.inplace_aliases`).  A chain of them
+    is one buffer: its root is charged once, when produced, and the
+    buffer dies when its members' uses are all spent — never, if one
+    member is a graph output.
     """
-    sk = _skeleton(graph)
+    sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
     persistent = sum(size_arr[i] for i in sk.persistent_idx)
+    owner, charge, uses = _buffers(sk, size_arr, aliases or {})
 
     op_index = sk.op_index
     out_live = sk.out_live
     live_uses = sk.live_uses
-    remaining = list(sk.consumer_counts)
     live = 0
     peak = 0
     for op in order:
         i = op_index[op]
         for t in out_live[i]:
-            live += size_arr[t]
+            live += charge[t]
         if live > peak:
             peak = live
         for t, c in live_uses[i]:
-            remaining[t] -= c
-            if remaining[t] == 0:
-                live -= size_arr[t]
-    base = persistent if include_params else 0
-    return base + peak
+            buf = owner[t]
+            uses[buf] -= c
+            if uses[buf] == 0:
+                live -= size_arr[buf]
+    return persistent + peak
+
+
+def _buffers(sk: GraphSkeleton, size_arr: List[int],
+             aliases: Mapping[Tensor, Tensor]
+             ) -> Tuple[List[int], List[int], List[int]]:
+    """``(owner, charge, uses)`` of the buffers an alias map implies.
+
+    ``owner`` maps each tensor to its chain's root; ``charge`` is the
+    root's size at the root and 0 at the other members; ``uses`` holds,
+    at each root, the summed consumer counts of its chain, plus one
+    that is never spent if a member has no consumer.  Without aliases
+    every tensor is its own buffer.
+    """
+    counts = sk.consumer_counts
+    owner = list(range(len(size_arr)))
+    charge = list(size_arr)
+    uses = list(counts)
+    index = {t: i for i, t in enumerate(sk.tensors)} if aliases else {}
+    link = {index[out]: index[src] for out, src in aliases.items()}
+    for t in list(link):
+        path = []
+        while t in link:
+            path.append(t)
+            t = link.pop(t)
+        root = owner[t]  # t is a root, or a member resolved earlier
+        for member in path:
+            owner[member] = root
+            charge[member] = 0
+            uses[root] += counts[member] or 1
+    return owner, charge, uses
 
 
 def liveness_bounds(graph: Graph,
@@ -430,7 +495,7 @@ def liveness_bounds(graph: Graph,
     of one op (disjoint in an acyclic graph), live at once under every
     schedule, so their sum bounds every traversal's peak from below.
     """
-    sk = _skeleton(graph)
+    sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
     persistent = sum(size_arr[i] for i in sk.persistent_idx)
     working_set = 0

@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["AcceleratorConfig", "V100_LIKE"]
+__all__ = ["AcceleratorConfig", "V100_LIKE", "USABLE_FRACTION"]
+
+#: fraction of device memory a framework lets tensors occupy before it
+#: swaps them to host RAM (TF's allocator: "80% of 12GB", Fig. 10)
+USABLE_FRACTION = 0.8
 
 
 @dataclass(frozen=True)

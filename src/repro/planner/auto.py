@@ -23,16 +23,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from ..analysis.firstorder import FirstOrderModel
-from ..hardware.accelerator import AcceleratorConfig, V100_LIKE
+from ..hardware.accelerator import (
+    USABLE_FRACTION,
+    AcceleratorConfig,
+    V100_LIKE,
+)
 from ..hardware.interconnect import ring_allreduce_time
 from ..hardware.roofline import roofline_time
 
 __all__ = ["ParallelPlan", "AutoPlanResult", "plan_auto"]
 
 _SECONDS_PER_DAY = 86_400.0
-
-#: fraction of device memory usable before swap (matches the allocator)
-_USABLE = 0.8
 
 
 @dataclass
@@ -121,7 +122,7 @@ def plan_auto(
             # memory: weight state shards across stages; activations
             # are dominated by the widest stage — charge the shard
             mem = footprint / mp
-            feasible = mem <= _USABLE * accel.memory_bytes
+            feasible = mem <= USABLE_FRACTION * accel.memory_bytes
             reason = "" if feasible else "exceeds device memory"
             # pipelined compute: ideal speedup up to the layer count,
             # degraded by stage imbalance; memory-only shards beyond

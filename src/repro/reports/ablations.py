@@ -22,7 +22,11 @@ from typing import Optional, Sequence
 from ..analysis.counters import StepCounts
 from ..analysis.footprint import estimate_footprint
 from ..analysis.sweep import sweep_domain
-from ..hardware.accelerator import V100_LIKE, AcceleratorConfig
+from ..hardware.accelerator import (
+    USABLE_FRACTION,
+    V100_LIKE,
+    AcceleratorConfig,
+)
 from ..hardware.cache import cache_aware_step_time
 from ..hardware.interconnect import ring_allreduce_time
 from ..hardware.roofline import roofline_time
@@ -111,7 +115,7 @@ def ablation_memory_capacity(
         footprint = fo.footprint_bytes(params, DOMAINS[key].subbatch)
         cells = [DOMAINS[key].display, si(footprint) + "B"]
         for cap in capacities_gb:
-            usable = 0.8 * cap * 1e9
+            usable = USABLE_FRACTION * cap * 1e9
             ways = max(1, int(-(-footprint // usable)))
             cells.append(str(ways))
         rows.append(cells)

@@ -98,7 +98,7 @@ def fig10() -> Figure:
     """Minimal memory footprint vs model size, with allocator overlay."""
     from ..graph import evaluate_sizes, topological_order
     from ..models.registry import build_symbolic
-    from ..runtime.allocator import AllocatorConfig, simulate_allocator
+    from ..runtime.allocator import simulate_allocator
     from ..analysis.counters import StepCounts
 
     series = []
@@ -114,14 +114,14 @@ def fig10() -> Figure:
     model = build_symbolic("word_lm")
     counts = StepCounts(model)
     order = topological_order(model.graph)
-    config = AllocatorConfig(capacity_bytes=12 * 10**9)
     xs, ys = [], []
     # extend beyond the sweep so the overlay clearly crosses 12 GB
     overlay_sizes = list(DOMAINS["word_lm"].sweep_sizes) + [6144, 8192]
     for size in overlay_sizes:
         bindings = counts.bind(size, DOMAINS["word_lm"].subbatch)
         sizes_map = evaluate_sizes(model.graph, bindings)
-        report = simulate_allocator(model.graph, order, sizes_map, config)
+        report = simulate_allocator(model.graph, order, sizes_map,
+                                    capacity_bytes=12 * 10**9)
         xs.append(counts.params.evalf(bindings))
         ys.append(report.peak_resident_bytes / 1e9)
     alloc_series.append(Series("Word LM (12GB allocator)", xs, ys))

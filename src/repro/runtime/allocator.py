@@ -10,40 +10,27 @@ counting them ("80% of 12GB").
 This simulator replays a training-step schedule against a best-fit-
 with-coalescing-inspired allocator: sizes round up to 256-byte-aligned
 bins, a device capacity can be imposed, and when an allocation would
-exceed capacity the least-recently-used live tensors are swapped out
-(their bytes counted separately).  The reported footprint is the
-device-resident high-water mark — exactly the quantity that flattens
-in the paper's figure.
+exceed its usable fraction the least-recently-used live tensors are
+swapped out (their bytes counted separately).  The reported footprint
+is the device-resident high-water mark — exactly the quantity that
+flattens in the paper's figure.  Which tensors are pinned, allocated
+and freed when is the liveness rule, read from the graph's traversal
+skeleton (:func:`repro.graph.traversal.skeleton`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..graph import Graph, Op, Tensor
+from ..graph.traversal import skeleton
+from ..hardware.accelerator import USABLE_FRACTION
 
-__all__ = ["AllocatorConfig", "AllocationReport", "simulate_allocator"]
+__all__ = ["AllocationReport", "simulate_allocator"]
 
+#: bytes of allocation alignment (BFC: 256)
 _ALIGNMENT = 256
-
-
-@dataclass
-class AllocatorConfig:
-    """Device memory model for the allocator replay."""
-
-    #: device capacity in bytes; None = unbounded (footprint measured)
-    capacity_bytes: Optional[int] = None
-    #: fraction of capacity usable before swapping begins (TF ~0.8)
-    usable_fraction: float = 0.8
-    #: bytes of allocation alignment (BFC: 256)
-    alignment: int = _ALIGNMENT
-
-    @property
-    def usable_bytes(self) -> Optional[int]:
-        if self.capacity_bytes is None:
-            return None
-        return int(self.capacity_bytes * self.usable_fraction)
 
 
 @dataclass
@@ -66,103 +53,87 @@ class AllocationReport:
         return self.swap_events > 0
 
 
-def _rounded(size: int, alignment: int) -> int:
+def _rounded(size: int) -> int:
     if size <= 0:
-        return alignment
-    return ((size + alignment - 1) // alignment) * alignment
+        return _ALIGNMENT
+    return ((size + _ALIGNMENT - 1) // _ALIGNMENT) * _ALIGNMENT
 
 
 def simulate_allocator(
     graph: Graph,
     order: Sequence[Op],
     sizes: Mapping[Tensor, int],
-    config: Optional[AllocatorConfig] = None,
+    *,
+    capacity_bytes: Optional[int] = None,
 ) -> AllocationReport:
     """Replay a schedule through the allocator model.
 
     Persistent tensors (parameters) and graph inputs are allocated up
     front and never swap (frameworks pin weights); activations are
     allocated when produced, freed after their last consumer, and are
-    swap candidates in LRU order when capacity pressure occurs.
+    swap candidates in LRU order once the resident bytes would exceed
+    ``USABLE_FRACTION`` of ``capacity_bytes`` (``None``: unbounded).
     """
-    config = config or AllocatorConfig()
+    sk = skeleton(graph)
+    exact = [sizes[t] for t in sk.tensors]
+    rounded = [_rounded(s) for s in exact]
+    limit = (None if capacity_bytes is None
+             else int(capacity_bytes * USABLE_FRACTION))
     report = AllocationReport()
 
-    resident: Dict[Tensor, int] = {}
-    swapped: Dict[Tensor, int] = {}
-    lru: List[Tensor] = []  # least-recently-used first
-    pinned = 0
-    current_total = 0
-
-    def touch(t: Tensor) -> None:
-        if t in lru:
-            lru.remove(t)
-            lru.append(t)
-
-    def high_water() -> None:
-        nonlocal report
-        resident_bytes = pinned + sum(resident.values())
-        total = resident_bytes + sum(swapped.values())
-        report.peak_resident_bytes = max(report.peak_resident_bytes,
-                                         resident_bytes)
-        report.peak_total_bytes = max(report.peak_total_bytes, total)
-
-    limit = config.usable_bytes
+    # activations by tensor index; dict order is LRU order, oldest first
+    resident: Dict[int, int] = {}
+    swapped: Dict[int, int] = {}
+    resident_bytes = sum(rounded[t] for t in sk.persistent_idx)
+    swapped_bytes = 0
+    overhead = resident_bytes - sum(exact[t] for t in sk.persistent_idx)
+    peak_resident = peak_total = resident_bytes
 
     def make_room(needed: int) -> None:
-        nonlocal report
+        nonlocal resident_bytes, swapped_bytes
         if limit is None:
             return
-        while pinned + sum(resident.values()) + needed > limit and lru:
-            victim = lru.pop(0)
+        while resident_bytes + needed > limit and resident:
+            victim = next(iter(resident))
             size = resident.pop(victim)
+            resident_bytes -= size
             swapped[victim] = size
+            swapped_bytes += size
             report.swapped_out_bytes += size
             report.swap_events += 1
 
-    # pin weights and inputs
-    for t in graph.tensors.values():
-        if t.is_persistent or t.producer is None:
-            size = _rounded(sizes[t], config.alignment)
-            report.rounding_overhead_bytes += size - sizes[t]
-            pinned += size
-    high_water()
-
-    remaining = {t: len(t.consumers) for t in graph.tensors.values()}
-
+    touches = sk.touch_order()
+    remaining = list(sk.consumer_counts)
     for op in order:
-        # allocate outputs
-        for out in op.outputs:
-            if out.is_persistent or out.producer is None:
-                continue
-            size = _rounded(sizes[out], config.alignment)
-            report.rounding_overhead_bytes += size - sizes[out]
+        i = sk.op_index[op]
+        for t in sk.out_live[i]:
+            size = rounded[t]
+            overhead += size - exact[t]
             make_room(size)
-            resident[out] = size
-            lru.append(out)
-        # inputs are touched (swapped ones would page back in; we only
-        # track the footprint consequence: they become resident again)
-        for t in op.inputs:
+            resident[t] = size
+            resident_bytes += size
+        # touched inputs become most recently used; swapped ones page
+        # back in (we track only the footprint consequence)
+        for t in touches[i]:
             if t in swapped:
                 size = swapped.pop(t)
+                swapped_bytes -= size
                 make_room(size)
                 resident[t] = size
-                lru.append(t)
+                resident_bytes += size
             else:
-                touch(t)
-        high_water()
-        # free dead activations
-        seen = set()
-        for t in op.inputs:
-            if t.is_persistent or t.producer is None or t in seen:
-                continue
-            seen.add(t)
-            remaining[t] -= sum(1 for c in t.consumers if c is op)
+                resident[t] = resident.pop(t)
+        peak_resident = max(peak_resident, resident_bytes)
+        peak_total = max(peak_total, resident_bytes + swapped_bytes)
+        for t, c in sk.live_uses[i]:
+            remaining[t] -= c
             if remaining[t] == 0:
                 if t in resident:
-                    resident.pop(t)
-                    if t in lru:
-                        lru.remove(t)
-                swapped.pop(t, None)
+                    resident_bytes -= resident.pop(t)
+                if t in swapped:
+                    swapped_bytes -= swapped.pop(t)
 
+    report.peak_resident_bytes = peak_resident
+    report.peak_total_bytes = peak_total
+    report.rounding_overhead_bytes = overhead
     return report

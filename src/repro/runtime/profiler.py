@@ -23,6 +23,7 @@ from typing import Dict, List, Mapping, Optional
 import numpy as np
 
 from ..graph import Graph, topological_order
+from ..graph.traversal import skeleton
 from ..obs.tracer import TRACER as _TRACER, monotonic_ns
 from .executor import bind_shape, make_feeds
 
@@ -114,11 +115,12 @@ def profile_execution(graph: Graph,
     Mirrors the paper's methodology of profiling real training steps;
     the numpy kernel times are only indicative, but the FLOP/byte
     columns are exact algorithmic counts.  Each op also records the
-    peak modeled live bytes while it ran: outputs count from the
-    moment they are produced, non-persistent intermediates die after
-    their last consumer, and weights/inputs are charged for the whole
-    step — the same liveness rule :func:`repro.graph.liveness_peak`
-    replays symbolically.
+    peak live bytes while it ran: outputs count from the moment they
+    are produced, non-persistent intermediates die after their last
+    consumer, and weights/inputs are charged for the whole step — the
+    liveness rule of the graph's traversal skeleton, which
+    :func:`repro.graph.liveness_peak` replays over modeled sizes.
+    Here the bytes are the arrays' measured ``nbytes``.
     """
     rng = np.random.default_rng(seed + 1)
     values: Dict[str, np.ndarray] = {}
@@ -133,9 +135,8 @@ def profile_execution(graph: Graph,
         ).astype(np.float32)
 
     # actual-array liveness tracking (nbytes, not size formulas)
-    remaining = {
-        t.name: len(t.consumers) for t in graph.tensors.values()
-    }
+    sk = skeleton(graph)
+    remaining = list(sk.consumer_counts)
     live = sum(v.nbytes for v in values.values())
 
     profile = StepProfile(graph.name)
@@ -152,18 +153,14 @@ def profile_execution(graph: Graph,
                 elapsed = (monotonic_ns() - start_ns) / 1e9
             for t, array in zip(op.outputs, outputs):
                 values[t.name] = array
-                live += array.nbytes
+            i = sk.op_index[op]
+            for t in sk.out_live[i]:
+                live += values[sk.tensors[t].name].nbytes
             op_peak = float(live)
-            seen = set()
-            for t in op.inputs:
-                if t.is_persistent or t.producer is None or t in seen:
-                    continue
-                seen.add(t)
-                remaining[t.name] -= sum(
-                    1 for c in t.consumers if c is op
-                )
-                if remaining[t.name] == 0:
-                    live -= values[t.name].nbytes
+            for t, c in sk.live_uses[i]:
+                remaining[t] -= c
+                if remaining[t] == 0:
+                    live -= values[sk.tensors[t].name].nbytes
             flops = op.flops().evalf(bindings)
             bytes_accessed = op.bytes_accessed().evalf(bindings)
             # the TFprof join: algorithmic counts on the measured span

@@ -95,17 +95,6 @@ class TestLiveness:
         # x (24) + w (36) persistent + output (24) live
         assert peak == 24 + 36 + 24
 
-    def test_exclude_params_option(self):
-        g = Graph("w")
-        x = g.input("x", (b, h))
-        w = g.parameter("w", (h, h))
-        matmul(g, x, w)
-        sizes = evaluate_sizes(g, {b: 2, h: 3})
-        with_params = liveness_peak(g, topological_order(g), sizes)
-        without = liveness_peak(g, topological_order(g), sizes,
-                                include_params=False)
-        assert with_params - without == 24 + 36
-
     def test_tensor_freed_after_last_consumer(self):
         """Wide fan-out then join: x stays live until both consumers run."""
         g = diamond_graph()

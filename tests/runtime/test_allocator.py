@@ -1,10 +1,18 @@
 """Tests for the BFC-style allocator simulator (Fig. 10 substrate)."""
 
+from dataclasses import astuple
+
 import pytest
 
-from repro.graph import evaluate_sizes, topological_order
-from repro.models import build_word_lm
-from repro.runtime import AllocatorConfig, simulate_allocator
+from repro.graph import (
+    Graph,
+    Op,
+    evaluate_sizes,
+    memory_greedy_order,
+    topological_order,
+)
+from repro.models import build_nmt, build_resnet, build_word_lm
+from repro.runtime import AllocationReport, simulate_allocator
 
 
 @pytest.fixture(scope="module")
@@ -47,9 +55,7 @@ class TestCapacityLimited:
         g, order, sizes, _ = replay
         unbounded = simulate_allocator(g, order, sizes)
         cap = int(unbounded.peak_resident_bytes * 0.5)
-        limited = simulate_allocator(
-            g, order, sizes, AllocatorConfig(capacity_bytes=cap)
-        )
+        limited = simulate_allocator(g, order, sizes, capacity_bytes=cap)
         assert limited.did_swap
         # reported (device-resident) footprint flattens well below the
         # true requirement; transient overcommit of one op's working
@@ -60,10 +66,17 @@ class TestCapacityLimited:
         assert limited.peak_total_bytes >= \
             0.9 * unbounded.peak_resident_bytes
 
-    def test_usable_fraction(self):
-        config = AllocatorConfig(capacity_bytes=10_000_000,
-                                 usable_fraction=0.8)
-        assert config.usable_bytes == 8_000_000
+    def test_usable_fraction(self, replay):
+        """Swapping starts once the peak passes 80% of capacity."""
+        g, order, sizes, _ = replay
+        peak = simulate_allocator(g, order, sizes).peak_resident_bytes
+        fits = simulate_allocator(g, order, sizes,
+                                  capacity_bytes=int(peak / 0.8) + 2)
+        assert not fits.did_swap
+        assert fits.peak_resident_bytes == peak
+        over = simulate_allocator(g, order, sizes,
+                                  capacity_bytes=int(peak / 0.8) - 2)
+        assert over.did_swap
 
     def test_weights_never_swap(self, replay):
         """Pinned weights stay resident even under extreme pressure."""
@@ -72,8 +85,156 @@ class TestCapacityLimited:
             sizes[t] for t in g.tensors.values()
             if t.is_persistent or t.producer is None
         )
-        limited = simulate_allocator(
-            g, order, sizes,
-            AllocatorConfig(capacity_bytes=int(pinned * 1.05)),
-        )
+        limited = simulate_allocator(g, order, sizes,
+                                     capacity_bytes=int(pinned * 1.05))
         assert limited.peak_resident_bytes >= pinned
+
+
+def seed_simulate_allocator(graph, order, sizes, capacity_bytes=None):
+    """The seed's list-LRU allocator replay, kept as the oracle.
+
+    It restates the liveness rule over the tensors and keeps its LRU
+    as a Python list; :func:`simulate_allocator` must return the same
+    report field for field.
+    """
+    alignment = 256
+    report = AllocationReport()
+    resident = {}
+    swapped = {}
+    lru = []  # least-recently-used first
+    pinned = 0
+
+    def rounded(size):
+        if size <= 0:
+            return alignment
+        return ((size + alignment - 1) // alignment) * alignment
+
+    def touch(t):
+        if t in lru:
+            lru.remove(t)
+            lru.append(t)
+
+    def high_water():
+        resident_bytes = pinned + sum(resident.values())
+        total = resident_bytes + sum(swapped.values())
+        report.peak_resident_bytes = max(report.peak_resident_bytes,
+                                         resident_bytes)
+        report.peak_total_bytes = max(report.peak_total_bytes, total)
+
+    limit = None if capacity_bytes is None else int(capacity_bytes * 0.8)
+
+    def make_room(needed):
+        if limit is None:
+            return
+        while pinned + sum(resident.values()) + needed > limit and lru:
+            victim = lru.pop(0)
+            size = resident.pop(victim)
+            swapped[victim] = size
+            report.swapped_out_bytes += size
+            report.swap_events += 1
+
+    for t in graph.tensors.values():
+        if t.is_persistent or t.producer is None:
+            size = rounded(sizes[t])
+            report.rounding_overhead_bytes += size - sizes[t]
+            pinned += size
+    high_water()
+
+    remaining = {t: len(t.consumers) for t in graph.tensors.values()}
+    for op in order:
+        for out in op.outputs:
+            if out.is_persistent or out.producer is None:
+                continue
+            size = rounded(sizes[out])
+            report.rounding_overhead_bytes += size - sizes[out]
+            make_room(size)
+            resident[out] = size
+            lru.append(out)
+        for t in op.inputs:
+            if t in swapped:
+                size = swapped.pop(t)
+                make_room(size)
+                resident[t] = size
+                lru.append(t)
+            else:
+                touch(t)
+        high_water()
+        seen = set()
+        for t in op.inputs:
+            if t.is_persistent or t.producer is None or t in seen:
+                continue
+            seen.add(t)
+            remaining[t] -= sum(1 for c in t.consumers if c is op)
+            if remaining[t] == 0:
+                if t in resident:
+                    resident.pop(t)
+                    if t in lru:
+                        lru.remove(t)
+                swapped.pop(t, None)
+    return report
+
+
+def _small_replay(key):
+    if key == "word_lm":
+        model = build_word_lm(seq_len=5, vocab=200, layers=1)
+        size = 32
+    elif key == "nmt":
+        model = build_nmt(seq_len=3, vocab=30)
+        size = 16
+    else:
+        model = build_resnet(depth=18, image_size=16, classes=10)
+        size = 0.25
+    bindings = {model.size_symbol: size, model.batch: 4}
+    return model.graph, evaluate_sizes(model.graph, bindings)
+
+
+@pytest.mark.parametrize("schedule", ["program", "greedy"])
+@pytest.mark.parametrize("key", ["word_lm", "nmt", "image"])
+def test_allocator_matches_seed_oracle(key, schedule):
+    g, sizes = _small_replay(key)
+    if schedule == "program":
+        order = topological_order(g)
+    else:
+        order = memory_greedy_order(g, sizes)
+    unbounded = seed_simulate_allocator(g, order, sizes)
+    assert astuple(simulate_allocator(g, order, sizes)) == \
+        astuple(unbounded)
+    for fraction in (0.5, 0.9):
+        cap = int(unbounded.peak_resident_bytes * fraction)
+        want = seed_simulate_allocator(g, order, sizes, cap)
+        assert want.did_swap
+        got = simulate_allocator(g, order, sizes, capacity_bytes=cap)
+        assert astuple(got) == astuple(want)
+
+
+class _Pass(Op):
+    kind = "pass"
+
+
+def test_allocator_touches_repeated_inputs_in_order():
+    """An op reading ``[a, b, a]`` leaves ``a`` most recently used.
+
+    After ``read_aba`` the LRU order is ``c, b, a``: making room for
+    ``d`` swaps out ``c`` and then ``b``, and paging ``b`` back in for
+    ``join`` swaps out ``d``.  Touching inputs once each in
+    first-occurrence order would swap ``a`` out instead of ``b``.
+    """
+    g = Graph("repeat")
+    x = g.input("x", (64,))
+    a = g.tensor("a", (1024,))
+    b = g.tensor("b", (512,))
+    c = g.tensor("c", (64,))
+    d = g.tensor("d", (2048,))
+    e = g.tensor("e", (64,))
+    g.add_op(_Pass("make_a", [x], [a]))
+    g.add_op(_Pass("make_b", [x], [b]))
+    g.add_op(_Pass("read_aba", [a, b, a], [c]))
+    g.add_op(_Pass("grow", [x], [d]))
+    g.add_op(_Pass("join", [a, b], [e]))
+    sizes = evaluate_sizes(g)
+    order = list(g.ops)  # program order; Kahn would run grow first
+    cap = int((sizes[x] + sizes[a] + sizes[d] + sizes[e]) / 0.8) + 256
+    want = seed_simulate_allocator(g, order, sizes, cap)
+    assert want.swapped_out_bytes == sizes[c] + sizes[b] + sizes[d]
+    got = simulate_allocator(g, order, sizes, capacity_bytes=cap)
+    assert astuple(got) == astuple(want)

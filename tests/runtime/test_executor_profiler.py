@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.graph import Graph
+from repro.graph import (
+    Graph,
+    evaluate_sizes,
+    liveness_peak,
+    topological_order,
+)
 from repro.models import build_word_lm
 from repro.ops import add, matmul, relu
 from repro.runtime import (
@@ -163,6 +168,42 @@ class TestExecutionProfileJoin:
             shape = bind_shape(t, bindings)
             persistent += int(np.prod(shape)) * 4  # float32
         assert all(op.peak_live_bytes >= persistent for op in prof.ops)
+
+    def test_peak_live_bytes_follow_the_liveness_rule(self):
+        """Each op's peak equals a running replay of the liveness rule.
+
+        Every tensor is float32, so measured ``nbytes`` equal modeled
+        ``size_bytes``.  ``m`` is read twice by one op and once more by
+        a later op; ``side`` and ``out`` are graph outputs.
+        """
+        g = Graph("rule")
+        x = g.input("x", (b, h))
+        w = g.parameter("w", (h, h))
+        m = matmul(g, x, w)
+        s = add(g, m, m)
+        relu(g, s)  # side: a graph output
+        add(g, s, m)  # out: a graph output
+        bindings = {b: 2, h: 3}
+        prof = profile_execution(g, bindings)
+
+        sizes = evaluate_sizes(g, bindings)
+        order = topological_order(g)
+        live = sum(sizes[t] for t in g.tensors.values()
+                   if t.is_persistent or t.producer is None)
+        remaining = {t: len(t.consumers) for t in g.tensors.values()}
+        want = []
+        for op in order:
+            live += sum(sizes[t] for t in op.outputs)
+            want.append(float(live))
+            for t in set(op.inputs):
+                if t.is_persistent or t.producer is None:
+                    continue
+                remaining[t] -= sum(1 for c in t.consumers if c is op)
+                if remaining[t] == 0:
+                    live -= sizes[t]
+        assert [op.name for op in prof.ops] == [op.name for op in order]
+        assert [op.peak_live_bytes for op in prof.ops] == want
+        assert prof.peak_live_bytes == liveness_peak(g, order, sizes)
 
     def test_obs_spans_carry_the_join(self):
         """With tracing on, each op span holds flops/bytes args that

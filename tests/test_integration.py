@@ -18,12 +18,7 @@ from repro.models import (
     build_speech,
     build_word_lm,
 )
-from repro.runtime import (
-    AllocatorConfig,
-    execute_graph,
-    profile_graph,
-    simulate_allocator,
-)
+from repro.runtime import execute_graph, profile_graph, simulate_allocator
 
 TINY = {
     "word_lm": (build_word_lm, dict(seq_len=4, vocab=40, layers=2)),
@@ -148,9 +143,7 @@ class TestPipelineComposition:
         unbounded = simulate_allocator(model.graph, order, sizes)
         capped = simulate_allocator(
             model.graph, order, sizes,
-            AllocatorConfig(
-                capacity_bytes=int(unbounded.peak_resident_bytes * 0.6)
-            ),
+            capacity_bytes=int(unbounded.peak_resident_bytes * 0.6),
         )
         assert capped.did_swap
         assert capped.peak_resident_bytes < unbounded.peak_resident_bytes
