@@ -70,7 +70,8 @@ _RULE_DEFS = [
     Rule("S003", "op-invariant", ERROR,
          "an op's own validate() shape rule failed"),
     Rule("S004", "cycle", ERROR,
-         "the op graph is not a DAG"),
+         "an op reads a tensor whose producer is not earlier in the "
+         "op list (a cycle, or ops rewired out of order)"),
     Rule("S005", "unconsumed-tensor", WARNING,
          "a produced tensor is never consumed (strict mode only)"),
     # -- graph dataflow lint --------------------------------------------

@@ -19,7 +19,6 @@ from typing import Dict, List
 from ..graph.graph import Graph
 from ..graph.op import Op
 from ..graph.tensor import Tensor
-from ..graph.traversal import topological_order
 from .diagnostics import Diagnostic
 
 __all__ = ["structural_diagnostics"]
@@ -34,7 +33,8 @@ def structural_diagnostics(graph: Graph, *,
     * S001 — every non-input, non-parameter tensor has a producer op;
     * S002 — consumer registrations match op input lists exactly;
     * S003 — each op passes its own ``validate`` (shape rules);
-    * S004 — the op DAG is acyclic (via a full topological sort);
+    * S004 — every op's inputs are produced by earlier ops, so the op
+      list is a topological order (as :meth:`Graph.add_op` keeps it);
     * S005 — optionally, every produced tensor is consumed.
     """
     out: List[Diagnostic] = []
@@ -65,10 +65,18 @@ def structural_diagnostics(graph: Graph, *,
             out.append(Diagnostic("S003", f"op {op.name}: {exc}",
                                   graph=name, obj=op.name))
 
-    try:
-        topological_order(graph)
-    except ValueError as exc:
-        out.append(Diagnostic("S004", str(exc), graph=name))
+    ran = set()
+    for op in graph.ops:
+        for t in op.inputs:
+            if t.producer is not None and t.producer not in ran:
+                out.append(Diagnostic(
+                    "S004",
+                    f"op {op.name} reads {t.name} before its producer "
+                    f"{t.producer.name} runs",
+                    graph=name, obj=op.name,
+                ))
+                break
+        ran.add(op)
 
     return out
 

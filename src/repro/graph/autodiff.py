@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence
 from .graph import Graph
 from .op import Op
 from .tensor import Tensor, TensorKind
-from .traversal import topological_order
 
 __all__ = ["differentiate", "attach_sgd_update", "build_training_step"]
 
@@ -51,7 +50,7 @@ def differentiate(graph: Graph, loss: Tensor,
             f"loss {loss.name} does not depend on any trainable parameter"
         )
 
-    forward_ops = topological_order(graph)
+    forward_ops = list(graph.ops)  # topological: see Graph.add_op
 
     # Seed: d(loss)/d(loss) = 1, same shape as loss.
     grads: Dict[Tensor, List[Tensor]] = {}

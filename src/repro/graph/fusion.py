@@ -40,14 +40,7 @@ _FUSABLE_KINDS = frozenset({
 
 
 def _is_fusable(op: Op) -> bool:
-    if op.kind not in _FUSABLE_KINDS:
-        return False
-    if len(op.outputs) != 1:
-        return False
-    out_elems = op.outputs[0].num_elements()
-    # all float inputs must be elementwise-compatible (same size) or
-    # broadcast operands (vectors/scalars), which ride along for free
-    return True
+    return op.kind in _FUSABLE_KINDS and len(op.outputs) == 1
 
 
 def fusion_groups(graph: Graph) -> List[List[Op]]:
@@ -61,7 +54,7 @@ def fusion_groups(graph: Graph) -> List[List[Op]]:
     group_of: Dict[Op, int] = {}
     groups: List[List[Op]] = []
 
-    for op in graph.ops:  # program order = topological for construction
+    for op in graph.ops:  # topological: see Graph.add_op
         if not _is_fusable(op):
             continue
         target = None
@@ -85,7 +78,7 @@ def fusion_groups(graph: Graph) -> List[List[Op]]:
             groups[target].append(op)
             group_of[op] = target
 
-    return [g for g in groups if len(g) >= 1]
+    return groups
 
 
 def fused_op_bytes(group: Sequence[Op]) -> Expr:

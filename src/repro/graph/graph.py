@@ -93,7 +93,14 @@ class Graph:
                            kind=TensorKind.INPUT)
 
     def add_op(self, op: Op) -> Op:
-        """Register an op: wire producer/consumer links and check names."""
+        """Register an op: wire producer/consumer links and check names.
+
+        Ops are appended in dependency order, so :attr:`ops` is always
+        a topological order of the graph: an op that produces a tensor
+        some op already reads, or that reads its own output, is
+        refused.  Every check runs before any link is wired, so a
+        refused op leaves the graph unchanged.
+        """
         if self._finalized:
             raise ValueError(
                 f"graph {self.name} is finalized; cannot add op {op.name!r}"
@@ -105,15 +112,23 @@ class Graph:
                 raise ValueError(
                     f"op {op.name} consumes foreign tensor {t.name!r}"
                 )
-        for t in op.outputs:
+        for i, t in enumerate(op.outputs):
             if self.tensors.get(t.name) is not t:
                 raise ValueError(
                     f"op {op.name} produces foreign tensor {t.name!r}"
                 )
-            if t.producer is not None:
+            producer = op if t in op.outputs[:i] else t.producer
+            if producer is not None:
                 raise ValueError(
-                    f"tensor {t.name} already produced by {t.producer.name}"
+                    f"tensor {t.name} already produced by {producer.name}"
                 )
+            reader = op if t in op.inputs else next(iter(t.consumers), None)
+            if reader is not None:
+                raise ValueError(
+                    f"op {op.name} produces tensor {t.name}, which "
+                    f"{reader.name} already reads"
+                )
+        for t in op.outputs:
             t.producer = op
         for t in op.inputs:
             t.consumers.append(op)

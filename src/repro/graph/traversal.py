@@ -6,8 +6,9 @@ Finding the true minimum is NP-hard (it generalizes register
 sufficiency), so — like Catamount — we compute it with schedules that
 are cheap and close to optimal in practice:
 
-* :func:`topological_order` — deterministic Kahn order (program order
-  among ready ops), modeling a framework that executes ops as issued;
+* :func:`topological_order` — program order, which
+  :meth:`~repro.graph.Graph.add_op` keeps topological, modeling a
+  framework that executes ops as issued;
 * :func:`memory_greedy_order` — at every step run the ready op that
   minimizes the resulting live set, a strong footprint heuristic.
 
@@ -26,7 +27,7 @@ and the measured replay in :mod:`repro.runtime.profiler`.
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs.metrics import counter as _obs_counter
 from ..obs.tracer import TRACER as _TRACER
@@ -68,8 +69,8 @@ class GraphSkeleton:
     __slots__ = (
         "name", "ops", "tensors", "op_index",
         "pending0", "edge_consumers", "consumer_counts",
-        "out_grow", "out_live", "greedy_uses", "holders", "live_uses",
-        "touches", "persistent_idx", "topo",
+        "out_live", "greedy_uses", "holders", "live_uses",
+        "touches", "persistent_idx",
     )
 
     def __init__(self, graph: Graph):
@@ -91,13 +92,6 @@ class GraphSkeleton:
             for op in ops
         ]
         self.consumer_counts = [len(t.consumers) for t in tensors]
-        # output occurrence lists: greedy charges everything
-        # non-persistent; liveness additionally skips graph inputs
-        self.out_grow = [
-            tuple(tensor_index[t] for t in op.outputs
-                  if not t.is_persistent)
-            for op in ops
-        ]
         self.out_live = [
             tuple(tensor_index[t] for t in op.outputs
                   if not (t.is_persistent or t.producer is None))
@@ -133,7 +127,6 @@ class GraphSkeleton:
             i for i, t in enumerate(tensors)
             if t.is_persistent or t.producer is None
         )
-        self.topo: Optional[List[Op]] = None
         self.touches: Optional[List[Tuple[int, ...]]] = None
 
     def touch_order(self) -> List[Tuple[int, ...]]:
@@ -166,35 +159,12 @@ def _size_array(sk: GraphSkeleton, sizes: Mapping[Tensor, int]) -> List[int]:
 
 
 def topological_order(graph: Graph) -> List[Op]:
-    """Kahn's algorithm; among ready ops, preserves insertion order.
+    """The graph's ops in program order.
 
-    Raises ``ValueError`` if the graph has a cycle (malformed
-    construction) — every valid compute graph is a DAG.  The order is
-    a pure function of the graph's wiring, so a finalized graph keeps
-    it with its skeleton and later calls return a copy.
+    :meth:`~repro.graph.Graph.add_op` refuses an op that would break
+    dependency order, so program order is topological by construction.
     """
-    sk = skeleton(graph)
-    if sk.topo is None:
-        pending = list(sk.pending0)
-        ready: List[int] = []
-        for i, p in enumerate(pending):
-            if p == 0:
-                heapq.heappush(ready, i)
-        order: List[Op] = []
-        while ready:
-            i = heapq.heappop(ready)
-            order.append(sk.ops[i])
-            for j in sk.edge_consumers[i]:
-                pending[j] -= 1
-                if pending[j] == 0:
-                    heapq.heappush(ready, j)
-        if len(order) != len(sk.ops):
-            raise ValueError(
-                f"graph {sk.name} has a cycle "
-                f"({len(sk.ops) - len(order)} ops unreachable)"
-            )
-        sk.topo = order
-    return list(sk.topo)
+    return list(graph.ops)
 
 
 # Size-program cache effectiveness (a miss batch-compiles every tensor
@@ -299,7 +269,7 @@ def memory_greedy_order(graph: Graph,
     holders = sk.holders
 
     remaining = list(sk.consumer_counts)
-    grow = [sum(size_arr[t] for t in outs) for outs in sk.out_grow]
+    grow = [sum(size_arr[t] for t in outs) for outs in sk.out_live]
     shrink = [0] * n
     for t, ops_counts in holders.items():
         rem = remaining[t]
@@ -500,8 +470,11 @@ def liveness_bounds(graph: Graph,
     persistent = sum(size_arr[i] for i in sk.persistent_idx)
     working_set = 0
     for outs, uses in zip(sk.out_live, sk.live_uses):
-        local = (sum(size_arr[t] for t in outs)
-                 + sum(size_arr[t] for t, _ in uses))
+        local = 0
+        for t in outs:
+            local += size_arr[t]
+        for t, _ in uses:
+            local += size_arr[t]
         if local > working_set:
             working_set = local
     return persistent, working_set

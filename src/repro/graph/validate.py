@@ -41,7 +41,7 @@ def validate_graph(graph: Graph, *, allow_unconsumed: bool = True) -> None:
     Invariants (see :mod:`repro.check.structure` for the rule codes):
     * every non-input, non-parameter tensor has a producer op;
     * consumer lists match op input lists exactly;
-    * the op DAG is acyclic (via a full topological sort);
+    * every op reads only tensors produced by earlier ops;
     * each op passes its own ``validate`` (shape rules);
     * optionally, every activation is consumed (no dead computation).
     """

@@ -84,12 +84,21 @@ class TestS003OpInvariant:
 
 class TestS004Cycle:
     def test_triggering(self):
+        # add_op refuses a cycle, so close one behind its back: op1 is
+        # rewired to read op2's output, consumer lists kept consistent
         g = Graph("bad")
+        x = g.input("x", (b,))
         t1 = g.tensor("t1", (b,))
         t2 = g.tensor("t2", (b,))
-        g.add_op(PassOp("op1", [t2], [t1]))
+        op1 = g.add_op(PassOp("op1", [x], [t1]))
         g.add_op(PassOp("op2", [t1], [t2]))
-        assert "S004" in codes(structural_diagnostics(g))
+        op1.inputs = (t2,)
+        x.consumers.remove(op1)
+        t2.consumers.append(op1)
+        found = structural_diagnostics(g)
+        assert codes(found) == ["S004"]
+        assert found[0].obj == "op1"
+        assert "reads t2 before its producer op2 runs" in found[0].message
 
     def test_clean(self):
         assert structural_diagnostics(small_clean_graph()) == []

@@ -8,9 +8,10 @@ so the soundness of the grouping is what keeps those numbers exact.
 import pytest
 
 from repro import obs
-from repro.graph import Graph, Tensor, topological_order
-from repro.graph.traversal import size_program
+from repro.graph import Graph, Op, Tensor, validate_graph
+from repro.graph.traversal import size_program, skeleton
 from repro.hardware.cache import _matmul_like_dims
+from repro.models import build_word_lm
 from repro.models.registry import DOMAINS, build_symbolic
 from repro.ops import matmul, sigmoid, tanh
 from repro.ops.pointwise import UnaryOp
@@ -92,10 +93,10 @@ def test_finalized_graph_memoizes_derived_state():
     assert size_program(graph) is size_program(graph)
     assert graph.total_flops() is graph.total_flops()
     assert graph.total_bytes_accessed() is graph.total_bytes_accessed()
-    topological_order(graph)
+    skeleton(graph)
     misses = obs.counter("graph.skeleton.cache.miss").value
     hits = obs.counter("graph.skeleton.cache.hit").value
-    assert topological_order(graph) == topological_order(graph)
+    assert skeleton(graph) is skeleton(graph)
     assert obs.counter("graph.skeleton.cache.miss").value == misses
     assert obs.counter("graph.skeleton.cache.hit").value == hits + 2
     with pytest.raises(ValueError, match="finalized"):
@@ -117,3 +118,43 @@ def test_unfinalized_graph_rebuilds_derived_state():
     assert size_program(g) is not size_program(g)
     assert obs.counter("graph.size_program.cache.miss").value \
         == misses + 2
+
+
+def test_training_step_builds_no_traversal_skeleton():
+    # forward, autodiff, finalize and validate all read the op list as
+    # it was built; none needs the skeleton the schedulers use
+    misses = obs.counter("graph.skeleton.cache.miss").value
+    model = build_word_lm(seq_len=3, vocab=40, layers=1)
+    validate_graph(model.graph)
+    assert obs.counter("graph.skeleton.cache.miss").value == misses
+
+
+class PassOp(Op):
+    kind = "pass"
+
+
+def _wiring(g):
+    return ([(t.name, t.producer, list(t.consumers))
+             for t in g.tensors.values()], list(g.ops))
+
+
+@pytest.mark.parametrize("case", ["produced", "read", "self_loop",
+                                  "twice"])
+def test_refused_op_leaves_the_graph_unchanged(case):
+    g = Graph("refuse")
+    x = g.input("x", (b,))
+    done = g.tensor("done", (b,))
+    read = g.tensor("read", (b,))
+    fresh = g.tensor("fresh", (b,))
+    g.add_op(PassOp("first", [x], [done]))
+    g.add_op(PassOp("reader", [read], [g.tensor("sink", (b,))]))
+    before = _wiring(g)
+    inputs, outputs = {
+        "produced": ([x], [fresh, done]),
+        "read": ([x], [fresh, read]),
+        "self_loop": ([x, fresh], [fresh]),
+        "twice": ([x], [fresh, fresh]),
+    }[case]
+    with pytest.raises(ValueError, match="already"):
+        g.add_op(PassOp("bad", inputs, outputs))
+    assert _wiring(g) == before

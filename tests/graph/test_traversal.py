@@ -25,6 +25,21 @@ class PassOp(Op):
         super().__init__(name, inputs, outputs)
 
 
+def rewired_cycle_graph():
+    """x -> op1 -> t1 -> op2 -> t2, then op1 rewired to read t2 instead
+    of x behind ``add_op``'s back (consumer lists kept consistent)."""
+    g = Graph("cyclic")
+    x = g.input("x", (1,))
+    t1 = g.tensor("t1", (1,))
+    t2 = g.tensor("t2", (1,))
+    op1 = g.add_op(PassOp("op1", [x], [t1]))
+    g.add_op(PassOp("op2", [t1], [t2]))
+    op1.inputs = (t2,)
+    x.consumers.remove(op1)
+    t2.consumers.append(op1)
+    return g
+
+
 def diamond_graph():
     """x -> (left, right) -> join; all tensors 1 element."""
     g = Graph("diamond")
@@ -52,15 +67,22 @@ class TestTopologicalOrder:
         assert [op.name for op in order] == ["op_l", "op_r", "op_j"]
 
     def test_cycle_detected(self):
+        """``add_op`` refuses the op that would close a cycle, so the op
+        list stays a topological order."""
         g = Graph("cyclic")
         t1 = g.tensor("t1", (1,))
         t2 = g.tensor("t2", (1,))
-        op1 = PassOp("op1", [t2], [t1])
-        op2 = PassOp("op2", [t1], [t2])
-        g.add_op(op1)
-        g.add_op(op2)
-        with pytest.raises(ValueError, match="cycle"):
-            topological_order(g)
+        t3 = g.tensor("t3", (1,))
+        g.add_op(PassOp("op1", [t2], [t1]))
+        with pytest.raises(ValueError,
+                           match="op op2 produces tensor t2, which op1 "
+                                 "already reads"):
+            g.add_op(PassOp("op2", [t1], [t2]))
+        with pytest.raises(ValueError,
+                           match="op loop produces tensor t3, which loop "
+                                 "already reads"):
+            g.add_op(PassOp("loop", [t3], [t3]))
+        assert [op.name for op in topological_order(g)] == ["op1"]
 
     def test_full_model_toposort(self):
         g = Graph("mlp")
@@ -128,29 +150,32 @@ class TestMemoryGreedy:
         assert len(order) == len(g.ops)
 
     def test_greedy_cycle_detected(self):
-        g = Graph("cyclic")
-        t1 = g.tensor("t1", (1,))
-        t2 = g.tensor("t2", (1,))
-        g.add_op(PassOp("op1", [t2], [t1]))
-        g.add_op(PassOp("op2", [t1], [t2]))
-        with pytest.raises(ValueError):
+        g = rewired_cycle_graph()
+        with pytest.raises(ValueError, match="cycle"):
             memory_greedy_order(g, evaluate_sizes(g))
-
 
     def test_greedy_matches_reference_scan(self):
         """The incremental-heap schedule must equal the seed O(V·ready)
         rescan op for op — same order, not merely same peak."""
         from repro.graph.traversal import _memory_greedy_order_reference
-        from repro.models import build_word_lm
+        from repro.models import build_nmt, build_resnet, build_word_lm
 
-        model = build_word_lm(seq_len=6, vocab=120,
-                              layers=2).with_training_step()
-        g = model.graph
-        for binding in ({"b": 4, "h": 16}, {"b": 64, "h": 48}):
-            sizes = evaluate_sizes(g, binding)
-            fast = memory_greedy_order(g, sizes)
-            reference = _memory_greedy_order_reference(g, sizes)
-            assert [op.name for op in fast] == [op.name for op in reference]
+        cases = [
+            (build_word_lm(seq_len=6, vocab=120, layers=2),
+             ({"b": 4, "h": 16}, {"b": 64, "h": 48})),
+            (build_nmt(seq_len=4, vocab=90, enc_layers=1, dec_layers=1),
+             ({"b": 4, "h": 16}, {"b": 32, "h": 40})),
+            (build_resnet(depth=18, image_size=32, classes=10),
+             ({"b": 2, "w": 1}, {"b": 16, "w": 2})),
+        ]
+        for model, bindings in cases:
+            g = model.graph
+            for binding in bindings:
+                sizes = evaluate_sizes(g, binding)
+                fast = memory_greedy_order(g, sizes)
+                reference = _memory_greedy_order_reference(g, sizes)
+                assert [op.name for op in fast] == \
+                    [op.name for op in reference], (g.name, binding)
 
     def test_greedy_matches_reference_on_diamond(self):
         from repro.graph.traversal import _memory_greedy_order_reference
