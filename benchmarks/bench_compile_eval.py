@@ -50,14 +50,13 @@ from repro.analysis.sweep import (
     sweep_domain,
 )
 from repro.graph import liveness_peak, topological_order
-from repro.graph.traversal import (
-    _evaluate_sizes_treewalk,
-    _memory_greedy_order_reference,
-    evaluate_sizes,
-    size_program,
-)
+from repro.graph.traversal import evaluate_sizes, size_program
 from repro.models.registry import DOMAINS as REGISTRY
 from repro.models.registry import build_symbolic, get_domain
+from tests.oracles import (
+    _evaluate_sizes_treewalk,
+    _memory_greedy_order_reference,
+)
 
 DOMAINS = ("word_lm", "image")  # word LM + ResNet, per the paper's Fig 7
 

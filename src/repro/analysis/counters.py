@@ -26,7 +26,7 @@ from ..models.base import BuiltModel
 from ..obs.metrics import counter as _obs_counter
 from ..symbolic import CompiledExpr, Expr, coefficient, compile_batch, compile_expr
 
-__all__ = ["StepCounts"]
+__all__ = ["StepCounts", "AGGREGATES"]
 
 # Effectiveness of the per-StepCounts tape cache: a hit means a sweep
 # or report evaluation replayed an existing tape instead of recompiling
@@ -45,68 +45,84 @@ _SWEEP_AGGREGATES: Tuple[str, ...] = (
 )
 
 
-class StepCounts:
-    """Lazily-computed aggregate counts for one model's training step."""
+#: every aggregate a StepCounts exposes (a folded one is given them all)
+AGGREGATES: Tuple[str, ...] = _SWEEP_AGGREGATES + (
+    "io_bytes", "flops_fixed")
 
-    def __init__(self, model: BuiltModel):
+
+class StepCounts:
+    """Lazily-computed aggregate counts for one model's training step.
+
+    ``aggregates`` supplies the :data:`AGGREGATES` expressions instead
+    of deriving them from ``model``'s graph: a folded unroll
+    (:mod:`repro.analysis.fold`) passes ones interpolated from short
+    unrolls, and ``model`` is then the shortest of them, read only for
+    its symbols.
+    """
+
+    def __init__(self, model: BuiltModel,
+                 aggregates: Optional[Mapping[str, Expr]] = None):
         if not model.meta.get("training_step_built"):
             raise ValueError(
                 f"model {model.domain} has no training step; call "
                 "with_training_step() first so counts cover fwd+bwd+update"
             )
         self.model = model
-        self._cache: dict = {}
+        self._cache: Dict[str, Expr] = dict(aggregates or {})
         self._compiled: Dict[Tuple[str, ...], CompiledExpr] = {}
+
+    def _aggregate(self, name: str, derive) -> Expr:
+        expr = self._cache.get(name)
+        if expr is None:
+            expr = self._cache[name] = derive()
+        return expr
 
     # -- raw aggregates -----------------------------------------------------
     @property
     def params(self) -> Expr:
-        return self.model.graph.parameter_count()
+        return self._aggregate("params", self.model.graph.parameter_count)
 
     @property
     def step_flops(self) -> Expr:
         """Algorithmic FLOPs for one training step (symbolic in b)."""
-        return self.model.graph.total_flops()
+        return self._aggregate("step_flops", self.model.graph.total_flops)
 
     @property
     def step_bytes(self) -> Expr:
         """Algorithmic bytes accessed for one training step."""
-        return self.model.graph.total_bytes_accessed()
+        return self._aggregate("step_bytes",
+                               self.model.graph.total_bytes_accessed)
 
     @property
     def io_bytes(self) -> Expr:
         """Algorithmic IO (training-data bytes) per step."""
-        return self.model.graph.algorithmic_io_bytes()
+        return self._aggregate("io_bytes",
+                               self.model.graph.algorithmic_io_bytes)
 
     # -- decompositions in the subbatch -------------------------------------
-    def _coeff(self, key: str, expr_name: str, power: int) -> Expr:
-        cache_key = (key, power)
-        if cache_key not in self._cache:
-            expr = getattr(self, expr_name)
-            self._cache[cache_key] = coefficient(
-                expr, self.model.batch, power
-            )
-        return self._cache[cache_key]
+    def _coeff(self, name: str, total: str, power: int) -> Expr:
+        return self._aggregate(name, lambda: coefficient(
+            getattr(self, total), self.model.batch, power))
 
     @property
     def flops_per_sample(self) -> Expr:
         """FLOPs linear in b — per-sample compute (Fig. 7's y-axis)."""
-        return self._coeff("flops", "step_flops", 1)
+        return self._coeff("flops_per_sample", "step_flops", 1)
 
     @property
     def flops_fixed(self) -> Expr:
         """Batch-independent FLOPs (weight update etc.)."""
-        return self._coeff("flops", "step_flops", 0)
+        return self._coeff("flops_fixed", "step_flops", 0)
 
     @property
     def bytes_per_sample(self) -> Expr:
         """Bytes linear in b — activation traffic (the µ√p term)."""
-        return self._coeff("bytes", "step_bytes", 1)
+        return self._coeff("bytes_per_sample", "step_bytes", 1)
 
     @property
     def bytes_fixed(self) -> Expr:
         """Batch-independent bytes — weight traffic (the λp term)."""
-        return self._coeff("bytes", "step_bytes", 0)
+        return self._coeff("bytes_fixed", "step_bytes", 0)
 
     # -- evaluated quantities -------------------------------------------------
     def _checked_dim(self, label: str, value):

@@ -31,8 +31,10 @@ __all__ = ["FootprintEstimate", "estimate_footprint",
 #: graphs with more ops than this skip the greedy schedule and report
 #: the program-order bound.  Sweeps pay the greedy pass once per point,
 #: and it grows with the graph: char_lm and speech have about 46k ops
-#: each, the other registry graphs at most 6k.  The goldens record
-#: program order for those two domains.
+#: each at registry length, the other registry graphs at most 6k.  The
+#: goldens record program order for those two domains, and sweeps read
+#: their counts and program-order footprints from a fold over short
+#: unrolls (:mod:`repro.analysis.fold`) instead of building them.
 GREEDY_OP_LIMIT = 20_000
 
 
@@ -76,7 +78,7 @@ def estimate_footprint(model: BuiltModel,
 
     Tensors are sized through the graph's compiled size program and
     the greedy schedule is the incremental one; tests hold both to
-    the seed oracles in :mod:`repro.graph.traversal`.
+    the seed oracles in ``tests/oracles.py``.
     """
     graph = model.graph
     with _TRACER.span("analysis.footprint", "footprint",

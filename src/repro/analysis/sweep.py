@@ -11,9 +11,14 @@ Evaluation runs through the compiled-expression layer
 per model and replayed vectorized over the whole size series, and the
 footprint path sizes tensors through a CSE'd tape shared by all sweep
 points.  The seed recursive tree walk (``Expr.evalf`` and the traversal
-oracles in :mod:`repro.graph.traversal`) is not a sweep path: tests and
+oracles in ``tests/oracles.py``) is not a sweep path: tests and
 ``benchmarks/bench_compile_eval.py`` rebuild rows from it to check and
 time this one.
+
+A domain whose registry-length graph has more ops than
+``GREEDY_OP_LIMIT`` (its footprint is program order) is never built:
+its counts and footprints come from a fold over short unrolls of its
+builder (:mod:`repro.analysis.fold`).
 
 Results are **immutable**: :class:`SweepResult` and :class:`SweepRow`
 are frozen dataclasses with tuple-backed rows, so the memoized cache
@@ -89,9 +94,25 @@ _SWEEP_CACHE_MAX = 32
 _DEFAULT_SWEEPS: "OrderedDict[tuple, SweepResult]" = OrderedDict()
 
 
+def _fold_for(key: str):
+    """The domain's :class:`~repro.analysis.fold.Fold` if it is costed
+    from one — it declares its unroll lengths, and at the registry
+    length its graph is past ``GREEDY_OP_LIMIT`` — else None."""
+    if not get_domain(key).loops:
+        return None
+    from .fold import fold_domain  # lint and the server never fold
+
+    fold = fold_domain(key)
+    return fold if fold.op_count > GREEDY_OP_LIMIT else None
+
+
 def _counts_for(key: str) -> StepCounts:
     """The domain's StepCounts, whose compiled aggregate tapes every
-    sweep configuration of the domain shares (kept on its graph)."""
+    sweep configuration of the domain shares (kept on its graph, or on
+    its fold)."""
+    fold = _fold_for(key)
+    if fold is not None:
+        return fold.counts
     model = build_symbolic(key)
     return model.graph.memo("step_counts", lambda: StepCounts(model))
 
@@ -139,22 +160,26 @@ def compute_sweep_rows(key: str, sizes: Sequence[float],
 
     Each row depends only on its own binding: the aggregates run
     vectorized over the whole series, the footprint once per size.
+    A folded domain's footprint is its fold's program-order peak.
     """
     sizes = list(sizes)
     _POINTS.inc(len(sizes))
     rows: List[SweepRow] = []
     with error_context(model=key, stage="sweep", subbatch=subbatch):
         counts = _counts_for(key)
+        fold = _fold_for(key)
         model = counts.model
-        use_greedy = len(model.graph) <= GREEDY_OP_LIMIT
 
         def footprint_at(size: float) -> float:
             if not include_footprint:
                 return 0.0
-            return float(
-                estimate_footprint(model, counts.bind(size, subbatch),
-                                   use_greedy=use_greedy).minimal_bytes
-            )
+            bindings = counts.bind(size, subbatch)
+            if fold is not None:
+                return float(fold.footprint(bindings))
+            return float(estimate_footprint(
+                model, bindings,
+                use_greedy=len(model.graph) <= GREEDY_OP_LIMIT,
+            ).minimal_bytes)
 
         with obs.span("sweep.aggregates", "sweep", domain=key):
             series = counts.sweep_series(sizes, subbatch)

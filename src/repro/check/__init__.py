@@ -47,8 +47,6 @@ from .diagnostics import (
 from .absint import (
     BindingDomain,
     Interval,
-    TapeCertificate,
-    certify_tape,
     interval_of_expr,
     interval_of_tape,
     monotonicity,
@@ -91,8 +89,6 @@ __all__ = [
     "equivalence_diagnostics",
     "Interval",
     "BindingDomain",
-    "TapeCertificate",
-    "certify_tape",
     "interval_of_expr",
     "interval_of_tape",
     "sign_of",

@@ -28,11 +28,6 @@ floats:
   interval derivative is not (it proves ``b·√p/(c1·√p + c2·b)``
   nondecreasing in ``b``, the planner's bisection precondition).
 
-On top of the domains, :func:`certify_tape` proves that no slot of a
-compiled tape can produce NaN/Inf anywhere in the declared domain and
-returns the proof as a :class:`TapeCertificate` (per-slot bounds, or
-the first slot that defeats the proof).
-
 Every proof attempt records its outcome in the always-on metrics
 (``check.absint.proved`` / ``fallback`` / ``refuted``), so
 ``repro-obs diff`` tracks proof coverage across runs.
@@ -70,8 +65,6 @@ __all__ = [
     "elasticity",
     "monotonicity",
     "probe_monotonicity",
-    "TapeCertificate",
-    "certify_tape",
     "CONSTANT",
     "NONDECREASING",
     "NONINCREASING",
@@ -83,8 +76,6 @@ __all__ = [
 _PROVED = _obs_counter("check.absint.proved")
 _FALLBACK = _obs_counter("check.absint.fallback")
 _REFUTED = _obs_counter("check.absint.refuted")
-_CERTIFIED = _obs_counter("check.absint.certified_tapes")
-_UNCERTIFIED = _obs_counter("check.absint.uncertified_tapes")
 
 _INF = math.inf
 
@@ -676,61 +667,3 @@ def probe_monotonicity(expr: Expr, sym: Symbol,
     if falling:
         return NONINCREASING
     return CONSTANT
-
-
-# -- tape certification -----------------------------------------------------
-
-class TapeCertificate:
-    """Outcome of an interval pass over one tape.
-
-    ``ok`` means every slot's interval is finite with no reachable
-    domain error anywhere in ``domain`` — replaying the tape at any
-    binding inside the domain cannot produce NaN/Inf.  ``reason`` names
-    the first failing slot otherwise.
-    """
-
-    __slots__ = ("ok", "reason", "slot", "bounds", "domain")
-
-    def __init__(self, ok: bool, reason: str, slot: Optional[int],
-                 bounds: List[Interval], domain: BindingDomain):
-        self.ok = ok
-        self.reason = reason
-        self.slot = slot
-        self.bounds = bounds
-        self.domain = domain
-
-    def out_bounds(self, prog: CompiledExpr) -> List[Interval]:
-        return [self.bounds[s] for s in prog.out_slots]
-
-    def __repr__(self) -> str:
-        status = "certified" if self.ok else f"refused: {self.reason}"
-        return f"TapeCertificate({status}, {len(self.bounds)} slots)"
-
-
-def certify_tape(prog: CompiledExpr,
-                 domain: BindingDomain) -> TapeCertificate:
-    """Prove (or refuse to prove) a tape NaN/Inf-free over ``domain``.
-
-    The proof covers bindings inside the declared ranges only
-    (``domain.contains`` checks a binding); replays still run the
-    per-call numeric guard either way.
-    """
-    bounds = interval_of_tape(prog, domain)
-    ok, reason, bad_slot = True, "", None
-    for i, iv in enumerate(bounds):
-        if not iv.finite:
-            ok = False
-            bad_slot = i
-            opcode = prog.code[i][0]
-            kind = ("domain error reachable" if iv.maybe_nan
-                    else "bound not finite")
-            reason = (f"slot {i} (opcode {opcode}) {kind}: {iv!r}")
-            break
-    cert = TapeCertificate(ok, reason, bad_slot, bounds, domain)
-    if ok:
-        _CERTIFIED.inc()
-        record_outcome("proved")
-    else:
-        _UNCERTIFIED.inc()
-        record_outcome("fallback")
-    return cert

@@ -35,8 +35,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
 __all__ = [
     "ReproError", "BindingError", "SolveError", "NumericError",
-    "ReproIOError", "RunInterrupted", "BusyError", "DeadlineError",
-    "WorkerCrashError", "error_context", "did_you_mean",
+    "ReproIOError", "RunInterrupted", "InternalError", "BusyError",
+    "DeadlineError", "WorkerCrashError", "error_context", "did_you_mean",
     "render_error", "EXIT_OK", "EXIT_ERROR", "EXIT_RESUMABLE",
 ]
 
@@ -181,6 +181,17 @@ class RunInterrupted(ReproError):
         super().__init__(message, hint=hint, context=context)
         self.results = dict(results or {})
         self.pending = tuple(pending)
+
+
+class InternalError(ReproError, RuntimeError):
+    """E-INT: a self-check of the program failed.
+
+    The program, not its input, is at fault: a derived result
+    disagreed with the direct computation it stands for, so no number
+    is returned.  The message names what was checked.
+    """
+
+    code = "E-INT"
 
 
 class BusyError(ReproError):

@@ -24,6 +24,7 @@ from .tensor import Tensor, TensorKind, shape_elements
 from .traversal import (
     evaluate_sizes,
     liveness_peak,
+    liveness_trace,
     memory_greedy_order,
     topological_order,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "topological_order",
     "memory_greedy_order",
     "liveness_peak",
+    "liveness_trace",
     "inplace_aliases",
     "fusion_groups",
     "fused_total_bytes",

@@ -50,7 +50,10 @@ def differentiate(graph: Graph, loss: Tensor,
             f"loss {loss.name} does not depend on any trainable parameter"
         )
 
-    forward_ops = list(graph.ops)  # topological: see Graph.add_op
+    # topological (see Graph.add_op), with each op's loop tag: the
+    # backward ops of a forward op, and the gradient accumulations it
+    # causes, carry its tag
+    forward = list(zip(graph.ops, graph.tags))
 
     # Seed: d(loss)/d(loss) = 1, same shape as loss.
     grads: Dict[Tensor, List[Tensor]] = {}
@@ -73,37 +76,38 @@ def differentiate(graph: Graph, loss: Tensor,
         grads[t] = [total]
         return total
 
-    for op in reversed(forward_ops):
-        grad_outputs = [resolved(out) for out in op.outputs]
-        if all(g is None for g in grad_outputs):
-            continue
-        if not any(t.requires_grad for t in op.inputs):
-            continue
-        input_grads = op.backward(graph, grad_outputs)
-        if len(input_grads) != len(op.inputs):
-            raise ValueError(
-                f"{op.name}.backward returned {len(input_grads)} grads "
-                f"for {len(op.inputs)} inputs"
-            )
-        for t, g in zip(op.inputs, input_grads):
-            if g is None:
+    for op, tag in reversed(forward):
+        with graph.tagged(tag):
+            grad_outputs = [resolved(out) for out in op.outputs]
+            if all(g is None for g in grad_outputs):
                 continue
-            if not t.requires_grad:
+            if not any(t.requires_grad for t in op.inputs):
                 continue
-            if tuple(g.shape) != tuple(t.shape):
+            input_grads = op.backward(graph, grad_outputs)
+            if len(input_grads) != len(op.inputs):
                 raise ValueError(
-                    f"gradient shape mismatch for {t.name} via {op.name}: "
-                    f"{g.shape} vs {t.shape}"
+                    f"{op.name}.backward returned {len(input_grads)} grads "
+                    f"for {len(op.inputs)} inputs"
                 )
-            # accumulate eagerly: keeping partial gradients alive until
-            # a final reduction would hold every unrolled time step's
-            # dW live at once (frameworks add in place)
-            if t in grads and grads[t]:
-                prev = grads[t][0]
-                grads[t] = [add(graph, prev, g,
-                                name=f"grad/{t.name}/acc")]
-            else:
-                grads[t] = [g]
+            for t, g in zip(op.inputs, input_grads):
+                if g is None:
+                    continue
+                if not t.requires_grad:
+                    continue
+                if tuple(g.shape) != tuple(t.shape):
+                    raise ValueError(
+                        f"gradient shape mismatch for {t.name} via {op.name}: "
+                        f"{g.shape} vs {t.shape}"
+                    )
+                # accumulate eagerly: keeping partial gradients alive until
+                # a final reduction would hold every unrolled time step's
+                # dW live at once (frameworks add in place)
+                if t in grads and grads[t]:
+                    prev = grads[t][0]
+                    grads[t] = [add(graph, prev, g,
+                                    name=f"grad/{t.name}/acc")]
+                else:
+                    grads[t] = [g]
 
     return {
         t: resolved(t) for t in targets if resolved(t) is not None

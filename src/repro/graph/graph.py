@@ -11,11 +11,18 @@ provably the same (same op type, same declared
 :meth:`~repro.graph.op.Op.cost_signature`, same tensor geometry), so
 every per-op cost loop builds and evaluates one expression per class
 instead of one per op.
+
+An op added inside an unrolled loop carries a ``(loop, step)`` tag
+(:meth:`Graph.unroll`), so :mod:`repro.analysis.fold` can cost a long
+unroll from short ones.  Tags are not part of op classes, cost
+signatures or serialization.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from contextlib import contextmanager
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from ..symbolic import Add, Const, Expr, Mul
 from .op import Op
@@ -24,6 +31,9 @@ from .tensor import Dim, Tensor, TensorKind
 __all__ = ["Graph"]
 
 T = TypeVar("T")
+
+#: ``(loop, step)``: the unrolled loop an op was emitted in, and when
+Tag = Tuple[str, int]
 
 
 def _tensor_signature(t: Tensor) -> tuple:
@@ -43,6 +53,10 @@ class Graph:
         self.name = name
         self.default_dtype_bytes = int(default_dtype_bytes)
         self.ops: List[Op] = []
+        #: each op's loop tag (None outside unrolled loops), aligned
+        #: with :attr:`ops`; a tuple once finalized
+        self.tags: Sequence[Optional[Tag]] = []
+        self._tag: Optional[Tag] = None
         self.tensors: Dict[str, Tensor] = {}
         self._op_names: set = set()
         self._name_counters: Dict[str, int] = {}
@@ -138,8 +152,30 @@ class Graph:
             for t in op.outputs:
                 t.requires_grad = True
         self.ops.append(op)
+        self.tags.append(self._tag)
         self._op_names.add(op.name)
         return op
+
+    @contextmanager
+    def tagged(self, tag: Optional[Tag]) -> Iterator[None]:
+        """Ops added inside the block carry ``tag`` (see :attr:`tags`)."""
+        outer, self._tag = self._tag, tag
+        try:
+            yield
+        finally:
+            self._tag = outer
+
+    def unroll(self, loop: str,
+               items: Iterable[T]) -> Iterator[Tuple[int, T]]:
+        """``enumerate(items)``, each step's ops tagged ``(loop, step)``.
+
+        Every unrolled loop of a model builder iterates through this,
+        with a ``loop`` name unique in the graph, so the op list splits
+        into fixed segments and runs of loop steps.
+        """
+        for step, item in enumerate(items):
+            with self.tagged((loop, step)):
+                yield step, item
 
     def finalize(self) -> "Graph":
         """Freeze the graph: later :meth:`tensor` and :meth:`add_op` raise.
@@ -150,6 +186,7 @@ class Graph:
         ``fusion``/``inplace`` never mutate the graph.
         """
         self._finalized = True
+        self.tags = tuple(self.tags)
         return self
 
     def memo(self, key: str, build: Callable[[], T], *,

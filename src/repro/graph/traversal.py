@@ -12,14 +12,15 @@ are cheap and close to optimal in practice:
 * :func:`memory_greedy_order` — at every step run the ready op that
   minimizes the resulting live set, a strong footprint heuristic.
 
-:func:`liveness_peak` replays any schedule and returns the high-water
-mark of live bytes; persistent tensors (weights) are charged once.
+:func:`liveness_trace` replays any schedule and returns the live bytes
+as each op runs; :func:`liveness_peak` is its high-water mark.
+Persistent tensors (weights) are charged once.
 
 This module is the one home of the liveness rule — weights and graph
 inputs are pinned for the whole step, a tensor is born when its
 producer runs and dies after its last consumer.  :func:`skeleton`
 resolves it to tensor indices once per graph, and every schedule
-replay reads it from there: :func:`liveness_peak` (with in-place
+replay reads it from there: :func:`liveness_trace` (with in-place
 aliases too), the allocator model in :mod:`repro.runtime.allocator`
 and the measured replay in :mod:`repro.runtime.profiler`.
 """
@@ -40,6 +41,7 @@ __all__ = [
     "topological_order",
     "memory_greedy_order",
     "liveness_peak",
+    "liveness_trace",
     "liveness_bounds",
     "skeleton",
     "evaluate_sizes",
@@ -225,26 +227,6 @@ def evaluate_sizes_many(graph: Graph, rows) -> "list[Dict[Tensor, int]]":
     return out
 
 
-def _evaluate_sizes_treewalk(graph: Graph,
-                             bindings: Optional[Mapping] = None
-                             ) -> Dict[Tensor, int]:
-    """Reference per-tensor recursive evaluation (seed behavior).
-
-    Kept for equivalence tests and as the baseline the compiled path is
-    benchmarked against (``benchmarks/bench_compile_eval.py``).
-    """
-    sizes: Dict[Tensor, int] = {}
-    for t in graph.tensors.values():
-        sizes[t] = int(round(t.size_bytes().evalf(bindings)))
-    return sizes
-
-
-def _consumer_counts(graph: Graph) -> Dict[Tensor, int]:
-    return {
-        t: len(t.consumers) for t in graph.tensors.values()
-    }
-
-
 def memory_greedy_order(graph: Graph,
                         sizes: Mapping[Tensor, int]) -> List[Op]:
     """Schedule that greedily minimizes live memory growth per step.
@@ -260,7 +242,7 @@ def memory_greedy_order(graph: Graph,
     min-heap over ``(delta, program index)`` then replaces the
     O(ready · degree) rescan per step, taking the schedule from
     O(V·ready·degree) to O((V + E) log V) while producing the *same*
-    order as the reference scan (verified by tests).
+    order as the seed's reference scan (a test oracle).
     """
     sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
@@ -269,7 +251,12 @@ def memory_greedy_order(graph: Graph,
     holders = sk.holders
 
     remaining = list(sk.consumer_counts)
-    grow = [sum(size_arr[t] for t in outs) for outs in sk.out_live]
+    grow = []
+    for outs in sk.out_live:
+        local = 0
+        for t in outs:
+            local += size_arr[t]
+        grow.append(local)
     shrink = [0] * n
     for t, ops_counts in holders.items():
         rem = remaining[t]
@@ -328,60 +315,6 @@ def memory_greedy_order(graph: Graph,
     return order
 
 
-def _memory_greedy_order_reference(graph: Graph,
-                                   sizes: Mapping[Tensor, int]) -> List[Op]:
-    """Seed O(V·ready·degree) greedy scan — the behavioral oracle.
-
-    Kept for equivalence tests against :func:`memory_greedy_order` and
-    as the benchmark baseline; both must yield identical schedules.
-    """
-    op_index = {op: i for i, op in enumerate(graph.ops)}
-    pending: Dict[Op, int] = {}
-    remaining = _consumer_counts(graph)
-    ready: List[Op] = []
-
-    for op in graph.ops:
-        producers = {t.producer for t in op.inputs if t.producer is not None}
-        pending[op] = len(producers)
-        if pending[op] == 0:
-            ready.append(op)
-
-    def delta(op: Op) -> int:
-        grow = sum(
-            sizes[t] for t in op.outputs if not t.is_persistent
-        )
-        shrink = 0
-        seen = set()
-        for t in op.inputs:
-            if t.is_persistent or t in seen:
-                continue
-            seen.add(t)
-            uses = sum(1 for c in t.consumers if c is op)
-            if remaining[t] - uses == 0:
-                shrink += sizes[t]
-        return grow - shrink
-
-    order: List[Op] = []
-    while ready:
-        best = min(ready, key=lambda op: (delta(op), op_index[op]))
-        ready.remove(best)
-        order.append(best)
-        seen = set()
-        for t in best.inputs:
-            if t in seen:
-                continue
-            seen.add(t)
-            remaining[t] -= sum(1 for c in t.consumers if c is best)
-        for out in best.outputs:
-            for consumer in out.consumers:
-                pending[consumer] -= 1
-                if pending[consumer] == 0:
-                    ready.append(consumer)
-    if len(order) != len(graph.ops):
-        raise ValueError(f"graph {graph.name} has a cycle")
-    return order
-
-
 def liveness_peak(
     graph: Graph,
     order: Sequence[Op],
@@ -389,12 +322,27 @@ def liveness_peak(
     *,
     aliases: Optional[Mapping[Tensor, Tensor]] = None,
 ) -> int:
-    """Peak live bytes over a schedule (the footprint of that traversal).
+    """Peak live bytes over a schedule (the footprint of that traversal):
+    the maximum of :func:`liveness_trace`, or the persistent bytes of a
+    schedule with no ops."""
+    trace = liveness_trace(graph, order, sizes, aliases=aliases)
+    return max(trace) if trace else liveness_bounds(graph, sizes)[0]
+
+
+def liveness_trace(
+    graph: Graph,
+    order: Sequence[Op],
+    sizes: Mapping[Tensor, int],
+    *,
+    aliases: Optional[Mapping[Tensor, Tensor]] = None,
+) -> List[int]:
+    """Live bytes at each position of a schedule, once its op's outputs
+    are allocated and before its dead inputs are freed.
 
     A non-persistent tensor becomes live when produced and dies after
     its last consumer executes.  Graph outputs (no consumers) stay live
     to the end.  Persistent tensors (weights) and graph inputs are live
-    for the whole step.
+    for the whole step, and every entry includes them.
 
     ``aliases`` maps in-place outputs to the input whose buffer they
     reuse (see :func:`repro.graph.inplace_aliases`).  A chain of them
@@ -410,20 +358,19 @@ def liveness_peak(
     op_index = sk.op_index
     out_live = sk.out_live
     live_uses = sk.live_uses
-    live = 0
-    peak = 0
+    live = persistent
+    trace = []
     for op in order:
         i = op_index[op]
         for t in out_live[i]:
             live += charge[t]
-        if live > peak:
-            peak = live
+        trace.append(live)
         for t, c in live_uses[i]:
             buf = owner[t]
             uses[buf] -= c
             if uses[buf] == 0:
                 live -= size_arr[buf]
-    return persistent + peak
+    return trace
 
 
 def _buffers(sk: GraphSkeleton, size_arr: List[int],

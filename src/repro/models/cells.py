@@ -130,7 +130,7 @@ def lstm_layer(graph: Graph, xs: Sequence[Tensor], weights: LSTMWeights,
     c = zeros_like_state(graph, batch, weights.hidden, name=f"{name}/c0")
     steps = list(reversed(xs)) if reverse else list(xs)
     outputs: List[Tensor] = []
-    for t, x in enumerate(steps):
+    for t, x in graph.unroll(name, steps):
         h, c = lstm_step(graph, x, h, c, weights, name=f"{name}/t{t}")
         outputs.append(h)
     if reverse:
@@ -148,7 +148,7 @@ def bidirectional_lstm_layer(graph: Graph, xs: Sequence[Tensor],
                          reverse=True)
     return [
         concat(graph, [f, b], axis=1, name=f"{name}/cat{t}")
-        for t, (f, b) in enumerate(zip(fwd_out, bwd_out))
+        for t, (f, b) in graph.unroll(f"{name}/cat", zip(fwd_out, bwd_out))
     ]
 
 
@@ -274,7 +274,7 @@ def gru_layer(graph: Graph, xs: Sequence[Tensor], weights: GRUWeights,
     h = zeros_like_state(graph, batch, weights.hidden, name=f"{name}/h0")
     steps = list(reversed(xs)) if reverse else list(xs)
     outputs: List[Tensor] = []
-    for t, x in enumerate(steps):
+    for t, x in graph.unroll(name, steps):
         h = gru_step(graph, x, h, weights, name=f"{name}/t{t}")
         outputs.append(h)
     if reverse:

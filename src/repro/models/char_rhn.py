@@ -70,13 +70,13 @@ def build_char_rhn(
     slices = split(g, stacked, [1] * seq_len, axis=0, name="step_split")
     xs = [
         reshape(g, s, (batch, hidden), name=f"x_t{t}")
-        for t, s in enumerate(slices)
+        for t, s in g.unroll("x", slices)
     ]
 
     sublayers = make_rhn_weights(g, hidden, hidden, depth, name="rhn")
     s = zeros_like_state(g, batch, hidden, name="rhn/s0")
     states = []
-    for t, x in enumerate(xs):
+    for t, x in g.unroll("rhn", xs):
         s = rhn_step(g, x, s, sublayers, name=f"rhn/t{t}")
         states.append(s)
 

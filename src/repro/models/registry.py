@@ -8,7 +8,7 @@ the paper settles on for Table 3 projections.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from ..errors import BindingError, did_you_mean
 from .base import BuiltModel
@@ -36,6 +36,11 @@ class DomainEntry:
     subbatch: int
     #: keyword arguments forwarded to the builder
     build_kwargs: Dict[str, object] = field(default_factory=dict)
+    #: the builder's unroll-length arguments, as ``(argument, first,
+    #: step)``: the grid of short unrolls that
+    #: :mod:`repro.analysis.fold` costs the registry length from starts
+    #: at ``first`` and advances by ``step``
+    loops: Tuple[Tuple[str, int, int], ...] = ()
 
     def build_model(self, *, training: bool = True, **overrides) -> BuiltModel:
         kwargs = dict(self.build_kwargs)
@@ -59,6 +64,7 @@ DOMAINS: Dict[str, DomainEntry] = {
             build=build_char_rhn,
             sweep_sizes=(512, 768, 1024, 1536, 2048, 3072, 4096),
             subbatch=96,
+            loops=(("seq_len", 6, 1),),
         ),
         DomainEntry(
             key="nmt",
@@ -73,6 +79,9 @@ DOMAINS: Dict[str, DomainEntry] = {
             build=build_speech,
             sweep_sizes=(256, 512, 768, 1024, 1536, 2048),
             subbatch=128,
+            # the encoder pools by 2 twice: steps of 4 keep every
+            # layer's unroll exact
+            loops=(("audio_steps", 20, 4), ("decoder_steps", 5, 1)),
         ),
         DomainEntry(
             key="image",
@@ -103,9 +112,11 @@ _SYMBOLIC_CACHE: Dict[tuple, BuiltModel] = {}
 def build_symbolic(key: str, *, training: bool = True) -> BuiltModel:
     """Build (and memoize) a domain's model with symbolic size + batch.
 
-    The symbolic graph is expensive to construct for long-unroll
-    domains; analysis binds the same graph at every sweep point, so one
-    shared instance suffices.
+    The one full build of a domain, at its registry unroll lengths:
+    lint, ``describe``, the artifact configs and any other reader of
+    the graph share it.  Sweeps of the long-unroll domains (char_lm,
+    speech) do not build it; they fold short unrolls instead
+    (:mod:`repro.analysis.fold`).
     """
     cache_key = (key, training)
     if cache_key not in _SYMBOLIC_CACHE:

@@ -49,7 +49,7 @@ def _stack_steps(g: Graph, steps: List[Tensor], batch, dim, *,
     return concat(
         g,
         [reshape(g, s, (batch, 1, dim), name=f"{name}/s3d{t}")
-         for t, s in enumerate(steps)],
+         for t, s in g.unroll(f"{name}/s3d", steps)],
         axis=1,
         name=name,
     )
@@ -61,7 +61,7 @@ def _unstack_steps(g: Graph, stacked: Tensor, batch, dim, *,
     slices = split(g, stacked, [1] * t_len, axis=1, name=f"{name}/split")
     return [
         reshape(g, s, (batch, dim), name=f"{name}/s2d{t}")
-        for t, s in enumerate(slices)
+        for t, s in g.unroll(f"{name}/s2d", slices)
     ]
 
 
@@ -129,7 +129,7 @@ def build_speech(
                    name="tgt_split")
     ys = [
         reshape(g, s, (batch, hidden), name=f"y_t{t}")
-        for t, s in enumerate(slices)
+        for t, s in g.unroll("y", slices)
     ]
 
     dec_w = make_lstm_weights(g, hidden, hidden, name="dec0")
@@ -137,7 +137,7 @@ def build_speech(
 
     w_ctx = g.parameter("w_context", (enc_dim + hidden, hidden))
     attn_vecs = []
-    for t, dec_h in enumerate(dec):
+    for t, dec_h in g.unroll("attn", dec):
         query = reshape(g, dec_h, (batch, 1, hidden), name=f"attn/q{t}")
         scores = batch_matmul(g, query, keys, transpose_b=True,
                               name=f"attn/scores{t}")

@@ -180,7 +180,7 @@ class TestSweep:
         from repro.analysis import StepCounts
         from repro.analysis.sweep import _sweep_domain_uncached
         from repro.graph import liveness_peak, topological_order
-        from repro.graph.traversal import (
+        from tests.oracles import (
             _evaluate_sizes_treewalk,
             _memory_greedy_order_reference,
         )

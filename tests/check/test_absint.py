@@ -1,21 +1,17 @@
 """Tests for the abstract-interpretation engine (repro.check.absint).
 
-Three layers:
+Two layers:
 
 * unit tests for the interval transfer functions and the binding
   domain;
 * hypothesis soundness properties — for random expressions over random
   positive domains, the concrete ``evalf``/tape-replay result always
   lies inside the computed interval, and every definite monotonicity
-  verdict agrees with a finite-difference probe of the real function;
-* tape certification — :func:`certify_tape` proves a tape NaN/Inf-free
-  over a domain (its bounds cover every replay there) or refuses with
-  the first slot that defeats the proof.
+  verdict agrees with a finite-difference probe of the real function.
 """
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +22,6 @@ from repro.check.absint import (
     UNKNOWN,
     BindingDomain,
     Interval,
-    certify_tape,
     interval_of_expr,
     interval_of_tape,
     monotonicity,
@@ -245,33 +240,3 @@ class TestSoundness:
             # a definite direction must never contradict the oracle
             assert probed in (verdict, CONSTANT), \
                 f"{expr} d/d{sym.name}: proved {verdict}, probed {probed}"
-
-
-# -- certification ----------------------------------------------------
-
-@pytest.fixture
-def certified_prog():
-    expr = Ceil.of(x / 32) * 7 + Log.of(y)
-    prog = compile_expr(expr)
-    domain = BindingDomain({"x": (1.0, 1024.0), "y": (2.0, 4096.0)})
-    cert = certify_tape(prog, domain)
-    assert cert.ok, cert.reason
-    return prog, domain, cert
-
-
-class TestCertification:
-    def test_refuses_domain_error(self):
-        prog = compile_expr(Log.of(x - 5))
-        cert = certify_tape(prog, BindingDomain({"x": (1.0, 100.0)}))
-        assert not cert.ok
-        assert "slot" in cert.reason
-
-    def test_refuses_overflow(self):
-        prog = compile_expr(x ** as_expr(64))
-        cert = certify_tape(prog, BindingDomain({"x": (1.0, 1e300)}))
-        assert not cert.ok
-
-    def test_certificate_bounds_cover_outputs(self, certified_prog):
-        prog, domain, cert = certified_prog
-        for binding in domain.sample([s.name for s in prog.symbols]):
-            assert cert.out_bounds(prog)[0].contains(prog(binding))

@@ -267,3 +267,34 @@ class TestAutodiffStructure:
         mid = matmul(g, x, w)
         out = add(g, tanh(g, mid), sigmoid(g, mid))
         gradient_check(g, scalar_loss(g, out), BIND)
+
+    def test_backward_ops_carry_their_forward_ops_tag(self):
+        """Backward ops and the gradient accumulations a forward op
+        causes carry its loop tag; the seed and the updates carry none.
+        Finalizing freezes the tags."""
+        g = Graph()
+        x = g.input("x", (b, h))
+        w = g.parameter("w", (h, h))
+        state = x
+        for t, _ in g.unroll("cell", range(3)):
+            state = tanh(g, matmul(g, state, w, name=f"mm{t}"),
+                         name=f"act{t}")
+        loss = scalar_loss(g, state)
+        n_forward = len(g.ops)
+        build_training_step(g, loss)
+        g.finalize()
+        assert isinstance(g.tags, tuple) and len(g.tags) == len(g.ops)
+        tags = dict(zip(g.ops, g.tags))
+        assert [tags[g.ops[i]] for i in range(6)] == \
+            [("cell", 0)] * 2 + [("cell", 1)] * 2 + [("cell", 2)] * 2
+        backward = g.ops[n_forward:]
+        assert backward[0].kind == "grad_seed" and tags[backward[0]] is None
+        stepped = [tags[op][1] for op in backward if tags[op] is not None]
+        assert stepped == sorted(stepped, reverse=True)
+        assert set(stepped) == {0, 1, 2}
+        # w's partial grads from steps 1 and 0 are added in those steps
+        acc = [tags[op] for op in backward
+               if op.name.startswith(f"grad/{w.name}/acc")]
+        assert acc == [("cell", 1), ("cell", 0)]
+        assert all(tags[op] is None for op in backward
+                   if op.kind == "sgd_update")

@@ -7,6 +7,7 @@ from repro.graph import (
     Op,
     evaluate_sizes,
     liveness_peak,
+    liveness_trace,
     memory_greedy_order,
     topological_order,
 )
@@ -125,6 +126,17 @@ class TestLiveness:
         # x persistent-ish (graph input), left+right live at once, join
         assert peak == 4 + 4 + 4 + 4
 
+    def test_trace_is_live_bytes_per_position(self):
+        """The peak is the trace's maximum; each entry counts the
+        persistent bytes, the op's outputs and what is still live."""
+        g = diamond_graph()
+        sizes = evaluate_sizes(g)
+        order = topological_order(g)
+        trace = liveness_trace(g, order, sizes)
+        assert len(trace) == len(order)
+        assert max(trace) == liveness_peak(g, order, sizes)
+        assert trace == [4 + 4, 4 + 4 + 4, 4 + 4 + 4 + 4]
+
 
 class TestMemoryGreedy:
     def test_greedy_never_worse_on_models(self):
@@ -157,7 +169,7 @@ class TestMemoryGreedy:
     def test_greedy_matches_reference_scan(self):
         """The incremental-heap schedule must equal the seed O(V·ready)
         rescan op for op — same order, not merely same peak."""
-        from repro.graph.traversal import _memory_greedy_order_reference
+        from tests.oracles import _memory_greedy_order_reference
         from repro.models import build_nmt, build_resnet, build_word_lm
 
         cases = [
@@ -178,7 +190,7 @@ class TestMemoryGreedy:
                     [op.name for op in reference], (g.name, binding)
 
     def test_greedy_matches_reference_on_diamond(self):
-        from repro.graph.traversal import _memory_greedy_order_reference
+        from tests.oracles import _memory_greedy_order_reference
 
         g = diamond_graph()
         sizes = evaluate_sizes(g)
@@ -200,7 +212,7 @@ class TestEvaluateSizes:
             evaluate_sizes(g)
 
     def test_matches_treewalk_reference(self):
-        from repro.graph.traversal import _evaluate_sizes_treewalk
+        from tests.oracles import _evaluate_sizes_treewalk
         from repro.models import build_word_lm
 
         g = build_word_lm(seq_len=5, vocab=200,

@@ -180,10 +180,8 @@ class TestDomainGraphsProperty:
 
     @pytest.mark.parametrize("key", ["word_lm", "image"])
     def test_tensor_sizes_match_treewalk(self, key):
-        from repro.graph.traversal import (
-            _evaluate_sizes_treewalk,
-            evaluate_sizes,
-        )
+        from repro.graph.traversal import evaluate_sizes
+        from tests.oracles import _evaluate_sizes_treewalk
         from repro.models.registry import build_symbolic, get_domain
 
         entry = get_domain(key)

@@ -9,6 +9,7 @@ from repro.errors import (
     EXIT_OK,
     EXIT_RESUMABLE,
     BindingError,
+    InternalError,
     NumericError,
     ReproError,
     ReproIOError,
@@ -27,6 +28,7 @@ class TestTaxonomy:
         assert NumericError("x").code == "E-NUMERIC"
         assert ReproIOError("x").code == "E-IO"
         assert RunInterrupted("x").code == "E-INT"
+        assert InternalError("x").code == "E-INT"
 
     def test_exit_codes(self):
         assert (EXIT_OK, EXIT_ERROR, EXIT_RESUMABLE) == (0, 1, 3)
