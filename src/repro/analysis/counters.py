@@ -219,12 +219,6 @@ class StepCounts:
     def eval_step_flops(self, size=None, subbatch=None) -> float:
         return self.compiled("step_flops")(self.bind(size, subbatch))
 
-    def eval_step_bytes(self, size=None, subbatch=None) -> float:
-        return self.compiled("step_bytes")(self.bind(size, subbatch))
-
-    def eval_flops_per_sample(self, size=None) -> float:
-        return self.compiled("flops_per_sample")(self.bind(size))
-
     def eval_intensity(self, size=None, subbatch=None) -> float:
         """Graph-level operational intensity, FLOP/B (Fig. 9/11)."""
         bindings = self.bind(size, subbatch)

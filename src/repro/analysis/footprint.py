@@ -56,13 +56,6 @@ class FootprintEstimate:
         """Best (smallest) traversal estimate — the Fig. 10 quantity."""
         return min(self.program_order_bytes, self.greedy_bytes)
 
-    @property
-    def scheduler_gain(self) -> float:
-        """Footprint saved by memory-greedy scheduling vs program order."""
-        if self.program_order_bytes == 0:
-            return 0.0
-        return 1.0 - self.greedy_bytes / self.program_order_bytes
-
 
 def estimate_footprint(model: BuiltModel,
                        bindings: Optional[Mapping] = None, *,

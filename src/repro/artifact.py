@@ -120,7 +120,7 @@ def generate_results(out_dir: str,
     """Write one analysis file per configuration + a summary table.
 
     ``max_workers=0`` (default) analyzes serially in-process;
-    ``max_workers=N`` fans the configurations out as a task DAG on a
+    ``max_workers=N`` fans the configurations out as a task list on a
     process pool.  Either way every per-config file is written
     atomically *as its task completes* with content depending only on
     the config, so output bytes are identical.  With a ``store``,

@@ -16,15 +16,13 @@ package is the correctness gate that runs *without executing anything*:
 * :mod:`repro.check.tape` — static slot-lifetime verification and
   randomized tape≡tree equivalence for ``CompiledExpr`` programs;
 * :mod:`repro.check.absint` — the abstract-interpretation engine:
-  interval, sign, and monotonicity domains over exprs and tapes, plus
-  tape certification (proven NaN/Inf-free replay skips the runtime
-  numeric guard);
+  interval, sign, and monotonicity domains over exprs and tapes;
 * :mod:`repro.check.intervals` — I-family whole-domain interval
   proofs of cost-formula nonnegativity, overflow-freedom, and
   intensity bounds;
 * :mod:`repro.check.solver_lint` — M-family proofs of the bisection
   solver's monotonicity preconditions over the planner curve family;
-* :mod:`repro.check.exec_lint` — X-family static task-DAG lint
+* :mod:`repro.check.exec_lint` — X-family static task-list lint
   (store-key collisions, output write races, journal key drift),
   run by the exec engine before dispatch.
 

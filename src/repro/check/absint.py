@@ -111,8 +111,7 @@ class Interval:
     ``maybe_nan`` marks that a concrete evaluation *may* raise a domain
     error or produce NaN (log of a non-positive value, a negative base
     under a fractional exponent, ``0**negative``); the bounds then
-    cover only the evaluations that return a real.  A tape certificate
-    requires every slot interval to be finite with ``maybe_nan`` False.
+    cover only the evaluations that return a real.
     """
 
     __slots__ = ("lo", "hi", "maybe_nan")

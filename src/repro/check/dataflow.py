@@ -10,7 +10,7 @@ reported separately by the structural pass).
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..graph.graph import Graph
 from ..graph.op import Op
@@ -56,21 +56,6 @@ class DataflowIndex:
                 producer = self.writer.get(t)
                 if producer is not None and producer not in seen:
                     queue.append(producer)
-        return seen
-
-    def descendants(self, roots: Iterable[Op]) -> Set[Op]:
-        """Ops that (transitively) depend on the roots' results."""
-        seen: Set[Op] = set()
-        queue = deque(roots)
-        while queue:
-            op = queue.popleft()
-            if op in seen:
-                continue
-            seen.add(op)
-            for t in op.outputs:
-                for reader in self.readers.get(t, ()):
-                    if reader not in seen:
-                        queue.append(reader)
         return seen
 
     def sinks(self) -> List[Op]:

@@ -12,7 +12,7 @@ codes are grouped by pass family:
 * ``T***`` — compiled-tape verification
 * ``I***`` — interval proofs over declared binding domains (absint)
 * ``M***`` — solver monotonicity preconditions (absint)
-* ``X***`` — exec task-DAG lint (static, pre-dispatch)
+* ``X***`` — exec task-list lint (static, pre-dispatch)
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ _RULE_DEFS = [
          "a solver bracket extends outside the curve's declared "
          "binding domain, so the monotonicity proof does not cover "
          "the whole search range"),
-    # -- exec task-DAG lint (static, pre-dispatch) ----------------------
+    # -- exec task-list lint (static, pre-dispatch) ---------------------
     Rule("X001", "store-key-collision", ERROR,
          "two distinct tasks declare the same result-store key, so "
          "one silently shadows the other in the content-addressed "

@@ -1,10 +1,10 @@
-"""X-rules: static lint of an exec task DAG before dispatch.
+"""X-rules: static lint of an exec task list before dispatch.
 
-The execution engine validates ids, deps, and cycles in ``_toposort``;
-everything else it discovers the expensive way — mid-run, after
-workers have been spawned and partial results journaled.  Three more
-DAG defects are decidable from task metadata alone, so they belong in
-a pre-dispatch pass:
+The execution engine rejects duplicate task ids up front; everything
+else it discovers the expensive way — mid-run, after workers have been
+spawned and partial results journaled.  Three more task-list defects
+are decidable from task metadata alone, so they belong in a
+pre-dispatch pass:
 
 * **X001** — two distinct tasks declare the same result-store key.
   The content-addressed store would hand the second task the first
@@ -19,12 +19,12 @@ a pre-dispatch pass:
 
 :meth:`repro.exec.engine.ExecutionEngine.run` runs this pass first and
 raises ``ValueError`` on any error-severity finding — the same
-contract as ``_toposort``'s structural validation.
+contract as its duplicate-id check.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from .diagnostics import Diagnostic
 
@@ -36,7 +36,7 @@ GRAPH_LABEL = "exec.tasks"
 
 def task_diagnostics(tasks: Sequence, *,
                      journal=None) -> List[Diagnostic]:
-    """Run the X-family rules over a task DAG.
+    """Run the X-family rules over a task list.
 
     ``tasks`` is any sequence of :class:`~repro.exec.engine.Task`-like
     objects (``id``/``key``/``outputs`` attributes); ``journal`` an

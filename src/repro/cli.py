@@ -18,7 +18,7 @@ rates, tape statistics) after the reports::
     repro-report fig10 --trace fig10.json --trace-jsonl fig10.jsonl
 
 Exhibits are independent computations, so ``repro-report all
---max-workers 4`` regenerates them as a task DAG on the
+--max-workers 4`` regenerates them as a task list on the
 :mod:`repro.exec` process pool, and rendered results are memoized in a
 content-addressed on-disk store (keyed on source digest + bindings +
 version) so a repeated invocation is warm-start; ``--no-cache`` /

@@ -6,11 +6,11 @@ figure, and artifact output file is an independent
 the ROADMAP's "sharding, batching, async, caching" layer to that hot
 path:
 
-* **engine** (:mod:`.engine`) — a task-DAG execution engine (one task
-  per artifact unit or report exhibit) with per-task timeouts, bounded
-  retry with exponential backoff, and graceful degradation to serial
-  in-process execution when a worker dies, hangs, or
-  ``max_workers=0``.  Its workers come
+* **engine** (:mod:`.engine`) — a task-list execution engine (one task
+  per artifact unit or report exhibit, run in submitted order) with a
+  timeout per task, bounded retry with exponential backoff, and
+  graceful degradation to serial in-process execution when a worker
+  dies, hangs, or ``max_workers=0``.  Its workers come
   from :class:`.engine.SupervisedPool`, the package's one process pool,
   which also runs ``repro-serve``'s cold computes::
 
@@ -46,14 +46,13 @@ from .engine import (
     ExecutionEngine,
     Task,
     TaskResult,
-    run_tasks,
 )
 from .journal import STATE_DIRNAME, RunJournal
 from .signals import GracefulShutdown
 from .store import ResultStore, content_key, default_cache_dir
 
 __all__ = [
-    "ExecutionEngine", "Task", "TaskResult", "ExecError", "run_tasks",
+    "ExecutionEngine", "Task", "TaskResult", "ExecError",
     "ResultStore", "content_key", "default_cache_dir",
     "RunJournal", "STATE_DIRNAME", "GracefulShutdown",
 ]

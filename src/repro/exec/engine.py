@@ -1,13 +1,14 @@
-"""Task-DAG execution engine and the package's one worker-process pool.
+"""Task-list execution engine and the package's one worker-process pool.
 
-The artifact pipeline fans out as a DAG of picklable tasks (one per
-(model, table/figure) unit).  This engine runs that DAG on a
-:class:`SupervisedPool` — the same crash-supervised
-``concurrent.futures`` pool that serves ``repro-serve``'s cold path, and
-the only class in the package that starts worker processes — and layers
-the failure policy a batch artifact needs above it:
+The artifact pipeline fans out as a list of independent, picklable
+tasks (one per (model, table/figure) unit).  This engine runs that list,
+in the order it is submitted, on a :class:`SupervisedPool` — the same
+crash-supervised ``concurrent.futures`` pool that serves
+``repro-serve``'s cold path, and the only class in the package that
+starts worker processes — and layers the failure policy a batch
+artifact needs above it:
 
-* **per-task timeouts** — a worker that hangs past its deadline is
+* **a timeout per task** — a worker that hangs past ``timeout`` is
   killed (:meth:`SupervisedPool.restart` SIGKILLs the pool; unaffected
   in-flight tasks are resubmitted without penalty);
 * **bounded retry with exponential backoff** — a task that raises,
@@ -59,7 +60,7 @@ import itertools
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -68,6 +69,7 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
+    Set,
     Tuple,
 )
 
@@ -78,7 +80,7 @@ from .store import ResultStore
 from .tasks import run_traced
 
 __all__ = ["Task", "TaskResult", "ExecError", "ExecutionEngine",
-           "SupervisedPool", "run_tasks"]
+           "SupervisedPool"]
 
 _SUBMITTED = obs.counter("exec.tasks.submitted")
 _COMPLETED = obs.counter("exec.tasks.completed")
@@ -104,7 +106,7 @@ _MAX_BACKOFF = 5.0
 
 @dataclass
 class Task:
-    """One unit of the artifact DAG.
+    """One unit of an artifact run: ``fn(*args)``.
 
     ``fn`` must be picklable (a module-level function) when the engine
     runs with workers; ``validate`` runs in the *parent* on the
@@ -115,10 +117,6 @@ class Task:
     id: str
     fn: Callable[..., Any]
     args: Tuple = ()
-    kwargs: Mapping[str, Any] = field(default_factory=dict)
-    deps: Tuple[str, ...] = ()
-    timeout: Optional[float] = None    # None -> engine default
-    retries: Optional[int] = None      # None -> engine default
     key: Optional[str] = None          # result-store key (opt-in)
     validate: Optional[Callable[[Any], bool]] = None
     #: paths this task writes (metadata for the pre-dispatch X-lint:
@@ -193,42 +191,8 @@ class _Pending:
         self.flow = None            # flow id linking dispatch→worker
 
 
-def _toposort(tasks: Sequence[Task]) -> List[Task]:
-    """Validate ids/deps and return a dependency-respecting order."""
-    by_id: Dict[str, Task] = {}
-    for task in tasks:
-        if task.id in by_id:
-            raise ValueError(f"duplicate task id {task.id!r}")
-        by_id[task.id] = task
-    for task in tasks:
-        for dep in task.deps:
-            if dep not in by_id:
-                raise ValueError(
-                    f"task {task.id!r} depends on unknown task {dep!r}"
-                )
-    order: List[Task] = []
-    state: Dict[str, int] = {}  # 0 visiting / 1 done
-
-    def visit(task: Task, chain: Tuple[str, ...]) -> None:
-        mark = state.get(task.id)
-        if mark == 1:
-            return
-        if mark == 0:
-            cycle = " -> ".join(chain + (task.id,))
-            raise ValueError(f"task dependency cycle: {cycle}")
-        state[task.id] = 0
-        for dep in task.deps:
-            visit(by_id[dep], chain + (task.id,))
-        state[task.id] = 1
-        order.append(task)
-
-    for task in tasks:
-        visit(task, ())
-    return order
-
-
 class ExecutionEngine:
-    """Runs task DAGs; see the module docstring for semantics."""
+    """Runs task lists; see the module docstring for semantics."""
 
     def __init__(self, max_workers: int = 0, *,
                  timeout: Optional[float] = 300.0,
@@ -254,34 +218,27 @@ class ExecutionEngine:
         self._run_span: Optional[obs.Span] = None
         self._flow_ids = itertools.count(1)
 
-    @staticmethod
-    def lint(tasks: Sequence[Task], *,
-             journal: Optional[RunJournal] = None):
-        """Static X-lint of a task DAG (no dispatch).
-
-        Returns the :class:`~repro.check.diagnostics.Diagnostic` list:
-        store-key collisions (X001), output write races (X002), and
-        journal/task key drift (X003).  :meth:`run` calls this before
-        dispatching and refuses the DAG on any error-severity finding.
-        """
-        from ..check.exec_lint import task_diagnostics
-
-        return task_diagnostics(tasks, journal=journal)
-
     def _lint_tasks(self, tasks: Sequence[Task]) -> None:
-        """Refuse statically-broken DAGs before any work is dispatched.
+        """Refuse a statically broken task list before any dispatch.
 
-        Same ``ValueError`` contract as ``_toposort``'s duplicate-id /
-        unknown-dep validation: these are caller bugs, not runtime
-        faults, so they must not burn retries or land in the journal.
+        Duplicate ids, store-key collisions (X001), output write races
+        (X002) and journal/task key drift (X003) are caller bugs, not
+        runtime faults, so they raise ``ValueError`` here instead of
+        burning retries or landing in the journal.
         """
         from .. import check
+        from ..check.exec_lint import task_diagnostics
 
-        errors = [d for d in self.lint(tasks, journal=self.journal)
+        seen: Set[str] = set()
+        for task in tasks:
+            if task.id in seen:
+                raise ValueError(f"duplicate task id {task.id!r}")
+            seen.add(task.id)
+        errors = [d for d in task_diagnostics(tasks, journal=self.journal)
                   if d.severity == check.ERROR]
         if errors:
             raise ValueError(
-                "task DAG failed pre-dispatch lint: "
+                "task list failed pre-dispatch lint: "
                 + "; ".join(d.format() for d in errors)
             )
 
@@ -290,7 +247,7 @@ class ExecutionEngine:
             on_result: Optional[Callable[[Task, TaskResult],
                                          Optional[Mapping]]] = None
             ) -> Dict[str, TaskResult]:
-        """Execute the DAG; returns ``{task id: TaskResult}``.
+        """Execute ``tasks`` in order; returns ``{task id: TaskResult}``.
 
         ``on_result`` runs *in the parent* for every fresh successful
         result (pool, serial, or store-cache — not journal replays);
@@ -305,11 +262,10 @@ class ExecutionEngine:
         first; completed results ride on the exception).
         """
         self._lint_tasks(tasks)
-        order = _toposort(tasks)
         results: Dict[str, TaskResult] = {}
         self._on_result = on_result
         self._run_id = os.urandom(8).hex()
-        run_span = obs.span("exec.run", "exec", tasks=len(order),
+        run_span = obs.span("exec.run", "exec", tasks=len(tasks),
                             max_workers=self.max_workers,
                             run=self._run_id)
         with run_span:
@@ -317,9 +273,9 @@ class ExecutionEngine:
                               if isinstance(run_span, obs.Span) else None)
             try:
                 if self.max_workers == 0:
-                    self._run_serial(order, results)
+                    self._run_serial(tasks, results)
                 else:
-                    self._run_pool(order, results)
+                    self._run_pool(tasks, results)
             finally:
                 self._on_result = None
                 self._run_span = None
@@ -368,20 +324,9 @@ class ExecutionEngine:
 
     def _settle(self, task: Task,
                 results: Dict[str, TaskResult]) -> bool:
-        """Resolve ``task`` without running it, if it can be: a failed
-        dependency, a verified journal replay (the resume skip path),
-        or a store hit.  True when ``results`` now holds it."""
-        bad = [d for d in task.deps
-               if d in results and not results[d].ok]
-        if bad:
-            _FAILURES.inc()
-            results[task.id] = TaskResult(
-                id=task.id,
-                error=RuntimeError(
-                    f"dependency failed: {', '.join(bad)}"
-                ),
-            )
-            return True
+        """Resolve ``task`` without running it, if it can be: a verified
+        journal replay (the resume skip path) or a store hit.  True
+        when ``results`` now holds it."""
         if self.journal is not None:
             value = self.journal.replay(task.id, task.key)
             if not RunJournal.is_missing(value):
@@ -400,13 +345,6 @@ class ExecutionEngine:
                 self._finish(task, results[task.id])
                 return True
         return False
-
-    # -- shared helpers ------------------------------------------------
-    def _effective_retries(self, task: Task) -> int:
-        return self.retries if task.retries is None else task.retries
-
-    def _effective_timeout(self, task: Task) -> Optional[float]:
-        return self.timeout if task.timeout is None else task.timeout
 
     # -- trace propagation ---------------------------------------------
     def _trace_ctx(self, p: "_Pending") -> Dict[str, Any]:
@@ -477,7 +415,7 @@ class ExecutionEngine:
                         mode: str = "serial") -> TaskResult:
         """Execute one task in-process with bounded retries."""
         if retries is None:
-            retries = self._effective_retries(task)
+            retries = self.retries
         attempts = 0
         start = time.perf_counter()
         with obs.span("exec.task", "exec", task=task.id,
@@ -487,7 +425,7 @@ class ExecutionEngine:
                 attempt_ns = obs.monotonic_ns()
                 try:
                     value = self._validated(
-                        task, task.fn(*task.args, **task.kwargs)
+                        task, task.fn(*task.args)
                     )
                     _COMPLETED.inc()
                     span.set(outcome="ok", attempts=attempts)
@@ -547,12 +485,12 @@ class ExecutionEngine:
 
     def _dispatch(self, pool: "SupervisedPool", order: Sequence[Task],
                   results: Dict[str, TaskResult]) -> bool:
-        """Drive the DAG on ``pool``; True once more than
+        """Drive ``order`` on ``pool``; True once more than
         ``max_pool_restarts`` rebuilds hand the rest to serial."""
         pending: Dict[str, _Pending] = {
             task.id: _Pending(task) for task in order
         }
-        waiting: List[str] = [task.id for task in order]  # topo order
+        waiting: List[str] = [task.id for task in order]
         running: List[str] = []
         draining = False
 
@@ -564,7 +502,7 @@ class ExecutionEngine:
         def register_failure(p: _Pending,
                              error: BaseException) -> None:
             p.future = None
-            if p.attempts <= self._effective_retries(p.task):
+            if p.attempts <= self.retries:
                 _RETRIES.inc()
                 p.not_before = (
                     time.monotonic()
@@ -585,17 +523,15 @@ class ExecutionEngine:
             p.started = time.monotonic()
             p.submit_ns = obs.monotonic_ns()
             p.flow = next(self._flow_ids)
-            timeout = self._effective_timeout(task)
-            p.deadline = (p.started + timeout
-                          if timeout is not None else float("inf"))
+            p.deadline = (p.started + self.timeout
+                          if self.timeout is not None else float("inf"))
             _SUBMITTED.inc()
             try:
                 # every pool task travels through the run_traced shim
                 # with a trace context; the worker sends spans + metric
                 # deltas home alongside the value
                 p.future = pool.submit(
-                    run_traced, self._trace_ctx(p), task.fn,
-                    task.args, dict(task.kwargs))
+                    run_traced, self._trace_ctx(p), task.fn, task.args)
             except Exception as error:
                 gate = pool.backoff_remaining()
                 if gate > 0:
@@ -668,8 +604,7 @@ class ExecutionEngine:
                     if len(running) >= 2 * self.max_workers:
                         break
                     p = pending[tid]
-                    if p.not_before > now or any(
-                            d in pending for d in p.task.deps):
+                    if p.not_before > now:
                         continue
                     waiting.remove(tid)
                     if self._settle(p.task, results):
@@ -705,8 +640,7 @@ class ExecutionEngine:
                     running.clear()
                     pool.restart()
                     timeout_error = TimeoutError(
-                        f"task {tid!r} exceeded "
-                        f"{self._effective_timeout(p.task):g}s"
+                        f"task {tid!r} exceeded {self.timeout:g}s"
                     )
                     self._record_outcome_span(
                         p.task, "timeout", start_ns=p.submit_ns,
@@ -719,13 +653,6 @@ class ExecutionEngine:
             if not progressed:
                 time.sleep(_POLL_INTERVAL)
         return pool.restarts > self.max_pool_restarts
-
-
-def run_tasks(tasks: Sequence[Task], *, max_workers: int = 0,
-              **engine_kwargs: Any) -> Dict[str, TaskResult]:
-    """One-shot convenience wrapper around :class:`ExecutionEngine`."""
-    return ExecutionEngine(max_workers=max_workers,
-                           **engine_kwargs).run(tasks)
 
 
 def _pool_worker_init(niceness: int) -> None:
@@ -761,7 +688,7 @@ def _kill(executor) -> None:
 class SupervisedPool:
     """The package's one worker-process pool, with crash supervision.
 
-    Both the task-DAG engine and the server's cold path run on this
+    Both the task-list engine and the server's cold path run on this
     wrapper of :class:`concurrent.futures.ProcessPoolExecutor` (whose
     ``BrokenProcessPool`` cleanly reports a worker death, where
     ``multiprocessing``'s own pool would hang the waiter forever):

@@ -124,7 +124,7 @@ def _picklable_error(error: BaseException) -> BaseException:
 
 
 def run_traced(ctx: Mapping[str, Any], fn: Callable[..., Any],
-               args: Tuple, kwargs: Mapping[str, Any]) -> Dict[str, Any]:
+               args: Tuple) -> Dict[str, Any]:
     """Worker-side wrapper: run one task under local observability.
 
     The engine ships every pool task through this shim with a *trace
@@ -162,9 +162,9 @@ def run_traced(ctx: Mapping[str, Any], fn: Callable[..., Any],
                           task=ctx.get("task"), run=ctx.get("run_id"),
                           attempt=ctx.get("attempt"),
                           flow=ctx.get("flow"), flow_role="in"):
-                value = fn(*args, **kwargs)
+                value = fn(*args)
         else:
-            value = fn(*args, **kwargs)
+            value = fn(*args)
     except Exception as exc:
         error = _picklable_error(exc)
         value = None

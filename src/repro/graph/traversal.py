@@ -64,15 +64,16 @@ class GraphSkeleton:
 
     The liveness rule is held by ``persistent_idx`` (pinned for the
     step), ``out_live`` (born when the op runs) and ``consumer_counts``
-    counted down by ``live_uses`` (dead at zero); :meth:`touch_order`
-    adds the read order for replays that track recency.
+    counted down by ``live_uses`` (dead at zero).  Two methods add
+    tables only some callers read, built on first use:
+    :meth:`touch_order` (the read order, for replays that track
+    recency) and :meth:`greedy_tables` (the memory-greedy scheduler's).
     """
 
     __slots__ = (
         "name", "ops", "tensors", "op_index",
-        "pending0", "edge_consumers", "consumer_counts",
-        "out_live", "greedy_uses", "holders", "live_uses",
-        "touches", "persistent_idx",
+        "consumer_counts", "out_live", "live_uses",
+        "persistent_idx", "touches", "greedy",
     )
 
     def __init__(self, graph: Graph):
@@ -84,37 +85,12 @@ class GraphSkeleton:
         tensor_index = {t: i for i, t in enumerate(tensors)}
         self.op_index = {op: i for i, op in enumerate(ops)}
 
-        self.pending0 = [
-            len({t.producer for t in op.inputs if t.producer is not None})
-            for op in ops
-        ]
-        self.edge_consumers = [
-            tuple(self.op_index[c]
-                  for out in op.outputs for c in out.consumers)
-            for op in ops
-        ]
         self.consumer_counts = [len(t.consumers) for t in tensors]
         self.out_live = [
             tuple(tensor_index[t] for t in op.outputs
                   if not (t.is_persistent or t.producer is None))
             for op in ops
         ]
-        # greedy input uses: occurrences of each distinct non-persistent
-        # input tensor (greedy counts graph inputs; liveness does not,
-        # and counts via the consumer lists — preserve both exactly)
-        self.greedy_uses = []
-        holders: Dict[int, List[Tuple[int, int]]] = {}
-        for i, op in enumerate(ops):
-            counts: Dict[int, int] = {}
-            for t in op.inputs:
-                if not t.is_persistent:
-                    ti = tensor_index[t]
-                    counts[ti] = counts.get(ti, 0) + 1
-            items = tuple(counts.items())
-            self.greedy_uses.append(items)
-            for ti, c in items:
-                holders.setdefault(ti, []).append((i, c))
-        self.holders = {ti: tuple(v) for ti, v in holders.items()}
         self.live_uses = []
         for op in ops:
             seen: Dict[int, int] = {}
@@ -130,6 +106,7 @@ class GraphSkeleton:
             if t.is_persistent or t.producer is None
         )
         self.touches: Optional[List[Tuple[int, ...]]] = None
+        self.greedy: Optional[Tuple] = None
 
     def touch_order(self) -> List[Tuple[int, ...]]:
         """Each op's live input reads in ``op.inputs`` order, repeats
@@ -143,6 +120,46 @@ class GraphSkeleton:
                 for op in self.ops
             ]
         return self.touches
+
+    def greedy_tables(self) -> Tuple:
+        """``(pending0, edge_consumers, greedy_uses, holders)`` for
+        :func:`memory_greedy_order`: each op's distinct producer count,
+        its consumer edges, its uses of each distinct non-persistent
+        input (greedy counts graph inputs; liveness does not, and counts
+        via the consumer lists — preserve both exactly), and each
+        tensor's ``(op, uses)`` holders.  Program-order footprints and
+        liveness replays never read them, so they are built on first
+        use rather than for every graph."""
+        if self.greedy is None:
+            index = {t: i for i, t in enumerate(self.tensors)}
+            op_index = self.op_index
+            pending0 = [
+                len({t.producer for t in op.inputs
+                     if t.producer is not None})
+                for op in self.ops
+            ]
+            edge_consumers = [
+                tuple(op_index[c] for out in op.outputs
+                      for c in out.consumers)
+                for op in self.ops
+            ]
+            greedy_uses = []
+            holders: Dict[int, List[Tuple[int, int]]] = {}
+            for i, op in enumerate(self.ops):
+                counts: Dict[int, int] = {}
+                for t in op.inputs:
+                    if not t.is_persistent:
+                        ti = index[t]
+                        counts[ti] = counts.get(ti, 0) + 1
+                items = tuple(counts.items())
+                greedy_uses.append(items)
+                for ti, c in items:
+                    holders.setdefault(ti, []).append((i, c))
+            self.greedy = (
+                pending0, edge_consumers, greedy_uses,
+                {ti: tuple(v) for ti, v in holders.items()},
+            )
+        return self.greedy
 
 
 _SKEL_HIT = _obs_counter("graph.skeleton.cache.hit")
@@ -247,8 +264,7 @@ def memory_greedy_order(graph: Graph,
     sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
     n = len(sk.ops)
-    uses = sk.greedy_uses
-    holders = sk.holders
+    pending0, edge_consumers, uses, holders = sk.greedy_tables()
 
     remaining = list(sk.consumer_counts)
     grow = []
@@ -264,7 +280,7 @@ def memory_greedy_order(graph: Graph,
             if c == rem:
                 shrink[i] += size_arr[t]
 
-    pending = list(sk.pending0)
+    pending = list(pending0)
     is_ready = [False] * n
     executed = [False] * n
     # heap traffic is counted in locals (one add per heap op) and
@@ -300,7 +316,7 @@ def memory_greedy_order(graph: Graph,
                     if is_ready[j]:
                         heapq.heappush(heap, (grow[j] - shrink[j], j))
                         pushes += 1
-        for j in sk.edge_consumers[i]:
+        for j in edge_consumers[i]:
             pending[j] -= 1
             if pending[j] == 0 and not is_ready[j]:
                 is_ready[j] = True

@@ -7,7 +7,7 @@ left symbolic, so the analysis layer can derive requirement formulas
 once and bind them at any scale.
 """
 
-from .base import BuiltModel, SweepPoint
+from .base import BuiltModel
 from .cells import (
     GRUWeights,
     LSTMWeights,
@@ -31,7 +31,6 @@ from .word_lm import build_word_lm, word_lm_params
 
 __all__ = [
     "BuiltModel",
-    "SweepPoint",
     "build_word_lm",
     "word_lm_params",
     "build_char_rhn",

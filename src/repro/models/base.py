@@ -1,4 +1,4 @@
-"""Common model-zoo types: a built model bundle and sweep helpers.
+"""Common model-zoo type: the built model bundle.
 
 Every builder returns a :class:`BuiltModel` — graph + loss + the
 symbols that stay free (always the subbatch ``b``, usually a size
@@ -10,12 +10,12 @@ TFprof methodology (§4.1), but in closed form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..graph import Graph, Tensor, build_training_step
 from ..symbolic import Expr, Symbol
 
-__all__ = ["BuiltModel", "SweepPoint"]
+__all__ = ["BuiltModel"]
 
 
 @dataclass
@@ -53,12 +53,3 @@ class BuiltModel:
                 p.name: g.name for p, g in grads.items() if g is not None
             }
         return self
-
-
-@dataclass
-class SweepPoint:
-    """One point of a model-size sweep (Figures 7–10)."""
-
-    label: str
-    bindings: Dict[Symbol, float]
-    params: float = 0.0

@@ -21,7 +21,7 @@ per-accelerator footprints at trivial run-time cost (§6.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from ..graph import Graph
 from ..hardware.accelerator import AcceleratorConfig
@@ -52,17 +52,6 @@ class StageCosts:
     def weight_state_bytes(self) -> float:
         """Weights + gradients resident on the stage's accelerator."""
         return 2.0 * self.param_bytes
-
-
-def _default_stage_of(name: str, stage_names: Sequence[str]) -> str:
-    clean = name
-    for prefix in ("grad/", "sgd/"):
-        if clean.startswith(prefix):
-            clean = clean[len(prefix):]
-    for stage in stage_names:
-        if clean.startswith(stage):
-            return stage
-    return stage_names[-1]
 
 
 def split_stages(

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import weakref
 from fractions import Fraction
-from typing import Dict, Iterable, Mapping, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 Number = Union[int, float, Fraction]
 
@@ -551,13 +551,6 @@ class Mul(Expr):
             elif coeff == 1:
                 return Pow(base, exponent)
         return Mul(coeff, factors)
-
-    @staticmethod
-    def reassemble(coeff: Fraction, factors: Tuple[Tuple[Expr, Expr], ...]) -> Expr:
-        """Rebuild a product from parts (canonicalizing)."""
-        parts = [Const(coeff)]
-        parts.extend(Pow.of(b, e) for b, e in factors)
-        return Mul.of(*parts)
 
     def args(self) -> Tuple[Expr, ...]:
         out = []

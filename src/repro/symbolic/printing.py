@@ -36,10 +36,6 @@ def _frac_str(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def _needs_parens_in_product(expr: Expr) -> bool:
-    return isinstance(expr, Add)
-
-
 def _power_str(base: Expr, exponent: Expr) -> str:
     base_str = to_str(base)
     if isinstance(base, (Add, Mul)) or (

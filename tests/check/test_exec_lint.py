@@ -1,4 +1,4 @@
-"""Tests for the X-family task-DAG lint and its engine wiring."""
+"""Tests for the X-family task-list lint and its engine wiring."""
 
 import pytest
 
@@ -100,5 +100,5 @@ class TestEngineWiring:
 
     def test_static_lint_helper(self):
         tasks = _tasks(("a", "same-key", ()), ("b", "same-key", ()))
-        diags = ExecutionEngine.lint(tasks)
+        diags = task_diagnostics(tasks)
         assert [d.code for d in diags] == ["X001"]

@@ -62,19 +62,6 @@ def traced_payload(x):
         return x * 2
 
 
-def touch(path):
-    """Writes a marker file (dependency-ordering probe)."""
-    with open(path, "w") as handle:
-        handle.write("done")
-    return path
-
-
-def read_both(path_a, path_b):
-    """Reads two marker files; crashes if a dependency hasn't run."""
-    with open(path_a) as a, open(path_b) as b:
-        return a.read() + b.read()
-
-
 def fail_first_n(counter_path, n, x):
     """Fails the first ``n`` calls, then succeeds — state lives in a
     file so attempts are counted across pool worker processes."""

@@ -1,13 +1,13 @@
-"""Tests for the task-DAG execution engine (repro.exec.engine).
+"""Tests for the task-list execution engine (repro.exec.engine).
 
-Serial-mode semantics (DAG validation, dependency ordering, retries,
+Serial-mode semantics (task-list validation, submitted order, retries,
 store integration) plus the happy pool path; fault injection against a
 live pool is in test_faults.py.
 """
 
 import pytest
 
-from repro.exec.engine import ExecError, ExecutionEngine, Task, run_tasks
+from repro.exec.engine import ExecError, ExecutionEngine, Task
 from repro.exec.store import ResultStore, content_key
 from repro.obs import metrics
 
@@ -19,22 +19,21 @@ def _value(x):
 
 
 class TestDagValidation:
+    """Task-list validation, before any dispatch."""
+
     def test_duplicate_id_rejected(self):
-        tasks = [Task(id="a", fn=_value, args=(1,)),
-                 Task(id="a", fn=_value, args=(2,))]
+        calls = []
+
+        def record(x):
+            calls.append(x)
+            return x
+
+        tasks = [Task(id="a", fn=record, args=(1,)),
+                 Task(id="b", fn=record, args=(2,)),
+                 Task(id="a", fn=record, args=(3,))]
         with pytest.raises(ValueError, match="duplicate task id"):
-            run_tasks(tasks)
-
-    def test_unknown_dependency_rejected(self):
-        tasks = [Task(id="a", fn=_value, args=(1,), deps=("ghost",))]
-        with pytest.raises(ValueError, match="unknown task"):
-            run_tasks(tasks)
-
-    def test_cycle_rejected_with_chain(self):
-        tasks = [Task(id="a", fn=_value, args=(1,), deps=("b",)),
-                 Task(id="b", fn=_value, args=(2,), deps=("a",))]
-        with pytest.raises(ValueError, match="cycle"):
-            run_tasks(tasks)
+            ExecutionEngine().run(tasks)
+        assert calls == []
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
@@ -43,25 +42,26 @@ class TestDagValidation:
 
 class TestSerialExecution:
     def test_values_and_provenance(self):
-        results = run_tasks([Task(id=f"t{i}", fn=_value, args=(i,))
-                             for i in range(5)])
+        results = ExecutionEngine().run(
+            [Task(id=f"t{i}", fn=_value, args=(i,)) for i in range(5)])
         assert [results[f"t{i}"].value for i in range(5)] == list(range(5))
         assert all(r.ok and r.source == "serial" and r.attempts == 1
                    for r in results.values())
 
-    def test_dependencies_run_first(self):
-        trace = []
+    def test_results_and_callbacks_follow_submitted_order(self):
+        ran, seen = [], []
 
         def record(name):
-            trace.append(name)
+            ran.append(name)
             return name
 
-        run_tasks([
-            Task(id="c", fn=record, args=("c",), deps=("a", "b")),
-            Task(id="a", fn=record, args=("a",)),
-            Task(id="b", fn=record, args=("b",), deps=("a",)),
-        ])
-        assert trace == ["a", "b", "c"]
+        ids = ["c", "a", "b"]
+        results = ExecutionEngine().run(
+            [Task(id=i, fn=record, args=(i,)) for i in ids],
+            on_result=lambda task, result: seen.append(result.value))
+        assert ran == ids
+        assert seen == ids
+        assert list(results) == ids
 
     def test_retry_then_success(self):
         calls = []
@@ -72,8 +72,8 @@ class TestSerialExecution:
                 raise RuntimeError("transient")
             return x
 
-        results = run_tasks([Task(id="f", fn=flaky, args=(7,))],
-                            retries=3, backoff=0.001)
+        results = ExecutionEngine(retries=3, backoff=0.001).run(
+            [Task(id="f", fn=flaky, args=(7,))])
         assert results["f"].value == 7
         assert results["f"].attempts == 3
 
@@ -82,31 +82,18 @@ class TestSerialExecution:
             raise RuntimeError("always")
 
         with pytest.raises(ExecError) as excinfo:
-            run_tasks([Task(id="bad", fn=boom)],
-                      retries=1, backoff=0.001)
+            ExecutionEngine(retries=1, backoff=0.001).run(
+                [Task(id="bad", fn=boom)])
         err = excinfo.value
         assert [r.id for r in err.failed] == ["bad"]
         assert err.results["bad"].attempts == 2  # 1 try + 1 retry
         assert "bad" in str(err)
 
-    def test_failed_dependency_poisons_dependents(self):
-        def boom():
-            raise RuntimeError("always")
-
-        with pytest.raises(ExecError) as excinfo:
-            run_tasks([
-                Task(id="up", fn=boom),
-                Task(id="down", fn=_value, args=(1,), deps=("up",)),
-            ], retries=0, backoff=0.001)
-        err = excinfo.value
-        assert {r.id for r in err.failed} == {"up", "down"}
-        assert "dependency failed" in str(err.results["down"].error)
-
     def test_validator_rejects_payload(self):
         with pytest.raises(ExecError):
-            run_tasks([Task(id="v", fn=_value, args=(1,),
-                            validate=lambda value: value == 2)],
-                      retries=0, backoff=0.001)
+            ExecutionEngine(retries=0, backoff=0.001).run(
+                [Task(id="v", fn=_value, args=(1,),
+                      validate=lambda value: value == 2)])
 
 
 class TestStoreIntegration:
@@ -148,22 +135,11 @@ class TestPoolExecution:
     def test_pool_matches_serial(self):
         tasks = lambda: [Task(id=f"t{i}", fn=_workers.double, args=(i,))
                          for i in range(6)]
-        serial = run_tasks(tasks())
-        pooled = run_tasks(tasks(), max_workers=2)
+        serial = ExecutionEngine().run(tasks())
+        pooled = ExecutionEngine(max_workers=2).run(tasks())
         assert ({k: r.value for k, r in pooled.items()}
                 == {k: r.value for k, r in serial.items()})
         assert all(r.source == "pool" for r in pooled.values())
-
-    def test_pool_respects_dependencies(self, tmp_path):
-        # c reads the files a and b wrote; ordering violations crash
-        path_a, path_b = str(tmp_path / "a"), str(tmp_path / "b")
-        results = run_tasks([
-            Task(id="c", fn=_workers.read_both, args=(path_a, path_b),
-                 deps=("a", "b")),
-            Task(id="a", fn=_workers.touch, args=(path_a,)),
-            Task(id="b", fn=_workers.touch, args=(path_b,)),
-        ], max_workers=2)
-        assert results["c"].value == "donedone"
 
     def test_pool_with_store_warm_start(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))

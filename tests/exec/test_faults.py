@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import RunInterrupted
 from repro.exec.engine import (ExecError, ExecutionEngine, SupervisedPool,
-                               Task, run_tasks)
+                               Task)
 from repro.obs import metrics
 
 from . import _workers
@@ -23,9 +23,9 @@ from . import _workers
 class TestWorkerRaises:
     def test_retried_then_rescued_serially(self):
         metrics.clear()
-        results = run_tasks(
-            [Task(id="r", fn=_workers.raise_in_worker, args=(21,))],
-            max_workers=2, retries=1, backoff=0.001)
+        results = ExecutionEngine(
+            max_workers=2, retries=1, backoff=0.001,
+        ).run([Task(id="r", fn=_workers.raise_in_worker, args=(21,))])
         r = results["r"]
         assert r.ok and r.value == 42
         assert r.source == "serial"          # fallback, not the pool
@@ -37,10 +37,10 @@ class TestWorkerRaises:
 
     def test_transient_failure_recovers_in_pool(self, tmp_path):
         counter_path = str(tmp_path / "attempts")
-        results = run_tasks(
-            [Task(id="f", fn=_workers.fail_first_n,
-                  args=(counter_path, 1, 5))],
-            max_workers=2, retries=2, backoff=0.001)
+        results = ExecutionEngine(
+            max_workers=2, retries=2, backoff=0.001,
+        ).run([Task(id="f", fn=_workers.fail_first_n,
+                    args=(counter_path, 1, 5))])
         assert results["f"].value == 10
         assert results["f"].source == "pool"  # retry succeeded in-pool
         assert results["f"].attempts == 2
@@ -49,11 +49,10 @@ class TestWorkerRaises:
 class TestWorkerHangs:
     def test_timeout_restarts_pool_then_falls_back(self):
         metrics.clear()
-        results = run_tasks(
-            [Task(id="h", fn=_workers.hang_in_worker, args=(5,),
-                  timeout=0.4)],
-            max_workers=2, retries=1, backoff=0.001,
-            max_pool_restarts=3)
+        results = ExecutionEngine(
+            max_workers=2, timeout=0.4, retries=1, backoff=0.001,
+            max_pool_restarts=3,
+        ).run([Task(id="h", fn=_workers.hang_in_worker, args=(5,))])
         r = results["h"]
         assert r.ok and r.value == 10 and r.source == "serial"
         assert metrics.counter("exec.tasks.timeout").value == 2
@@ -63,11 +62,12 @@ class TestWorkerHangs:
     def test_innocent_inflight_tasks_survive_pool_restart(self):
         # one hanging task next to well-behaved ones: the pool restart
         # the hang forces must not fail (or double-count) the others
-        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(1,),
-                      timeout=0.4, retries=0)]
+        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(1,))]
         tasks += [Task(id=f"ok{i}", fn=_workers.double, args=(i,))
                   for i in range(4)]
-        results = run_tasks(tasks, max_workers=2, backoff=0.001)
+        results = ExecutionEngine(
+            max_workers=2, timeout=0.4, retries=0, backoff=0.001,
+        ).run(tasks)
         assert results["h"].value == 2       # serial fallback
         for i in range(4):
             r = results[f"ok{i}"]
@@ -75,12 +75,13 @@ class TestWorkerHangs:
 
     def test_exhausted_restarts_degrade_whole_run_to_serial(self):
         metrics.clear()
-        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(3,),
-                      timeout=0.3, retries=0)]
+        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(3,))]
         tasks += [Task(id=f"ok{i}", fn=_workers.double, args=(i,))
                   for i in range(3)]
-        results = run_tasks(tasks, max_workers=2, backoff=0.001,
-                            max_pool_restarts=0)
+        results = ExecutionEngine(
+            max_workers=2, timeout=0.3, retries=0, backoff=0.001,
+            max_pool_restarts=0,
+        ).run(tasks)
         assert all(r.ok for r in results.values())
         assert results["h"].value == 6
         assert metrics.counter("exec.engine.degraded").value >= 1
@@ -89,10 +90,10 @@ class TestWorkerHangs:
 class TestCorruptPayload:
     def test_validator_triggers_retry_then_fallback(self):
         metrics.clear()
-        results = run_tasks(
-            [Task(id="c", fn=_workers.corrupt_in_worker, args=(4,),
-                  validate=_workers.payload_ok)],
-            max_workers=2, retries=1, backoff=0.001)
+        results = ExecutionEngine(
+            max_workers=2, retries=1, backoff=0.001,
+        ).run([Task(id="c", fn=_workers.corrupt_in_worker, args=(4,),
+                    validate=_workers.payload_ok)])
         r = results["c"]
         assert r.ok and r.value == {"value": 8}
         assert r.source == "serial"
@@ -126,15 +127,15 @@ class TestArtifactUnderFaults:
 
 
 def _timeout_fallback_run():
-    run_tasks([Task(id="h", fn=_workers.hang_in_worker, args=(5,),
-                    timeout=0.4)],
-              max_workers=2, retries=1, backoff=0.001)
+    ExecutionEngine(max_workers=2, timeout=0.4, retries=1,
+                    backoff=0.001).run(
+        [Task(id="h", fn=_workers.hang_in_worker, args=(5,))])
 
 
 def _failing_run():
     with pytest.raises(ExecError):
-        run_tasks([Task(id="bad", fn=int, args=("x",), retries=0)],
-                  max_workers=2)
+        ExecutionEngine(max_workers=2, retries=0).run(
+            [Task(id="bad", fn=int, args=("x",))])
 
 
 def _interrupted_run():

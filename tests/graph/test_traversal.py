@@ -189,6 +189,23 @@ class TestMemoryGreedy:
                 assert [op.name for op in fast] == \
                     [op.name for op in reference], (g.name, binding)
 
+    def test_program_order_footprint_builds_no_greedy_tables(self):
+        """Only the greedy scheduler reads its tables: a footprint that
+        skips it leaves them unbuilt on the memoized skeleton."""
+        from repro.analysis.footprint import estimate_footprint
+        from repro.graph.traversal import skeleton
+        from repro.models import build_word_lm
+
+        model = build_word_lm(seq_len=4, vocab=100, layers=1)
+        model.with_training_step()
+        binding = {"b": 4, "h": 16}
+        estimate_footprint(model, binding, use_greedy=False)
+        sk = skeleton(model.graph)
+        assert sk.greedy is None
+        estimate_footprint(model, binding)
+        assert skeleton(model.graph) is sk
+        assert sk.greedy is not None
+
     def test_greedy_matches_reference_on_diamond(self):
         from tests.oracles import _memory_greedy_order_reference
 

@@ -12,7 +12,7 @@ import json
 import os
 
 from repro import obs
-from repro.exec.engine import run_tasks, Task
+from repro.exec.engine import ExecutionEngine, Task
 from repro.obs.export import chrome_trace
 
 from ..exec import _workers
@@ -26,7 +26,7 @@ def _run_traced(tasks, **kwargs):
     obs.clear()
     obs.enable()
     try:
-        results = run_tasks(tasks, backoff=0.001, **kwargs)
+        results = ExecutionEngine(backoff=0.001, **kwargs).run(tasks)
     finally:
         obs.disable()
     return results, obs.spans()
@@ -117,8 +117,9 @@ class TestFaultVisibility:
 
     def test_timeout_is_a_tagged_span(self):
         tasks = [Task(id="hang", fn=_workers.hang_in_worker,
-                      args=(5, 30.0), timeout=0.3, retries=0)]
-        results, _ = _run_traced(tasks, max_workers=2)
+                      args=(5, 30.0))]
+        results, _ = _run_traced(tasks, max_workers=2, timeout=0.3,
+                                 retries=0)
         assert results["hang"].ok         # instant in the parent
         timeouts = [s for s in _spans_named("exec.task")
                     if s.args.get("outcome") == "timeout"]
@@ -127,8 +128,8 @@ class TestFaultVisibility:
 
     def test_corrupt_payload_is_a_tagged_span(self):
         tasks = [Task(id="c", fn=_workers.corrupt_in_worker, args=(5,),
-                      retries=0, validate=_workers.payload_ok)]
-        results, _ = _run_traced(tasks, max_workers=2)
+                      validate=_workers.payload_ok)]
+        results, _ = _run_traced(tasks, max_workers=2, retries=0)
         assert results["c"].ok
         bad = [s for s in _spans_named("exec.task")
                if s.args.get("outcome") == "worker_error"]

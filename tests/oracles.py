@@ -7,14 +7,34 @@ now computes faster; differential tests and
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Dict, List, Mapping, Optional
 
 from repro.graph import Graph, Op, Tensor
+from repro.symbolic.expr import (
+    Add,
+    Ceil,
+    Const,
+    Expr,
+    Floor,
+    Log,
+    Max,
+    Min,
+    Mul,
+    Pow,
+    Symbol,
+    as_expr,
+)
+from repro.symbolic.poly import _sign_verdict, _term_signs, expand
 
 __all__ = [
     "_evaluate_sizes_treewalk",
     "_memory_greedy_order_reference",
     "_consumer_counts",
+    "_nonnegative_treewalk",
+    "_expand_treewalk",
+    "_degree_treewalk",
+    "_coefficient_treewalk",
 ]
 
 
@@ -90,3 +110,116 @@ def _memory_greedy_order_reference(graph: Graph,
     if len(order) != len(graph.ops):
         raise ValueError(f"graph {graph.name} has a cycle")
     return order
+
+
+# -- posynomial tree walks: the pre-flat recursive forms of
+# repro.symbolic.poly's expand / degree / coefficient / nonnegative
+
+def _nonnegative_treewalk(expr: Expr) -> Optional[bool]:
+    """Oracle for :func:`repro.symbolic.poly.nonnegative`: signs of the
+    rebuilt tree."""
+    return _sign_verdict(_term_signs(expand(as_expr(expr))))
+
+
+def _expand_treewalk(expr: Expr) -> Expr:
+    """Oracle for :func:`repro.symbolic.expand`: recursive distribution."""
+    expr = as_expr(expr)
+    if isinstance(expr, (Const, Symbol)):
+        return expr
+    if isinstance(expr, Add):
+        return Add.of(*(_expand_treewalk(arg) for arg in expr.args()))
+    if isinstance(expr, Pow):
+        base = _expand_treewalk(expr.base)
+        exponent = _expand_treewalk(expr.exponent)
+        if (
+            isinstance(base, Add)
+            and isinstance(exponent, Const)
+            and exponent.value.denominator == 1
+            and exponent.value >= 2
+        ):
+            n = int(exponent.value)
+            out = base
+            for _ in range(n - 1):
+                out = _mul_expand(out, base)
+            return out
+        return Pow.of(base, exponent)
+    if isinstance(expr, Mul):
+        parts = [_expand_treewalk(arg) for arg in expr.args()]
+        result = parts[0]
+        for part in parts[1:]:
+            result = _mul_expand(result, part)
+        return result
+    if isinstance(expr, Max):
+        return Max.of(*(_expand_treewalk(a) for a in expr.fargs))
+    if isinstance(expr, Min):
+        return Min.of(*(_expand_treewalk(a) for a in expr.fargs))
+    if isinstance(expr, (Ceil, Floor, Log)):
+        return type(expr).of(_expand_treewalk(expr.fargs[0]))
+    raise TypeError(f"cannot expand {type(expr).__name__}")
+
+
+def _mul_expand(a: Expr, b: Expr) -> Expr:
+    a_terms = a.args() if isinstance(a, Add) else (a,)
+    b_terms = b.args() if isinstance(b, Add) else (b,)
+    products = [Mul.of(x, y) for x in a_terms for y in b_terms]
+    return Add.of(*products)
+
+
+def _term_degree(term: Expr, sym: Symbol) -> Optional[Fraction]:
+    """Degree of a product-form term in ``sym``; None if non-posynomial."""
+    if isinstance(term, Const):
+        return Fraction(0)
+    if isinstance(term, Symbol):
+        return Fraction(1) if term == sym else Fraction(0)
+    if isinstance(term, Pow):
+        if not isinstance(term.exponent, Const):
+            return None
+        inner = _term_degree(term.base, sym)
+        if inner is None:
+            return None
+        return inner * term.exponent.value
+    if isinstance(term, Mul):
+        total = Fraction(0)
+        for base, exponent in term.factors:
+            if not isinstance(exponent, Const):
+                return None
+            inner = _term_degree(base, sym)
+            if inner is None:
+                return None
+            total += inner * exponent.value
+        return total
+    if isinstance(term, (Max, Min, Ceil, Floor, Log)):
+        if sym in term.free_symbols():
+            return None
+        return Fraction(0)
+    return None
+
+
+def _degree_treewalk(expr: Expr, sym: Symbol) -> Fraction:
+    """Oracle for :func:`repro.symbolic.degree`."""
+    expr = _expand_treewalk(as_expr(expr))
+    terms = expr.args() if isinstance(expr, Add) else (expr,)
+    best = None
+    for term in terms:
+        d = _term_degree(term, sym)
+        if d is None:
+            raise ValueError(f"{expr} is not polynomial-like in {sym}")
+        best = d if best is None else max(best, d)
+    return best if best is not None else Fraction(0)
+
+
+def _coefficient_treewalk(expr: Expr, sym: Symbol, power) -> Expr:
+    """Oracle for :func:`repro.symbolic.coefficient`."""
+    power = Fraction(power)
+    expr = _expand_treewalk(as_expr(expr))
+    terms = expr.args() if isinstance(expr, Add) else (expr,)
+    matched = []
+    for term in terms:
+        d = _term_degree(term, sym)
+        if d is None:
+            raise ValueError(f"{expr} is not polynomial-like in {sym}")
+        if d == power:
+            matched.append(Mul.of(term, Pow.of(sym, Const(-power))))
+    if not matched:
+        return Const(0)
+    return Add.of(*matched)

@@ -8,7 +8,7 @@ that the codebase keeps for exactly this purpose:
   must agree —
   structurally, and on the ``ValueError`` domain — with the pre-flat
   recursive ``_*_treewalk`` implementations retained in
-  :mod:`repro.symbolic.poly`;
+  ``tests/oracles.py``;
 * **replay ≡ treewalk** — compiled tape replay (single and batch)
   must be *bit-identical* to the recursive ``evalf`` tree walk on
   scalar paths.
@@ -35,14 +35,14 @@ from repro.symbolic import (
     expand,
     symbols,
 )
-from repro.symbolic.poly import (
+from repro.symbolic.poly import nonnegative
+from repro.symbolic.printing import to_str
+from tests.oracles import (
     _coefficient_treewalk,
     _degree_treewalk,
     _expand_treewalk,
     _nonnegative_treewalk,
-    nonnegative,
 )
-from repro.symbolic.printing import to_str
 
 x, y, z = symbols("x y z")
 SYMS = (x, y, z)
