@@ -28,8 +28,8 @@ def main() -> None:
     print()
 
     # -- the Figure 12 curve: how far does data parallelism alone go? ---
-    step = study.meta["cache_aware_step_time"]
-    params = study.meta["optimized_params"]
+    step = study.cache_aware_step_time
+    params = study.optimized_params
     points = scale_data_parallel(
         local_step_time=step,
         local_step_flops=step * accel.achievable_flops,

@@ -32,7 +32,7 @@ from ..symbolic import Const, Expr, Pow, coefficient, degree
 from ..symbolic.poly import asymptotic_ratio
 from .counters import StepCounts
 
-__all__ = ["FirstOrderModel", "derive_symbolic", "fit_numeric"]
+__all__ = ["FirstOrderModel", "derive_symbolic", "fit_numeric", "nnls2"]
 
 
 @dataclass(frozen=True)
@@ -121,6 +121,30 @@ def derive_symbolic(counts: StepCounts, *,
                            mu=mu, delta=delta)
 
 
+def nnls2(design: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``argmin ‖design·x − y‖`` over ``x ≥ 0`` for a 2-column design.
+
+    Exact, by the active sets of two variables: the unconstrained
+    least-squares solution when both coefficients are non-negative
+    (then it is the optimum); otherwise the optimum lies on a face,
+    so it is the best of each single-column fit clamped at 0, and
+    zero.  Least squares is convex, so the candidate with the
+    smallest residual is the non-negative optimum.
+    """
+    coef = np.linalg.lstsq(design, y, rcond=None)[0]
+    if np.all(coef >= 0.0):
+        return coef
+    best, best_rss = np.zeros(2), float(np.dot(y, y))
+    for j in (0, 1):
+        x = float(np.linalg.lstsq(design[:, j:j + 1], y, rcond=None)[0][0])
+        r = y - x * design[:, j]
+        rss = float(np.dot(r, r))
+        if x > 0.0 and rss < best_rss:
+            best, best_rss = np.zeros(2), rss
+            best[j] = x
+    return best
+
+
 def fit_numeric(
     domain: str,
     params: Sequence[float],
@@ -159,13 +183,7 @@ def fit_numeric(
         ft = np.asarray(footprints, dtype=float)
         residual = np.maximum(ft - floor * p, 0.0)
         design = np.column_stack([p, footprint_subbatch * np.sqrt(p)])
-        try:
-            from scipy.optimize import nnls
-
-            coef, _ = nnls(design, residual)
-        except ImportError:  # pragma: no cover - scipy is available
-            coef, *_ = np.linalg.lstsq(design, residual, rcond=None)
-            coef = np.maximum(coef, 0.0)
+        coef = nnls2(design, residual)
         delta = floor + float(coef[0])
         phi = float(coef[1])
     return FirstOrderModel(domain=domain, gamma=gamma, lam=lam, mu=mu,

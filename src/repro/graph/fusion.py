@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
 
-from ..symbolic import Add, Const, Expr
+from ..symbolic import Add, Const, Expr, Mul
 from .graph import Graph
 from .op import Op
 from .tensor import Tensor
@@ -113,13 +113,23 @@ def fused_op_bytes(group: Sequence[Op]) -> Expr:
 
 
 def fused_total_bytes(graph: Graph) -> Expr:
-    """Training-step bytes with elementwise fusion applied."""
+    """Training-step bytes with elementwise fusion applied.
+
+    Summed like :meth:`Graph.class_sum`: one ``count · bytes`` term per
+    op class over its members outside any fusion group, and one per
+    distinct fused-kernel expression (unrolled chains repeat), so the
+    result is the same interned expression as the per-op sum.
+    """
     groups = fusion_groups(graph)
     fused_ops: Set[Op] = {op for group in groups for op in group}
-    parts: List[Expr] = [Const(0)]
+    kernels: Dict[Expr, int] = {}
     for group in groups:
-        parts.append(fused_op_bytes(group))
-    for op in graph.ops:
-        if op not in fused_ops:
-            parts.append(op.bytes_accessed())
+        kernel = fused_op_bytes(group)
+        kernels[kernel] = kernels.get(kernel, 0) + 1
+    parts: List[Expr] = [Const(0)]
+    parts += [Mul.of(Const(n), kernel) for kernel, n in kernels.items()]
+    for rep, members in graph.op_classes():
+        unfused = sum(1 for op in members if op not in fused_ops)
+        if unfused:
+            parts.append(Mul.of(Const(unfused), rep.bytes_accessed()))
     return Add.of(*parts)

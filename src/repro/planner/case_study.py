@@ -18,8 +18,9 @@ Walks the full optimization ladder for training a frontier word LM in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional, Sequence, Tuple
 
 from ..analysis.counters import StepCounts
 from ..analysis.firstorder import FirstOrderModel
@@ -45,25 +46,36 @@ CASE_STUDY_PROJECTION = 1536
 CASE_STUDY_HIDDEN = 6144
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseStudyRow:
     """One Table 5 line."""
 
     stage: str
     accelerators: int
     batch_size: int
-    memory_per_accel_gb: List[float]
+    memory_per_accel_gb: Tuple[float, ...]
     cache: str
     days_per_epoch: float
     flop_utilization: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class CaseStudyResult:
-    rows: List[CaseStudyRow] = field(default_factory=list)
+    """The Table 5 ladder plus the step costs Fig. 12 scales.
+
+    Frozen: :func:`run_case_study` memoizes one instance per resolved
+    configuration and shares it among callers, so mutation raises
+    ``dataclasses.FrozenInstanceError``.
+    """
+
+    rows: Tuple[CaseStudyRow, ...]
     #: FLOP reduction of the algorithmic (projected-LSTM) optimization
-    algorithmic_speedup: float = 0.0
-    meta: dict = field(default_factory=dict)
+    algorithmic_speedup: float
+    optimized_params: float
+    baseline_step_time: float
+    optimized_step_time: float
+    cache_aware_step_time: float
+    layer_parallel_speedup: float
 
 
 def _epoch_days(step_time: float, tokens_per_epoch: float,
@@ -79,20 +91,38 @@ def run_case_study(
     target_params: float = 23.8e9,
     tokens_per_epoch: float = 77e9,
     subbatch: int = 128,
-    data_parallel_options: (int, int) = (1024, 512),
+    data_parallel_options: Sequence[int] = (1024, 512),
     hidden: int = CASE_STUDY_HIDDEN,
     seq_len: int = 80,
     vocab: int = CASE_STUDY_VOCAB,
     projection: int = CASE_STUDY_PROJECTION,
 ) -> CaseStudyResult:
-    """Run the §6 optimization ladder; returns the Table 5 rows."""
-    from ..analysis.sweep import sweep_domain
+    """Run the §6 optimization ladder; returns the Table 5 rows.
 
-    result = CaseStudyResult()
+    Memoized on the resolved arguments (the default baseline read from
+    the word-LM sweep, the worker options as a tuple), so Table 5 and
+    Fig. 12 share one build of the projected word LM however they
+    spell the defaults.
+    """
+    if baseline is None:
+        from ..analysis.sweep import sweep_domain
+
+        baseline = sweep_domain("word_lm", include_footprint=False).symbolic
+    return _case_study(accel, baseline, target_params, tokens_per_epoch,
+                       subbatch, tuple(data_parallel_options), hidden,
+                       seq_len, vocab, projection)
+
+
+@lru_cache(maxsize=8)
+def _case_study(accel: AcceleratorConfig, baseline: FirstOrderModel,
+                target_params: float, tokens_per_epoch: float,
+                subbatch: int, data_parallel_options: Tuple[int, ...],
+                hidden: int, seq_len: int, vocab: int,
+                projection: int) -> CaseStudyResult:
+    """The ladder for one resolved configuration (LRU-memoized)."""
+    rows: List[CaseStudyRow] = []
 
     # ---- stage 0: Table 3 frontier baseline (first-order) --------------
-    if baseline is None:
-        baseline = sweep_domain("word_lm", include_footprint=False).symbolic
     ct0 = baseline.step_flops(target_params, subbatch)
     at0 = baseline.step_bytes(target_params, subbatch)
     rt0 = roofline_time(ct0, at0, accel)
@@ -106,18 +136,14 @@ def run_case_study(
     at1 = counts.step_bytes.evalf(bindings)
     rt1 = roofline_time(ct1, at1, accel)
     footprint = estimate_footprint(model, bindings).minimal_bytes
-    result.algorithmic_speedup = rt0.step_time / rt1.step_time
-    result.meta["optimized_params"] = counts.params.evalf(bindings)
-    result.meta["baseline_step_time"] = rt0.step_time
-    result.meta["optimized_step_time"] = rt1.step_time
 
     tokens_per_step = subbatch * seq_len
     mem_gb = footprint / 1e9
-    result.rows.append(CaseStudyRow(
+    rows.append(CaseStudyRow(
         stage="Best-case (Roofline) baseline",
         accelerators=1,
         batch_size=subbatch,
-        memory_per_accel_gb=[mem_gb],
+        memory_per_accel_gb=(mem_gb,),
         cache="--",
         days_per_epoch=_epoch_days(rt1.step_time, tokens_per_epoch,
                                    tokens_per_step),
@@ -127,12 +153,11 @@ def run_case_study(
     # ---- stage 2: cache-hierarchy-aware ---------------------------------
     cache_rt = cache_aware_step_time(model.graph, accel, bindings)
     step2 = cache_rt["step_time"]
-    result.meta["cache_aware_step_time"] = step2
-    result.rows.append(CaseStudyRow(
+    rows.append(CaseStudyRow(
         stage="Cache-hierarchy-aware baseline",
         accelerators=1,
         batch_size=subbatch,
-        memory_per_accel_gb=[mem_gb],
+        memory_per_accel_gb=(mem_gb,),
         cache="6MB",
         days_per_epoch=_epoch_days(step2, tokens_per_epoch,
                                    tokens_per_step),
@@ -145,11 +170,11 @@ def run_case_study(
         comm = ring_allreduce_time(grad_bytes, workers,
                                    accel.interconnect_bandwidth)
         step = step2 + comm
-        result.rows.append(CaseStudyRow(
+        rows.append(CaseStudyRow(
             stage=f"w/ Data Parallelism (Option {option})",
             accelerators=workers,
             batch_size=subbatch * workers,
-            memory_per_accel_gb=[mem_gb],
+            memory_per_accel_gb=(mem_gb,),
             cache="6MB",
             days_per_epoch=_epoch_days(
                 step, tokens_per_epoch, tokens_per_step * workers
@@ -184,12 +209,11 @@ def run_case_study(
                                accel.interconnect_bandwidth)
     step_lp = lp.step_time + comm
     total_accels = dp_workers * lp.accelerators
-    result.meta["layer_parallel_speedup"] = lp.speedup
-    result.rows.append(CaseStudyRow(
+    rows.append(CaseStudyRow(
         stage=f"+ Layer Parallelism ({lp.accelerators}x)",
         accelerators=total_accels,
         batch_size=subbatch * dp_workers,
-        memory_per_accel_gb=[m / 1e9 for m in lp.stage_memory_bytes],
+        memory_per_accel_gb=tuple(m / 1e9 for m in lp.stage_memory_bytes),
         cache="6MB",
         days_per_epoch=_epoch_days(
             step_lp, tokens_per_epoch, tokens_per_step * dp_workers
@@ -200,14 +224,22 @@ def run_case_study(
 
     # ---- stage 5: + embedding sharding -----------------------------------
     sharded = shard_embedding(lp)
-    result.rows.append(CaseStudyRow(
+    rows.append(CaseStudyRow(
         stage="+ Shard the Embedding Layer",
         accelerators=total_accels,
         batch_size=subbatch * dp_workers,
-        memory_per_accel_gb=[m / 1e9 for m in sharded],
+        memory_per_accel_gb=tuple(m / 1e9 for m in sharded),
         cache="6MB",
-        days_per_epoch=result.rows[-1].days_per_epoch,
-        flop_utilization=result.rows[-1].flop_utilization,
+        days_per_epoch=rows[-1].days_per_epoch,
+        flop_utilization=rows[-1].flop_utilization,
     ))
 
-    return result
+    return CaseStudyResult(
+        rows=tuple(rows),
+        algorithmic_speedup=rt0.step_time / rt1.step_time,
+        optimized_params=counts.params.evalf(bindings),
+        baseline_step_time=rt0.step_time,
+        optimized_step_time=rt1.step_time,
+        cache_aware_step_time=step2,
+        layer_parallel_speedup=lp.speedup,
+    )

@@ -30,7 +30,7 @@ from ..hardware.accelerator import (
 from ..hardware.cache import cache_aware_step_time
 from ..hardware.interconnect import ring_allreduce_time
 from ..hardware.roofline import roofline_time
-from ..models.registry import DOMAINS
+from ..models.registry import DOMAINS, build_symbolic
 from ..models.word_lm import build_word_lm
 from ..scaling.project import project_all
 from .common import Table, si
@@ -163,9 +163,13 @@ def ablation_precision(*, hidden: int = 2048,
     """fp32 vs fp16 storage: bytes, intensity, footprint, step time."""
     rows = []
     for dtype, label in ((4, "fp32 (4 B)"), (2, "fp16 (2 B)")):
-        model = build_word_lm(vocab=40_000, layers=2, seq_len=80,
-                              dtype_bytes=dtype)
-        counts = StepCounts(model)
+        # fp32 storage is the registry word LM: its build and the
+        # StepCounts its sweep memoized are shared
+        model = (build_symbolic("word_lm") if dtype == 4 else
+                 build_word_lm(vocab=40_000, layers=2, seq_len=80,
+                               dtype_bytes=dtype))
+        counts = model.graph.memo("step_counts",
+                                  lambda: StepCounts(model))
         bindings = counts.bind(hidden, subbatch)
         ct = counts.step_flops.evalf(bindings)
         at = counts.step_bytes.evalf(bindings)

@@ -177,8 +177,8 @@ def fig12(*, accel: AcceleratorConfig = V100_LIKE,
     from ..planner.case_study import run_case_study
 
     study = run_case_study(accel=accel)
-    step = study.meta["cache_aware_step_time"]
-    params = study.meta["optimized_params"]
+    step = study.cache_aware_step_time
+    params = study.optimized_params
     flops = step * accel.achievable_flops * (
         study.rows[1].flop_utilization / accel.compute_efficiency
     )

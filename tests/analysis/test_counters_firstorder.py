@@ -1,10 +1,19 @@
 """Tests for step counters and first-order model derivation."""
 
+import itertools
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from repro.analysis import StepCounts, derive_symbolic, fit_numeric
+from repro.analysis.firstorder import nnls2
 from repro.models import build_word_lm
+
+from ..helpers import REPO_ROOT
 
 
 @pytest.fixture(scope="module")
@@ -146,3 +155,103 @@ class TestFitNumeric:
         )
         assert fo_fit.gamma == pytest.approx(fo_sym.gamma, rel=0.2)
         assert fo_fit.lam == pytest.approx(fo_sym.lam, rel=0.2)
+
+
+def _nnls_exhaustive(design, y):
+    """Reference 2-variable NNLS: the unconstrained least-squares fit on
+    every subset of the columns, kept when feasible, best residual
+    wins (the empty subset, x = 0, is always feasible)."""
+    best, best_rss = np.zeros(2), float(np.dot(y, y))
+    for k in (1, 2):
+        for cols in itertools.combinations(range(2), k):
+            sub = np.linalg.lstsq(design[:, cols], y, rcond=None)[0]
+            if np.any(sub < 0):
+                continue
+            x = np.zeros(2)
+            x[list(cols)] = sub
+            r = y - design @ x
+            if float(np.dot(r, r)) < best_rss:
+                best, best_rss = x, float(np.dot(r, r))
+    return best, best_rss
+
+
+class TestNNLS:
+    def test_matches_exhaustive_reference(self):
+        """1,000 seeded problems shaped like the footprint fit
+        (positive, nearly collinear columns); most have an infeasible
+        unconstrained solution, as four of the five registry domains
+        do."""
+        rng = np.random.default_rng(1909)
+        infeasible = 0
+        for _ in range(1000):
+            n = int(rng.integers(3, 9))
+            p = np.sort(10.0 ** rng.uniform(6, 10, n))
+            design = np.column_stack([p, rng.uniform(1, 200) * np.sqrt(p)])
+            truth = rng.normal(size=2) * np.array([10.0, 1e3])
+            y = design @ truth + rng.normal(size=n) * 1e-3 * np.abs(
+                design @ truth).max()
+            unconstrained = np.linalg.lstsq(design, y, rcond=None)[0]
+            infeasible += bool(np.any(unconstrained < 0))
+            coef = nnls2(design, y)
+            ref, ref_rss = _nnls_exhaustive(design, y)
+            scale = np.abs(ref).max()
+            np.testing.assert_allclose(coef, ref, rtol=1e-9,
+                                       atol=1e-9 * scale)
+            assert np.all(coef >= 0)
+            r = y - design @ coef
+            # no larger, up to the rounding of the residual itself
+            assert float(np.dot(r, r)) <= ref_rss * (1 + 1e-12)
+        assert infeasible >= 1000 // 3
+
+    def test_registry_word_lm_fit_pinned(self):
+        """The value scipy.optimize.nnls gives; the former fallback
+        (clamping an unconstrained lstsq) gave φ = 4105.6."""
+        from repro.analysis import sweep_domain
+
+        fitted = sweep_domain("word_lm").fitted
+        assert fitted.delta == 8.0
+        assert fitted.phi == pytest.approx(2088.3145384510653, rel=1e-9)
+
+
+def _run_python(code: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(REPO_ROOT, "src"), REPO_ROOT])
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          cwd=REPO_ROOT, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+class TestNoScipy:
+    """numpy is the only runtime dependency: the footprint fit must
+    neither import scipy nor depend on whether it is importable."""
+
+    def test_sweep_and_table3_import_no_scipy(self):
+        out = _run_python(
+            "import sys\n"
+            "from repro.analysis import sweep_domain\n"
+            "from repro.reports import table3\n"
+            "sweep_domain('word_lm')\n"
+            "table3()\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+        assert out.strip() == "[]"
+
+    def test_table3_matches_golden_with_scipy_refused(self):
+        from tests.golden._compare import diff_exhibit, load_golden
+
+        out = _run_python(
+            "import json, sys\n"
+            "class Refuse:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'scipy':\n"
+            "            raise ImportError(name + ' refused')\n"
+            "sys.meta_path.insert(0, Refuse())\n"
+            "from repro.reports import table3\n"
+            "from tests.golden._compare import snapshot_exhibit\n"
+            "print(json.dumps(snapshot_exhibit(table3())))\n")
+        diffs = diff_exhibit("table3", json.loads(out),
+                             load_golden("table3"), rel_tol=1e-6)
+        assert not diffs, "\n".join(diffs)

@@ -111,6 +111,26 @@ class TestFusionAndCompression:
         groups = fusion_groups(m.graph)
         assert any(len(g) > 1 for g in groups)
 
+    @pytest.mark.parametrize("key", ["word_lm", "char_lm", "nmt",
+                                     "image"])
+    def test_fused_total_is_the_per_op_sum(self, key):
+        """The class-wise sum is the interned per-op sum itself, on the
+        four graphs the fusion ablation costs."""
+        from repro.graph import fused_op_bytes, fused_total_bytes, \
+            fusion_groups
+        from repro.models.registry import DOMAINS
+        from repro.reports.ablations import _small_config
+        from repro.symbolic import Add, Const
+
+        g = DOMAINS[key].build_model(**_small_config(key)).graph
+        groups = fusion_groups(g)
+        fused = {op for group in groups for op in group}
+        per_op = Add.of(Const(0),
+                        *(fused_op_bytes(group) for group in groups),
+                        *(op.bytes_accessed() for op in g.ops
+                          if op not in fused))
+        assert fused_total_bytes(g) is per_op
+
     def test_fusion_groups_are_disjoint_and_fusable_only(self):
         from repro.graph import fusion_groups
         from repro.models import build_word_lm

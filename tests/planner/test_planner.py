@@ -231,3 +231,58 @@ class TestCaseStudy:
 
     def test_algorithmic_speedup_positive(self, study):
         assert study.algorithmic_speedup > 2.0
+
+
+class TestCaseStudyMemo:
+    """Table 5 and Fig. 12 share one case study per resolved
+    configuration; other configurations compute their own."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        from repro.planner import case_study
+
+        calls = []
+        real = case_study.build_word_lm
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return real(**kwargs)
+
+        monkeypatch.setattr(case_study, "build_word_lm", spy)
+        case_study._case_study.cache_clear()
+        yield calls
+        case_study._case_study.cache_clear()
+
+    def test_table5_and_fig12_build_once(self, builds):
+        from repro.reports import fig12, table5
+
+        table5().render()
+        fig12().render()
+        assert len(builds) == 1
+        assert run_case_study() is run_case_study(accel=V100_LIKE)
+        assert len(builds) == 1
+
+    def test_other_arguments_compute_their_own(self, builds):
+        default = run_case_study()
+        small = run_case_study(seq_len=16, hidden=1024, vocab=40_000,
+                               projection=256, tokens_per_epoch=1e9,
+                               data_parallel_options=[64, 32])
+        assert len(builds) == 2
+        assert small is not default
+        assert small.rows != default.rows
+        # a list and a tuple of worker options resolve to one entry
+        again = run_case_study(seq_len=16, hidden=1024, vocab=40_000,
+                               projection=256, tokens_per_epoch=1e9,
+                               data_parallel_options=(64, 32))
+        assert again is small and len(builds) == 2
+
+    def test_shared_result_is_frozen(self):
+        import dataclasses
+
+        study = run_case_study()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            study.algorithmic_speedup = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            study.rows[0].days_per_epoch = 0.0
+        assert isinstance(study.rows, tuple)
+        assert isinstance(study.rows[0].memory_per_accel_gb, tuple)

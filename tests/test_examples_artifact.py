@@ -54,6 +54,15 @@ class TestExamples:
         module = run_example("parallelism_planning.py")
         assert callable(module["main"])
 
+    def test_parallelism_planning_main(self, capsys):
+        # the case study is memoized and about 0.5 s cold, so main()
+        # runs in full; it reads the case-study result's fields
+        module = run_example("parallelism_planning.py")
+        module["main"]()
+        out = capsys.readouterr().out
+        assert "algorithmic optimization speedup" in out
+        assert "communication overhead saturates" in out
+
 
 class TestArtifactGenerator:
     def test_generates_files_and_summary(self, tmp_path):
