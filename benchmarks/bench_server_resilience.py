@@ -1,12 +1,12 @@
 """Overload-resilience benchmark: warm-hit isolation under cold load.
 
-The bulkhead's contract is that warm store hits never queue behind
-cold computes.  This bench measures it: warm ``table1`` p50 latency
-uncontended, then again while four client threads hammer the server
-with unique cold sweeps that saturate a width-2 bulkhead (one queue
-slot, 50 ms queue timeout — most of the burst sheds E-BUSY).  Cold
-computes run on a two-process supervised pool, so the listener
-threads only ever do store reads for the warm client.
+The compute gate's contract is that warm store hits never queue
+behind cold computes.  This bench measures it: warm ``table1`` p50
+latency uncontended, then again while four client threads hammer the
+server with unique cold sweeps that saturate the gate (two computes
+wide, as the two-process supervised pool they run on; one queue
+slot, 50 ms queue timeout — most of the burst sheds E-BUSY), so the
+listener threads only ever do store reads for the warm client.
 
 Records ``BENCH_server_resilience.json``:
 
@@ -98,8 +98,8 @@ def _warm_p50_ms(client: _Client, samples: int) -> float:
 
 def test_warm_hits_stay_fast_under_cold_overload(bench_json):
     store_dir = tempfile.mkdtemp(prefix="bench-resilience-")
-    config = ServeConfig(compute_workers=2, bulkhead_width=2,
-                         queue_depth=1, queue_timeout=0.05)
+    config = ServeConfig(compute_workers=2, queue_depth=1,
+                         queue_timeout=0.05)
     server = ReproServer(store=ResultStore(store_dir), config=config)
     server.start_background()
     host, port = server.address
@@ -123,10 +123,10 @@ def test_warm_hits_stay_fast_under_cold_overload(bench_json):
                 serial = 0
                 while not stop.is_set():
                     # unique sizes => always a cold compute; it either
-                    # occupies the bulkhead, waits in its single queue
+                    # occupies the gate, waits in its single queue
                     # slot, or sheds E-BUSY after 50 ms; 64 points per
                     # sweep is a couple of seconds of real pool work,
-                    # so the bulkhead stays saturated while the
+                    # so the gate stays saturated while the
                     # listener thread blocks outside the GIL
                     base = 100_000 * (thread_index + 1) + 64 * serial
                     serial += 1
@@ -220,6 +220,6 @@ def test_warm_hits_stay_fast_under_cold_overload(bench_json):
             f"{total - structured} unstructured overload responses: "
             f"{sorted(set(statuses))}")
         assert overload["shed_count"] >= 1, (
-            "overload never shed — bulkhead not saturated")
+            "overload never shed — compute gate not saturated")
     finally:
         server.shutdown(drain_timeout=5.0)

@@ -10,8 +10,9 @@ recorded metrics afterwards:
 * a chaos ``kill_worker`` against ``--compute-workers 1`` — the
   listener survives, the supervised pool restarts
   (``exec.pool.restarts``), and serving resumes;
-* a concurrent burst of slow cold sweeps against a width-1 bulkhead
-  with one queue slot — some requests queue, some shed E-BUSY 429;
+* a concurrent burst of slow cold sweeps against the compute gate,
+  one compute wide (it follows ``--compute-workers 1``) with one
+  queue slot — some requests queue, some shed E-BUSY 429;
 * SIGTERM at the end: graceful drain, exit 0.
 
 The script asserts the headline invariants itself (only structured
@@ -97,7 +98,6 @@ def main() -> int:
          "--port", "0",
          "--cache-dir", os.path.join(tmp, "cache"),
          "--compute-workers", "1",
-         "--bulkhead-width", "1",
          "--queue-depth", "1",
          "--queue-timeout", "0.2",
          "--breaker-threshold", "2",
@@ -110,6 +110,10 @@ def main() -> int:
         announce = json.loads(daemon.stdout.readline())
         url = announce["url"]
         print(f"daemon up at {url} (pid {announce['pid']})")
+        # a GET is not a leader query, so the fault indices hold
+        status, health = request(url, "/healthz")
+        assert status == 200
+        assert health["admission"]["width"] == 1, health["admission"]
 
         # -- scripted single-threaded phase: indices 1..8 ------------
         # 1: plain cold compute

@@ -168,8 +168,8 @@ class Fold:
 
     def footprint(self, bindings: Mapping) -> int:
         """Program-order peak live bytes at ``lengths`` under
-        ``bindings`` (``estimate_footprint(..., use_greedy=False)`` of
-        the full build), checked at the check point first."""
+        ``bindings`` (``estimate_footprint(...).program_order_bytes``
+        of the full build), checked at the check point first."""
         grid = []
         for model, positions in zip(self.models, self._positions):
             trace = _trace(model.graph, bindings)

@@ -29,7 +29,7 @@ __all__ = ["FootprintEstimate", "estimate_footprint",
            "GREEDY_OP_LIMIT"]
 
 #: graphs with more ops than this skip the greedy schedule and report
-#: the program-order bound.  Sweeps pay the greedy pass once per point,
+#: the program-order bound (:func:`estimate_footprint` decides).  Sweeps pay the greedy pass once per point,
 #: and it grows with the graph: char_lm and speech have about 46k ops
 #: each at registry length, the other registry graphs at most 6k.  The
 #: goldens record program order for those two domains, and sweeps read
@@ -59,13 +59,12 @@ class FootprintEstimate:
 
 def estimate_footprint(model: BuiltModel,
                        bindings: Optional[Mapping] = None, *,
-                       use_greedy: bool = True,
                        inplace: bool = False) -> FootprintEstimate:
     """Evaluate footprint bounds for one concrete configuration.
 
-    ``bindings`` must bind the model's size symbol and subbatch.  Set
-    ``use_greedy=False`` to skip the greedy schedule on very large
-    graphs (the program-order bound is then reported for both).
+    ``bindings`` must bind the model's size symbol and subbatch.  The
+    greedy schedule runs on graphs of at most ``GREEDY_OP_LIMIT`` ops;
+    on larger ones the program-order bound is reported for both.
     ``inplace=True`` applies the §4.5 TensorFlow optimization: eligible
     pointwise ops reuse their input's buffer.
 
@@ -74,6 +73,7 @@ def estimate_footprint(model: BuiltModel,
     the seed oracles in ``tests/oracles.py``.
     """
     graph = model.graph
+    use_greedy = len(graph.ops) <= GREEDY_OP_LIMIT
     with _TRACER.span("analysis.footprint", "footprint",
                       graph=graph.name, use_greedy=use_greedy):
         return _estimate_footprint(graph, bindings, use_greedy, inplace)

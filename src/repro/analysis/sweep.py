@@ -176,10 +176,8 @@ def compute_sweep_rows(key: str, sizes: Sequence[float],
             bindings = counts.bind(size, subbatch)
             if fold is not None:
                 return float(fold.footprint(bindings))
-            return float(estimate_footprint(
-                model, bindings,
-                use_greedy=len(model.graph) <= GREEDY_OP_LIMIT,
-            ).minimal_bytes)
+            return float(estimate_footprint(model,
+                                            bindings).minimal_bytes)
 
         with obs.span("sweep.aggregates", "sweep", domain=key):
             series = counts.sweep_series(sizes, subbatch)

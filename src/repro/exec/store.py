@@ -15,7 +15,10 @@ value*:
 
 Values are pickled to ``<root>/<kk>/<key>.pkl`` (two-level fan-out
 keeps directories small).  The store is append-mostly with an LRU-ish
-eviction pass by file mtime when ``max_entries`` is exceeded.
+eviction pass by file mtime when ``max_entries`` is exceeded.  A put
+under the bound only counts its new key; the pass scans the directory
+and trims to a low-water mark below the bound, so a full store does
+not rescan on every put.
 
 Hits, misses, stores, and evictions are counted in :mod:`repro.obs`
 metrics (``exec.store.*``) so ``--metrics`` shows cache effectiveness.
@@ -29,6 +32,7 @@ import os
 import pickle
 import sys
 import tempfile
+import threading
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from .. import __version__
@@ -124,6 +128,12 @@ class ResultStore:
         self.root = root
         self.max_entries = max_entries
         os.makedirs(root, exist_ok=True)
+        # entries this process knows of: counted once here, then one
+        # per put of a new key; an eviction pass recounts (other
+        # processes sharing the directory show up there)
+        self._count_lock = threading.Lock()
+        self._count = (0 if max_entries is None
+                       else sum(1 for _ in self._entries()))
 
     # -- key/path layout ----------------------------------------------
     def _path(self, key: str) -> str:
@@ -165,6 +175,8 @@ class ResultStore:
         """Store ``value``; returns False (and counts an error) on IO
         or pickling failure rather than raising."""
         path = self._path(key)
+        counted = (self.max_entries is not None
+                   and not os.path.exists(path))
         try:
             os.makedirs(os.path.dirname(path), exist_ok=True)
             # write-then-rename so concurrent readers never see a
@@ -183,8 +195,12 @@ class ResultStore:
             _ERROR.inc()
             return False
         _PUT.inc()
-        if self.max_entries is not None:
-            self._evict()
+        if counted:
+            with self._count_lock:
+                self._count += 1
+                over = self._count > self.max_entries
+            if over:
+                self._evict()
         return True
 
     # -- maintenance ---------------------------------------------------
@@ -200,16 +216,22 @@ class ResultStore:
                         continue
 
     def _evict(self) -> int:
-        """Drop oldest entries past ``max_entries``; returns count."""
+        """Past ``max_entries``, drop the oldest entries down to the
+        low-water mark (the bound less an eighth); returns count."""
         entries = sorted(self._entries())
-        excess = len(entries) - (self.max_entries or 0)
+        bound = self.max_entries or 0
+        excess = 0
+        if len(entries) > bound:
+            excess = len(entries) - (bound - bound // 8)
         dropped = 0
-        for _, path in entries[:max(excess, 0)]:
+        for _, path in entries[:excess]:
             try:
                 os.unlink(path)
                 dropped += 1
             except OSError:
                 continue
+        with self._count_lock:
+            self._count = len(entries) - dropped
         if dropped:
             _EVICT.inc(dropped)
         return dropped
@@ -223,6 +245,8 @@ class ResultStore:
                 removed += 1
             except OSError:
                 continue
+        with self._count_lock:
+            self._count = max(0, self._count - removed)
         return removed
 
     def stats(self) -> Dict[str, Any]:

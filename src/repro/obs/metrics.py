@@ -145,8 +145,8 @@ def percentile_from_buckets(buckets, count: int, q: float, *,
 class Histogram:
     """Distribution sketch over fixed log2 buckets.
 
-    Tracks count/sum/min/max exactly; quantiles are approximate (each
-    is reported as its bucket's upper edge, i.e. within 2x).
+    Tracks count/sum/min/max exactly; :meth:`percentile` is
+    approximate (interpolated inside its log2 bucket, so within 2x).
     """
 
     __slots__ = ("name", "count", "total", "min", "max", "buckets")
@@ -172,20 +172,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self.total / self.count if self.count else 0.0
-
-    def quantile(self, q: float) -> float:
-        """Approximate q-quantile: upper edge of the covering bucket."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if self.count == 0:
-            return 0.0
-        rank = q * self.count
-        seen = 0
-        for i, n in enumerate(self.buckets):
-            seen += n
-            if seen >= rank and n:
-                return min(float(2 ** i), self.max)
-        return self.max
 
     def percentile(self, q: float) -> float:
         """Interpolated q-quantile (see :func:`percentile_from_buckets`)."""

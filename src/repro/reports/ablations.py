@@ -206,17 +206,15 @@ def ablation_scheduler(
         bindings = {model.batch: 8}
         if model.size_symbol is not None:
             bindings[model.size_symbol] = _small_size(key)
-        plain = estimate_footprint(model, bindings, use_greedy=False)
-        greedy = estimate_footprint(model, bindings, use_greedy=True)
-        inplace = estimate_footprint(model, bindings, use_greedy=True,
-                                     inplace=True)
-        program = plain.program_order_bytes
+        greedy = estimate_footprint(model, bindings)
+        inplace = estimate_footprint(model, bindings, inplace=True)
+        program = greedy.program_order_bytes
         rows.append([
             entry.display,
             si(program) + "B",
             f"{greedy.greedy_bytes / program * 100:.1f}%",
             f"{inplace.minimal_bytes / program * 100:.1f}%",
-            f"{plain.lower_bound_bytes / program * 100:.1f}%",
+            f"{greedy.lower_bound_bytes / program * 100:.1f}%",
         ])
     return Table(
         title="Ablation: footprint estimate vs traversal strategy "

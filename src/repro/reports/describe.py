@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..analysis.counters import StepCounts
-from ..analysis.footprint import GREEDY_OP_LIMIT, estimate_footprint
+from ..analysis.footprint import estimate_footprint
 from ..hardware.accelerator import V100_LIKE, AcceleratorConfig
 from ..hardware.roofline import roofline_time
 from ..models.base import BuiltModel
@@ -71,9 +71,7 @@ def describe_model(model: BuiltModel, *, size: Optional[float] = None,
     lines.append(f"  step bytes      : {si(at)}B")
     lines.append(f"  op intensity    : {ct / at:.2f} FLOP/B")
 
-    footprint = estimate_footprint(
-        model, bindings, use_greedy=len(g.ops) <= GREEDY_OP_LIMIT
-    )
+    footprint = estimate_footprint(model, bindings)
     lines.append(f"  min footprint   : {si(footprint.minimal_bytes)}B "
                  f"(weights+inputs {si(footprint.persistent_bytes)}B)")
     rt = roofline_time(ct, at, accel)

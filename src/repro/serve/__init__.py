@@ -41,9 +41,10 @@ Production concerns are the point:
 * **observability** — per-endpoint request counters and latency
   histograms plus coalesce/store/job counters in :mod:`repro.obs`,
   served verbatim on ``/metrics`` via ``openmetrics_text``;
-* **overload resilience** — per-endpoint-family bulkheads with a
-  bounded admission queue shed E-BUSY 429 (+ Retry-After) instead of
-  queueing unboundedly (:mod:`~repro.serve.admission`); client
+* **overload resilience** — one compute gate, as wide as the number
+  of computes that can run at once, with a bounded admission queue
+  sheds E-BUSY 429 (+ Retry-After) instead of queueing unboundedly
+  (:mod:`~repro.serve.admission`); client
   deadlines (``?deadline_ms=`` / ``X-Repro-Deadline-Ms``) propagate
   into the analysis kernels and stop work with an E-DEADLINE 504
   carrying partial progress (:mod:`repro.deadline`); repeated compute
@@ -58,8 +59,7 @@ Production concerns are the point:
 from .service import AnalysisService, Endpoint, ENDPOINTS, \
     snapshot_exhibit
 from .jobs import Job, JobQueue
-from .admission import AdmissionConfig, AdmissionController, \
-    Bulkhead, TokenBucket
+from .admission import AdmissionController, Bulkhead, TokenBucket
 from .breaker import BreakerBoard, BreakerConfig, CircuitBreaker
 from .chaos import ChaosController, ChaosInjectedError, ChaosPlan
 from .server import ReproServer, ServeConfig, running_server
@@ -67,8 +67,7 @@ from .server import ReproServer, ServeConfig, running_server
 __all__ = [
     "AnalysisService", "Endpoint", "ENDPOINTS", "snapshot_exhibit",
     "Job", "JobQueue",
-    "AdmissionConfig", "AdmissionController", "Bulkhead",
-    "TokenBucket",
+    "AdmissionController", "Bulkhead", "TokenBucket",
     "BreakerBoard", "BreakerConfig", "CircuitBreaker",
     "ChaosController", "ChaosInjectedError", "ChaosPlan",
     "ReproServer", "ServeConfig", "running_server",

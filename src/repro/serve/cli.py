@@ -4,7 +4,7 @@
 
     repro-serve [--host H] [--port P] [--job-workers N]
                 [--run-dir DIR] [--resume] [--drain-timeout S]
-                [--compute-workers N] [--bulkhead-width N]
+                [--compute-workers N]
                 [--queue-depth N] [--queue-timeout S]
                 [--rate-limit R] [--rate-burst N]
                 [--breaker-threshold N] [--breaker-cooldown S]
@@ -85,19 +85,16 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--compute-workers", type=int, default=0, metavar="N",
         help="run cold computes on N supervised worker processes so "
-             "a crashing compute cannot take down the listener "
-             "(default: 0 = in-process)")
-    group.add_argument(
-        "--bulkhead-width", type=int, default=2, metavar="N",
-        help="concurrent cold computes per endpoint family "
-             "(default: 2)")
+             "a crashing compute cannot take down the listener; N "
+             "computes then run at once, else one (default: 0 = "
+             "in-process)")
     group.add_argument(
         "--queue-depth", type=int, default=8, metavar="N",
-        help="admission-queue slots per family; beyond them requests "
-             "shed E-BUSY 429 (default: 8)")
+        help="cold computes that may wait for the compute gate; "
+             "beyond them requests shed E-BUSY 429 (default: 8)")
     group.add_argument(
         "--queue-timeout", type=float, default=30.0, metavar="S",
-        help="max seconds a request waits for a bulkhead slot "
+        help="max seconds a request waits for the compute gate "
              "(default: 30)")
     group.add_argument(
         "--rate-limit", type=float, default=0.0, metavar="R",
@@ -156,7 +153,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         run_dir=args.run_dir, resume=args.resume,
     )
     config = ServeConfig(
-        bulkhead_width=max(1, args.bulkhead_width),
         queue_depth=max(0, args.queue_depth),
         queue_timeout=max(0.0, args.queue_timeout),
         rate_limit=max(0.0, args.rate_limit),

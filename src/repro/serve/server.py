@@ -43,7 +43,6 @@ import socket
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Iterator, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
@@ -52,7 +51,8 @@ from .. import __version__, obs
 from ..deadline import Deadline
 from ..errors import BindingError, ReproError
 from ..exec.store import ResultStore
-from .admission import AdmissionConfig, AdmissionController
+from .admission import MAX_BODY_BYTES, AdmissionController, \
+    ServeConfig
 from .breaker import BreakerBoard, BreakerConfig
 from .chaos import ChaosController
 from .jobs import JobQueue
@@ -60,9 +60,6 @@ from .service import AnalysisService, ENDPOINTS, canonical_json
 
 __all__ = ["ReproServer", "ServeConfig", "running_server",
            "MAX_BODY_BYTES"]
-
-#: request bodies larger than this are rejected outright (413)
-MAX_BODY_BYTES = 1 << 20
 
 _ERRORS_400 = obs.counter("serve.http.client_errors")
 _ERRORS_500 = obs.counter("serve.http.server_errors")
@@ -73,40 +70,6 @@ _UNSTRUCTURED = obs.counter("serve.http.unstructured_errors")
 
 #: ReproError code -> HTTP status (default 400 for client errors)
 _STATUS_BY_CODE = {"E-BUSY": 429, "E-EXEC": 503, "E-DEADLINE": 504}
-
-
-@dataclass(frozen=True)
-class ServeConfig:
-    """Every resilience knob in one place (see the README runbook)."""
-
-    #: concurrent cold computes per endpoint family
-    bulkhead_width: int = 2
-    #: bounded admission queue per family; beyond it requests shed 429
-    queue_depth: int = 8
-    #: max seconds a request waits in the admission queue
-    queue_timeout: float = 30.0
-    #: per-connection requests/second token rate (0 disables)
-    rate_limit: float = 0.0
-    #: per-connection token-bucket burst
-    rate_burst: int = 20
-    #: consecutive compute failures that open a family's breaker
-    breaker_threshold: int = 3
-    #: seconds an open breaker sheds before its half-open probe
-    breaker_cooldown: float = 1.0
-    #: cooldown multiplier per consecutive re-open (capped below)
-    breaker_backoff: float = 2.0
-    breaker_max_cooldown: float = 30.0
-    #: cold computes run on this many supervised worker processes
-    #: (0 = in-process, the default for tests and small deployments)
-    compute_workers: int = 0
-    #: socket read timeout — caps how long a client may dribble
-    #: headers (or idle between keep-alive requests)
-    header_timeout: float = 30.0
-    #: wall-clock budget for reading one request body
-    body_timeout: float = 10.0
-    #: graceful-drain budget used when ``shutdown()`` gets no override
-    drain_timeout: float = 5.0
-    max_body_bytes: int = MAX_BODY_BYTES
 
 
 def _client_error(message: str, *, status: int,
@@ -412,13 +375,7 @@ class ReproServer:
             from ..exec.engine import SupervisedPool
 
             self.pool = SupervisedPool(self.config.compute_workers)
-        self.admission = AdmissionController(AdmissionConfig(
-            bulkhead_width=self.config.bulkhead_width,
-            queue_depth=self.config.queue_depth,
-            queue_timeout=self.config.queue_timeout,
-            rate_limit=self.config.rate_limit,
-            rate_burst=self.config.rate_burst,
-        ))
+        self.admission = AdmissionController(self.config)
         self.breakers = BreakerBoard(BreakerConfig(
             failure_threshold=self.config.breaker_threshold,
             cooldown=self.config.breaker_cooldown,
@@ -463,7 +420,7 @@ class ReproServer:
             "uptime_s": round(time.time() - self.started_at, 3),
             "pending_jobs": self.jobs.pending_count(),
             "endpoints": self.service.endpoints(),
-            "admission": self.admission.snapshot(),
+            "admission": self.admission.gate.snapshot(),
             "breakers": self.breakers.snapshot(),
             "compute_workers": (self.pool.workers
                                 if self.pool is not None else 0),

@@ -26,29 +26,31 @@ so mixed query loads cannot deadlock.  Completed bytes are memoized in
 the content-addressed :class:`~repro.exec.store.ResultStore`
 (``exec.store.hit/miss`` then measure the warm path).
 
-**Resilience** (all optional, wired by :class:`ReproServer`): cold
-computes pass a per-endpoint-family :class:`~repro.serve.admission.
-Bulkhead` (bounded concurrency + bounded queue, E-BUSY shed beyond
-it) and a :class:`~repro.serve.breaker.CircuitBreaker` (consecutive
-infrastructure failures open it; client errors never count) before
-reaching the compute semaphore.  The **store lookup happens before
-any of that**, so warm hits never queue behind cold computes.  With a
-:class:`~repro.exec.engine.SupervisedPool` attached, computes run in
-worker processes — a segfault surfaces as a structured E-EXEC 503
-instead of killing the listener — and the semaphore widens to the
-worker count; in-process it stays width 1 because the pipeline's
-memoized caches (sweep LRU, model registry, tape caches) predate
-multithreading.  Requests carrying a :class:`~repro.deadline.
+**Resilience** (wired by :class:`ReproServer`): cold computes pass a
+:class:`~repro.serve.breaker.CircuitBreaker` (consecutive
+infrastructure failures open it; client errors never count) and then
+the **compute gate**, the one :class:`~repro.serve.admission.Bulkhead`
+of the service's :class:`~repro.serve.admission.AdmissionController`
+(bounded concurrency + bounded queue, E-BUSY shed beyond it).  The
+gate's width is the number of computes that can run at once: 1
+in-process, because the pipeline's memoized caches (sweep LRU, model
+registry, tape caches) predate multithreading, and the worker count
+with a :class:`~repro.exec.engine.SupervisedPool` attached, whose
+worker processes turn a segfault into a structured E-EXEC 503 instead
+of killing the listener.  A service built without a controller gets
+its own, so standalone computes are serialized too.  The **store
+lookup happens before any of that**, so warm hits never queue behind
+cold computes.  Requests carrying a :class:`~repro.deadline.
 Deadline` propagate it into the computation (ambient in-process,
 explicit remaining-budget across the pool boundary) and bound every
-wait on it; ``serve.deadline.met/exceeded`` count the outcomes.
+wait on it, the gate's queue included; ``serve.deadline.met/
+exceeded`` count the outcomes.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -57,6 +59,7 @@ from ..deadline import Deadline, deadline_scope
 from ..errors import (BindingError, BusyError, DeadlineError,
                       ReproError, WorkerCrashError, did_you_mean)
 from ..exec.store import ResultStore, content_key
+from .admission import AdmissionController
 
 __all__ = ["AnalysisService", "Endpoint", "ENDPOINTS",
            "snapshot_exhibit", "canonical_json"]
@@ -451,19 +454,14 @@ class AnalysisService:
     """Coalescing, store-backed executor for the endpoint registry."""
 
     def __init__(self, store: Optional[ResultStore] = None, *,
-                 admission=None, breakers=None, pool=None,
-                 chaos=None):
+                 admission: Optional[AdmissionController] = None,
+                 breakers=None, pool=None, chaos=None):
         self.store = store
-        self.admission = admission
+        self.admission = admission or AdmissionController()
         self.breakers = breakers
         self.pool = pool
         self.chaos = chaos
         self._registry_lock = threading.Lock()
-        # the compute semaphore: width 1 in-process (the pipeline's
-        # memoized caches are not thread-safe), worker-count wide when
-        # the supervised pool isolates each compute in its own process
-        width = 1 if pool is None else pool.workers
-        self._compute_sem = threading.BoundedSemaphore(width)
         self._inflight: Dict[str, _InFlight] = {}
 
     # -- keys ----------------------------------------------------------
@@ -597,19 +595,17 @@ class AnalysisService:
         if cached is not None:
             return cached
 
-        # cold compute: breaker gate, then the bounded bulkhead — the
-        # warm path above never touches either
+        # cold compute: the breaker, then the compute gate, whose
+        # queue wait the deadline bounds — the warm path above never
+        # touches either
         breaker = (self.breakers.breaker(endpoint)
                    if self.breakers is not None else None)
         if breaker is not None:
             breaker.before_call()
-        bulkhead = (self.admission.bulkhead(endpoint)
-                    if self.admission is not None else None)
-        gate = (bulkhead.admit(timeout=deadline.remaining_s()
-                               if deadline is not None else None)
-                if bulkhead is not None else nullcontext())
         try:
-            with gate:
+            with self.admission.gate.admit(
+                    timeout=deadline.remaining_s()
+                    if deadline is not None else None):
                 if deadline is not None and deadline.expired():
                     raise DeadlineError(
                         f"deadline of {deadline.budget_ms:g} ms "
@@ -619,11 +615,10 @@ class AnalysisService:
                     )
                 if self.chaos is not None:
                     self.chaos.before_compute(endpoint, chaos_index)
-                with self._compute_sem:
-                    with obs.span("serve.compute", "serve",
-                                  endpoint=endpoint, key=key[:12]):
-                        result = self._dispatch_compute(
-                            endpoint, clean, deadline)
+                with obs.span("serve.compute", "serve",
+                              endpoint=endpoint, key=key[:12]):
+                    result = self._dispatch_compute(
+                        endpoint, clean, deadline)
         except BaseException as error:
             if breaker is not None and _breaker_counts(error):
                 breaker.record_failure()

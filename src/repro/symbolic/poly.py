@@ -5,9 +5,8 @@ terms ``c * x1**a1 * ... * xk**ak`` with rational exponents (e.g.
 ``1755*p + 30784*b*p**(1/2)``).  This module is the canonical internal
 form for that fragment: :class:`Poly` stores a sum as flat sparse arrays
 — ``(coeff, exponent-vector)`` tuples over an interned atom table — and
-its arithmetic (:meth:`Poly.add` / :meth:`Poly.mul` / :meth:`Poly.pow` /
-:meth:`Poly.substitute`) works on those arrays without allocating
-``Expr`` nodes.  Non-posynomial subtrees (``max``/``min``/``ceil``/
+its arithmetic (:meth:`Poly.add` / :meth:`Poly.mul` / :meth:`Poly.pow`)
+works on those arrays without allocating ``Expr`` nodes.  Non-posynomial subtrees (``max``/``min``/``ceil``/
 ``floor``/``log``, symbolic exponents, negative/fractional powers of
 sums) are carried opaquely as *atoms*, so every expression flattens.
 
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .expr import (
     Add,
@@ -261,19 +260,6 @@ class Poly:
             return Poly((), ())
         return Poly(self.atoms,
                     tuple((c * coeff, e) for c, e in self.terms))
-
-    def substitute(self, mapping: Mapping) -> "Poly":
-        """Substitute symbols (by Symbol or name) and re-flatten."""
-        out = Poly((), ())
-        for coeff, exps in self.terms:
-            part = Poly.const(coeff)
-            for atom, e in zip(self.atoms, exps):
-                if e == 0:
-                    continue
-                replaced = atom.subs(mapping)
-                part = part.mul(_pow_poly(_flatten(replaced), Const(e)))
-            out = out.add(part)
-        return out
 
     # -- queries -------------------------------------------------------
     def degree(self, sym: Symbol) -> Fraction:

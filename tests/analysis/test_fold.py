@@ -42,8 +42,8 @@ def test_fold_matches_direct_build(key):
     for subbatch in (entry.subbatch, 8):
         for size in sizes:
             bindings = counts.bind(size, subbatch)
-            expected = estimate_footprint(direct, bindings,
-                                          use_greedy=False).minimal_bytes
+            expected = estimate_footprint(
+                direct, bindings).program_order_bytes
             assert fold.footprint(bindings) == expected, (size, subbatch)
 
 
@@ -96,7 +96,7 @@ def test_toy_fold_matches_direct_build(held):
     for size, subbatch in ((16, 4), (100, 3)):
         bindings = counts.bind(size, subbatch)
         assert fold.footprint(bindings) == estimate_footprint(
-            direct, bindings, use_greedy=False).minimal_bytes
+            direct, bindings).program_order_bytes
 
 
 def test_peak_inside_a_run_interior_is_found():

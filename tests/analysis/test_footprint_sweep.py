@@ -50,12 +50,17 @@ class TestFootprint:
         assert est.minimal_bytes >= 4 * params
         assert est.persistent_bytes >= 4 * params
 
-    def test_greedy_toggle(self, small_model):
+    def test_greedy_toggle(self, small_model, monkeypatch):
+        """The greedy schedule runs up to GREEDY_OP_LIMIT ops only."""
         m = small_model
         bindings = {m.size_symbol: 16, m.batch: 4}
-        with_greedy = estimate_footprint(m, bindings, use_greedy=True)
-        without = estimate_footprint(m, bindings, use_greedy=False)
+        with_greedy = estimate_footprint(m, bindings)
+        monkeypatch.setattr("repro.analysis.footprint.GREEDY_OP_LIMIT",
+                            len(m.graph.ops) - 1)
+        without = estimate_footprint(m, bindings)
         assert without.greedy_bytes == without.program_order_bytes
+        assert with_greedy.program_order_bytes == \
+            without.program_order_bytes
         assert with_greedy.minimal_bytes <= without.minimal_bytes
 
 
@@ -87,8 +92,7 @@ def test_footprint_bounds_match_seed_formula(small_model, which, size,
 
     m = build_symbolic("image") if which == "image" else small_model
     bindings = {m.size_symbol: size, m.batch: batch}
-    est = estimate_footprint(m, bindings, use_greedy=False,
-                             inplace=inplace)
+    est = estimate_footprint(m, bindings, inplace=inplace)
     want = seed_bounds(m.graph, evaluate_sizes(m.graph, bindings))
     assert (est.persistent_bytes, est.lower_bound_bytes) == want
 

@@ -99,6 +99,36 @@ class TestResultStore:
         surviving = [k for k in keys if store.contains(k)]
         assert surviving == keys[-2:]  # oldest evicted, newest kept
 
+    def test_put_under_the_bound_does_not_scan(self, tmp_path,
+                                               monkeypatch):
+        store = ResultStore(str(tmp_path / "counted"), max_entries=4)
+        scans = []
+        entries = store._entries
+        monkeypatch.setattr(store, "_entries",
+                            lambda: scans.append(1) or entries())
+        for i in range(4):
+            store.put(content_key("count", i), i)
+        store.put(content_key("count", 0), "same key, not a new entry")
+        assert scans == []
+        store.put(content_key("count", 4), 4)
+        assert scans == [1]
+
+    def test_over_bound_store_trims_oldest_first(self, tmp_path):
+        root = str(tmp_path / "full")
+        unbounded = ResultStore(root, max_entries=None)
+        keys = [content_key("trim", i) for i in range(10)]
+        for i, key in enumerate(keys):
+            unbounded.put(key, i)
+            os.utime(unbounded._path(key), (1000 + i, 1000 + i))
+        store = ResultStore(root, max_entries=8)
+        fresh = content_key("trim", "fresh")
+        store.put(fresh, "newest")
+        surviving = [k for k in keys + [fresh] if store.contains(k)]
+        assert len(surviving) <= 8
+        assert surviving == (keys + [fresh])[-len(surviving):]
+        # trimmed below the bound: the next puts only count
+        assert store._count == len(surviving) < 8
+
     def test_clear_and_stats(self, store):
         for i in range(3):
             store.put(content_key("stat", i), i)

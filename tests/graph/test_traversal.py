@@ -189,9 +189,11 @@ class TestMemoryGreedy:
                 assert [op.name for op in fast] == \
                     [op.name for op in reference], (g.name, binding)
 
-    def test_program_order_footprint_builds_no_greedy_tables(self):
+    def test_program_order_footprint_builds_no_greedy_tables(
+            self, monkeypatch):
         """Only the greedy scheduler reads its tables: a footprint that
-        skips it leaves them unbuilt on the memoized skeleton."""
+        skips it (a graph past GREEDY_OP_LIMIT) leaves them unbuilt on
+        the memoized skeleton."""
         from repro.analysis.footprint import estimate_footprint
         from repro.graph.traversal import skeleton
         from repro.models import build_word_lm
@@ -199,7 +201,9 @@ class TestMemoryGreedy:
         model = build_word_lm(seq_len=4, vocab=100, layers=1)
         model.with_training_step()
         binding = {"b": 4, "h": 16}
-        estimate_footprint(model, binding, use_greedy=False)
+        with monkeypatch.context() as patch:
+            patch.setattr("repro.analysis.footprint.GREEDY_OP_LIMIT", 0)
+            estimate_footprint(model, binding)
         sk = skeleton(model.graph)
         assert sk.greedy is None
         estimate_footprint(model, binding)

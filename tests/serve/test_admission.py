@@ -1,29 +1,31 @@
-"""Admission control: bulkheads shed, warm hits never queue, rate
-limits throttle per connection, deadlines surface as 504.
+"""Admission control: the compute gate sheds, warm hits never queue,
+rate limits throttle per connection, deadlines surface as 429/504.
 
 Synchronization is event-based throughout: the gated endpoint signals
-when its compute has *entered* (so the bulkhead slot is provably
-held), and the test releases it explicitly — no sleeps standing in
-for ordering.
+when its compute has *entered* (so the gate's slot is provably held),
+and the test releases it explicitly — no sleeps standing in for
+ordering.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import sys
 import threading
+import time
 
 import pytest
 
 from repro import obs
 from repro.errors import BindingError, BusyError
 from repro.exec.store import ResultStore
-from repro.serve import ENDPOINTS, Endpoint, ServeConfig, \
-    running_server
-from repro.serve.admission import AdmissionConfig, \
-    AdmissionController, Bulkhead, TokenBucket
+from repro.serve import ENDPOINTS, AnalysisService, Endpoint, \
+    ServeConfig, running_server
+from repro.serve.admission import AdmissionController, Bulkhead, \
+    TokenBucket
 
-from ..helpers import http_post
+from ..helpers import http_get, http_post
 
 
 # -- unit: TokenBucket -------------------------------------------------------
@@ -44,7 +46,7 @@ class TestTokenBucket:
 
 class TestBulkhead:
     def test_admits_up_to_width(self):
-        head = Bulkhead("t", width=2, queue_depth=0, queue_timeout=30)
+        head = Bulkhead(width=2, queue_depth=0, queue_timeout=30)
         with head.admit():
             with head.admit():
                 with pytest.raises(BusyError) as excinfo:
@@ -54,7 +56,7 @@ class TestBulkhead:
         assert excinfo.value.retry_after > 0
 
     def test_queue_timeout_sheds(self):
-        head = Bulkhead("t", width=1, queue_depth=4,
+        head = Bulkhead(width=1, queue_depth=4,
                         queue_timeout=0.05)
         with head.admit():
             with pytest.raises(BusyError) as excinfo:
@@ -63,7 +65,7 @@ class TestBulkhead:
         assert "queue timeout" in excinfo.value.message
 
     def test_queued_request_proceeds_after_release(self):
-        head = Bulkhead("t", width=1, queue_depth=4,
+        head = Bulkhead(width=1, queue_depth=4,
                         queue_timeout=30.0)
         entered = threading.Event()
         release = threading.Event()
@@ -90,7 +92,7 @@ class TestBulkhead:
         assert outcome.get("admitted") is True
 
     def test_slot_released_after_body_raises(self):
-        head = Bulkhead("t", width=1, queue_depth=0,
+        head = Bulkhead(width=1, queue_depth=0,
                         queue_timeout=30.0)
         with pytest.raises(RuntimeError):
             with head.admit():
@@ -98,12 +100,44 @@ class TestBulkhead:
         with head.admit():  # slot must be free again
             pass
 
+    def test_never_exceeds_width_under_contention(self):
+        head = Bulkhead(width=2, queue_depth=64, queue_timeout=30.0)
+        lock = threading.Lock()
+        running, peak, done = [0], [0], []
 
-def test_controller_reuses_family_bulkheads():
-    controller = AdmissionController(AdmissionConfig(bulkhead_width=3))
-    assert controller.bulkhead("sweep") is controller.bulkhead("sweep")
-    assert controller.bulkhead("sweep").width == 3
-    assert "sweep" in controller.snapshot()
+        def worker():
+            for _ in range(50):
+                with head.admit():
+                    with lock:
+                        running[0] += 1
+                        peak[0] = max(peak[0], running[0])
+                    time.sleep(0)
+                    with lock:
+                        running[0] -= 1
+            done.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker)
+                       for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(done) == 8
+        assert peak[0] == 2
+        assert head.snapshot() == {"width": 2, "queue_depth": 64,
+                                   "waiting": 0}
+
+
+def test_gate_width_follows_compute_workers():
+    assert AdmissionController().gate.width == 1
+    assert AdmissionController(
+        ServeConfig(compute_workers=3)).gate.width == 3
 
 
 def test_rate_limit_disabled_by_default():
@@ -137,7 +171,8 @@ def test_saturated_bulkhead_sheds_429_with_retry_after(monkeypatch):
     entered, release = threading.Event(), threading.Event()
     monkeypatch.setitem(ENDPOINTS, "gated",
                         _gated_endpoint(entered, release))
-    config = ServeConfig(bulkhead_width=1, queue_depth=0)
+    # in-process, the gate is one compute wide
+    config = ServeConfig(queue_depth=0)
     shed_before = _counter("serve.admission.shed")
     with running_server(store=None, config=config) as server:
         leader_result = {}
@@ -150,7 +185,7 @@ def test_saturated_bulkhead_sheds_429_with_retry_after(monkeypatch):
         thread.start()
         assert entered.wait(timeout=60), "leader never computed"
         # distinct tag => distinct key => no coalescing: this request
-        # needs its own slot and the family has none to give
+        # needs its own slot and the gate has none to give
         import urllib.error
         import urllib.request
         request = urllib.request.Request(
@@ -172,8 +207,8 @@ def test_saturated_bulkhead_sheds_429_with_retry_after(monkeypatch):
 def test_warm_hits_served_while_cold_compute_blocked(
         monkeypatch, tmp_path):
     """The tentpole invariant: a store hit must never queue behind a
-    cold compute — even in-process, where the compute semaphore has
-    width 1 and is *held* by the blocked leader."""
+    cold compute — even in-process, where the compute gate has width
+    1 and is *held* by the blocked leader."""
     entered, release = threading.Event(), threading.Event()
     monkeypatch.setitem(ENDPOINTS, "gated",
                         _gated_endpoint(entered, release))
@@ -183,7 +218,7 @@ def test_warm_hits_served_while_cold_compute_blocked(
         status, first = http_post(server.url + "/v1/exhibit",
                                   {"name": "table2"})
         assert status == 200
-        # occupy the cold path: compute semaphore + bulkhead slot held
+        # occupy the cold path: the gate's one slot held
         thread = threading.Thread(
             target=http_post,
             args=(server.url + "/v1/gated", {"tag": "block"}))
@@ -197,6 +232,89 @@ def test_warm_hits_served_while_cold_compute_blocked(
         assert _counter("exec.store.hit") > hits_before
         release.set()
         thread.join(timeout=60)
+
+
+@pytest.mark.parametrize("second", ["gated", "echo"])
+def test_deadline_bounds_the_wait_for_the_compute_gate(monkeypatch,
+                                                       second):
+    """A request queued behind a held compute, from the same endpoint
+    or another, is answered within its deadline, not when the held
+    compute ends; the wait is counted as queued."""
+    entered, release = threading.Event(), threading.Event()
+    monkeypatch.setitem(ENDPOINTS, "gated",
+                        _gated_endpoint(entered, release))
+    free = threading.Event()
+    free.set()
+    monkeypatch.setitem(ENDPOINTS, "echo", _gated_endpoint(
+        threading.Event(), free))
+    with running_server(store=None) as server:
+        thread = threading.Thread(
+            target=http_post,
+            args=(server.url + "/v1/gated", {"tag": "hold"}))
+        thread.start()
+        assert entered.wait(timeout=60)
+        # a gate that ignored the deadline would answer when this
+        # fires, so the elapsed-time bound below separates the two
+        timer = threading.Timer(2.0, release.set)
+        timer.start()
+        try:
+            queued_before = _counter("serve.admission.queued")
+            t0 = time.monotonic()
+            status, body = http_post(
+                server.url + f"/v1/{second}?deadline_ms=100",
+                {"tag": "late"}, timeout=30)
+            elapsed = time.monotonic() - t0
+        finally:
+            timer.cancel()
+            release.set()
+            thread.join(timeout=60)
+        assert status in (429, 504), body
+        assert body["error"]["code"] in ("E-BUSY", "E-DEADLINE")
+        assert elapsed < 0.6, f"answered after {elapsed:.3f} s"
+        assert _counter("serve.admission.queued") > queued_before
+
+
+def test_standalone_service_serializes_cold_computes(monkeypatch):
+    lock = threading.Lock()
+    running, peak = [0], [0]
+
+    def normalize(params):
+        return {"tag": str(params["tag"])}
+
+    def compute(params):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.2)
+        with lock:
+            running[0] -= 1
+        return {"tag": params["tag"]}
+
+    monkeypatch.setitem(ENDPOINTS, "tracked",
+                        Endpoint("tracked", normalize, compute))
+    service = AnalysisService(store=None)
+    results = {}
+
+    def worker(tag):
+        results[tag] = service.query("tracked", {"tag": tag})
+
+    threads = [threading.Thread(target=worker, args=(tag,))
+               for tag in ("a", "b")]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == ["a", "b"]
+    assert peak[0] == 1
+
+
+def test_healthz_reports_the_single_compute_gate():
+    with running_server(store=None) as server:
+        status, health = http_get(server.url + "/healthz")
+    assert status == 200
+    assert health["admission"] == {"width": 1, "queue_depth": 8,
+                                   "waiting": 0}
 
 
 def test_per_connection_rate_limit_throttles(monkeypatch):
