@@ -232,4 +232,4 @@ def test_server_load(bench_json):
             f"({cold_s:.2f}s); floor is {SPEEDUP_FLOOR}x")
         assert store_hit_rate > 0.0, "store never hit under load"
     finally:
-        server.shutdown(drain_timeout=5.0)
+        server.shutdown()

@@ -222,4 +222,4 @@ def test_warm_hits_stay_fast_under_cold_overload(bench_json):
         assert overload["shed_count"] >= 1, (
             "overload never shed — compute gate not saturated")
     finally:
-        server.shutdown(drain_timeout=5.0)
+        server.shutdown()

@@ -13,7 +13,7 @@ recorded metrics afterwards:
 * a concurrent burst of slow cold sweeps against the compute gate,
   one compute wide (it follows ``--compute-workers 1``) with one
   queue slot — some requests queue, some shed E-BUSY 429;
-* SIGTERM at the end: graceful drain, exit 0.
+* SIGTERM at the end: graceful shutdown, exit 0.
 
 The script asserts the headline invariants itself (only structured
 statuses, zero unstructured 500s, daemon exits 0) and leaves the
@@ -102,7 +102,6 @@ def main() -> int:
          "--queue-timeout", "0.2",
          "--breaker-threshold", "2",
          "--breaker-cooldown", "0.2",
-         "--drain-timeout", "10",
          "--chaos-plan", plan_path],
         cwd=REPO_ROOT, env=env,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
@@ -194,12 +193,12 @@ def main() -> int:
         out, err = daemon.communicate(timeout=30)
         print("daemon stderr tail:\n" + err[-3000:], file=sys.stderr)
         raise
-    # -- graceful drain ----------------------------------------------
+    # -- graceful shutdown -------------------------------------------
     daemon.send_signal(signal.SIGTERM)
     out, err = daemon.communicate(timeout=60)
     assert daemon.returncode == 0, (
-        f"drain exited {daemon.returncode}: {err[-2000:]}")
-    print("daemon drained clean (exit 0)")
+        f"shutdown exited {daemon.returncode}: {err[-2000:]}")
+    print("daemon shut down clean (exit 0)")
     print("chaos smoke passed; gate the record with:\n"
           f"  REPRO_HISTORY={env['REPRO_HISTORY']} "
           "python -m repro.obs.cli check "

@@ -19,20 +19,19 @@ content-addressed result store keyed on each configuration and a
 digest of the package source, so repeated invocations are warm-start
 (``--no-cache`` / ``--cache-dir`` control this).
 
-Runs are **crash-safe and resumable**: each output file is written
-atomically (tmp + rename) *as its task completes*, and every completion
-is appended to the run journal under ``<out>/.runstate/``
-(:mod:`repro.exec.journal`).  A first Ctrl-C drains in-flight work,
-checkpoints the journal and exits with code 3 (resumable); a second
-Ctrl-C hard-aborts.  ``--resume`` skips journaled-complete tasks after
-re-verifying their on-disk outputs by digest, so the finished tree is
-byte-identical to an uninterrupted run.
+Runs are **crash-safe and resumable through the store**: each output
+file is written atomically (tmp + rename) *as its task completes*, and
+each finished payload is already in the result store.  A first Ctrl-C
+drains in-flight work and exits with code 3 (resumable); a second
+Ctrl-C hard-aborts.  Rerunning the same command answers the finished
+configurations from the store (rewriting their files) and computes
+only the rest, so the finished tree is byte-identical to an
+uninterrupted run.  A ``--no-cache`` run keeps nothing to resume from.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -47,7 +46,6 @@ from .errors import (
     render_error,
 )
 from .exec.engine import ExecutionEngine, Task, TaskResult
-from .exec.journal import RunJournal
 from .exec.signals import GracefulShutdown
 from .exec.store import ResultStore, default_cache_dir
 from .exec.tasks import (
@@ -114,7 +112,6 @@ def generate_results(out_dir: str,
                      *,
                      max_workers: int = 0,
                      store: Optional[ResultStore] = None,
-                     journal: Optional[RunJournal] = None,
                      stop=None,
                      ) -> List[str]:
     """Write one analysis file per configuration + a summary table.
@@ -126,13 +123,9 @@ def generate_results(out_dir: str,
     the config, so output bytes are identical.  With a ``store``,
     per-config payloads are cached across invocations.
 
-    With a ``journal``, each completion (file path + digest included)
-    is appended to the crash-safe run journal, journaled-complete
-    tasks are skipped on resume, and a ``stop`` poll (see
-    :class:`~repro.exec.signals.GracefulShutdown`) lets the run drain
-    and raise :class:`~repro.errors.RunInterrupted` cleanly.  Library
-    callers that pass no journal get the plain (non-resumable) run
-    with no ``.runstate`` directory.
+    A ``stop`` poll (see :class:`~repro.exec.signals.GracefulShutdown`)
+    lets the run drain and raise :class:`~repro.errors.RunInterrupted`
+    cleanly; the configurations it finished are then in the ``store``.
 
     Returns the list of files written, in ``configs`` order.
     """
@@ -153,18 +146,17 @@ def generate_results(out_dir: str,
         by_id[task.id] = (key, size)
         tasks.append(task)
 
-    def write_output(task: Task, result: TaskResult):
+    def write_output(task: Task, result: TaskResult) -> None:
         """Publish one config's file the moment its task completes."""
         key, size = by_id[task.id]
         blob = (result.value["report"] + "\n").encode("utf-8")
-        rel = _output_name(key, size)
         with obs.span("artifact.output", "artifact", domain=key,
                       size=size):
-            atomic_write_bytes(os.path.join(out_dir, rel), blob)
-        return {"files": {rel: hashlib.sha256(blob).hexdigest()}}
+            atomic_write_bytes(
+                os.path.join(out_dir, _output_name(key, size)), blob)
 
     engine = ExecutionEngine(max_workers=max_workers, store=store,
-                             journal=journal, stop=stop)
+                             stop=stop)
     results = engine.run(tasks, on_result=write_output)
 
     written: List[str] = []
@@ -189,7 +181,8 @@ def generate_results(out_dir: str,
 
 
 def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
-    """Engine/store flags shared by this CLI and ``repro-report``."""
+    """Engine, store and debug flags shared by this CLI and
+    ``repro-report``."""
     parser.add_argument(
         "--max-workers", type=int, default=0, metavar="N",
         help="fan the batch out on an N-process pool (0 = serial "
@@ -204,16 +197,6 @@ def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
         "--cache-dir", metavar="PATH", default=None,
         help="result-store directory (default: $REPRO_CACHE_DIR or "
              "~/.cache/repro)",
-    )
-
-
-def add_resilience_arguments(parser: argparse.ArgumentParser) -> None:
-    """Resume/debug flags shared by this CLI and ``repro-report``."""
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="resume an interrupted run: skip tasks whose journaled "
-             "outputs re-verify by digest (run state lives under "
-             "<run-dir>/.runstate/)",
     )
     parser.add_argument(
         "--debug", action="store_true",
@@ -280,7 +263,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "nine configurations (e.g. word_lm:1024,image:2)",
     )
     add_exec_arguments(parser)
-    add_resilience_arguments(parser)
     parser.add_argument("--trace", metavar="PATH", default=None,
                         help="write a Chrome trace_events JSON of the "
                              "batch run (chrome://tracing / Perfetto)")
@@ -291,35 +273,25 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.trace or args.metrics:
         obs.enable()
 
-    # built before the journal opens so a --resume run can still read
-    # the interrupted run's history id from <out>/.runstate/
     recorder = obs.RunRecorder(
         "repro.artifact",
         config={"out": args.out, "configs": args.configs,
                 "max_workers": args.max_workers,
-                "resume": bool(args.resume),
                 "trace": bool(args.trace)},
-        run_dir=args.out,
-        resume=args.resume,
     )
 
     def body() -> int:
         configs = (parse_configs(args.configs)
                    if args.configs else DEFAULT_CONFIGS)
-        with RunJournal(args.out, resume=args.resume) as journal, \
-                GracefulShutdown() as shutdown:
+        with GracefulShutdown() as shutdown:
             files = generate_results(
                 args.out, configs,
                 max_workers=args.max_workers,
                 store=store_from_args(args),
-                journal=journal,
                 stop=shutdown.stop_requested,
             )
         for path in files:
             print(f"wrote {path}")
-        if journal.skipped:
-            print(f"resumed: {journal.skipped} task(s) verified and "
-                  "skipped from the journal")
         if args.trace:
             print(f"wrote {obs.write_chrome_trace(args.trace)}")
         if args.metrics:

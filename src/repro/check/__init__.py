@@ -23,8 +23,8 @@ package is the correctness gate that runs *without executing anything*:
 * :mod:`repro.check.solver_lint` — M-family proofs of the bisection
   solver's monotonicity preconditions over the planner curve family;
 * :mod:`repro.check.exec_lint` — X-family static task-list lint
-  (store-key collisions, output write races, journal key drift),
-  run by the exec engine before dispatch.
+  (store-key collisions, output write races), run by the exec engine
+  before dispatch.
 
 Every pass emits :class:`~repro.check.diagnostics.Diagnostic` records
 with severity-ranked stable rule codes (``G001 dead-op`` …).  The

@@ -150,10 +150,6 @@ _RULE_DEFS = [
     Rule("X002", "output-path-race", ERROR,
          "two tasks declare the same output path (write race: final "
          "contents depend on scheduling order)"),
-    Rule("X003", "journal-task-drift", WARNING,
-         "a journaled completion record's store key differs from the "
-         "current task's key, so --resume will re-run work the "
-         "journal claims is done"),
 ]
 
 RULES: Dict[str, Rule] = {r.code: r for r in _RULE_DEFS}

@@ -2,8 +2,8 @@
 
 The execution engine rejects duplicate task ids up front; everything
 else it discovers the expensive way — mid-run, after workers have been
-spawned and partial results journaled.  Three more task-list defects
-are decidable from task metadata alone, so they belong in a
+spawned and partial results stored.  Two more task-list defects are
+decidable from task metadata alone, so they belong in a
 pre-dispatch pass:
 
 * **X001** — two distinct tasks declare the same result-store key.
@@ -12,10 +12,6 @@ pre-dispatch pass:
 * **X002** — two tasks declare the same output path
   (:attr:`~repro.exec.engine.Task.outputs`): the final file contents
   depend on scheduling order.
-* **X003** — a journal ok-record's store key differs from the current
-  task's key: ``--resume`` will re-run work the journal claims done
-  (the runtime replay already refuses the record; this surfaces the
-  drift *before* the run instead of as a silent cache miss).
 
 :meth:`repro.exec.engine.ExecutionEngine.run` runs this pass first and
 raises ``ValueError`` on any error-severity finding — the same
@@ -34,14 +30,11 @@ __all__ = ["task_diagnostics"]
 GRAPH_LABEL = "exec.tasks"
 
 
-def task_diagnostics(tasks: Sequence, *,
-                     journal=None) -> List[Diagnostic]:
+def task_diagnostics(tasks: Sequence) -> List[Diagnostic]:
     """Run the X-family rules over a task list.
 
     ``tasks`` is any sequence of :class:`~repro.exec.engine.Task`-like
-    objects (``id``/``key``/``outputs`` attributes); ``journal`` an
-    optional :class:`~repro.exec.journal.RunJournal` whose completed
-    records are cross-checked for key drift.
+    objects (``id``/``key``/``outputs`` attributes).
     """
     out: List[Diagnostic] = []
 
@@ -73,24 +66,5 @@ def task_diagnostics(tasks: Sequence, *,
                     "scheduling order",
                     graph=GRAPH_LABEL, obj=task.id,
                     data={"path": path, "tasks": [first, task.id]},
-                ))
-
-    if journal is not None:
-        journaled = journal.completed_keys()
-        for task in tasks:
-            if task.id not in journaled:
-                continue
-            old_key = journaled[task.id]
-            new_key = getattr(task, "key", None)
-            if old_key is not None and new_key is not None \
-                    and old_key != new_key:
-                out.append(Diagnostic(
-                    "X003",
-                    f"task {task.id!r} was journaled under store key "
-                    f"{old_key[:16]}… but now declares "
-                    f"{new_key[:16]}…; --resume will re-run it",
-                    graph=GRAPH_LABEL, obj=task.id,
-                    data={"journaled_key": old_key,
-                          "task_key": new_key},
                 ))
     return out

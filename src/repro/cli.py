@@ -24,10 +24,9 @@ content-addressed on-disk store (keyed on source digest + bindings +
 version) so a repeated invocation is warm-start; ``--no-cache`` /
 ``--cache-dir`` control the store.
 
-Long multi-exhibit runs are resumable: ``--run-dir PATH`` journals
-every completed exhibit under ``PATH/.runstate/`` (crash-safe appends),
-a first Ctrl-C drains and exits with code 3, and adding ``--resume``
-replays journal-verified exhibits instead of recomputing them.
+Long multi-exhibit runs are resumable through the store: a first
+Ctrl-C drains in-flight exhibits and exits with code 3, and rerunning
+the same command answers the finished exhibits from the store.
 Errors exit 1 with a one-paragraph ``[E-*]`` message (``--debug`` for
 the raw traceback).
 
@@ -38,18 +37,15 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import ExitStack
 from typing import List, Optional
 
 from . import obs
 from .artifact import (
     add_exec_arguments,
-    add_resilience_arguments,
     run_cli,
     store_from_args,
 )
 from .exec.engine import ExecutionEngine, Task
-from .exec.journal import RunJournal
 from .exec.signals import GracefulShutdown
 from .exec.tasks import report_exhibit, report_exhibit_key
 from .reports import ALL_REPORTS
@@ -92,12 +88,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     add_exec_arguments(parser)
     parser.add_argument(
-        "--run-dir", metavar="PATH", default=None,
-        help="journal completed exhibits under PATH/.runstate/ so an "
-             "interrupted run can be resumed (--resume)",
-    )
-    add_resilience_arguments(parser)
-    parser.add_argument(
         "--trace", metavar="PATH", default=None,
         help="enable repro.obs tracing and write a Chrome "
              "trace_events JSON to PATH (chrome://tracing / Perfetto)",
@@ -113,8 +103,6 @@ def main(argv: Optional[List[str]] = None) -> int:
              "after the reports",
     )
     args = parser.parse_args(argv)
-    if args.resume and not args.run_dir:
-        parser.error("--resume requires --run-dir")
 
     observing = bool(args.trace or args.trace_jsonl or args.metrics)
     if observing:
@@ -124,10 +112,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "repro-report",
         config={"exhibit": args.exhibit, "csv": bool(args.csv),
                 "max_workers": args.max_workers,
-                "resume": bool(args.resume),
                 "trace": bool(args.trace)},
-        run_dir=args.run_dir,
-        resume=args.resume,
     )
 
     def body() -> int:
@@ -152,25 +137,15 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
                 for name in names
             ]
-            with ExitStack() as stack:
-                journal = None
-                if args.run_dir:
-                    journal = stack.enter_context(
-                        RunJournal(args.run_dir, resume=args.resume))
-                shutdown = stack.enter_context(GracefulShutdown())
+            with GracefulShutdown() as shutdown:
                 engine = ExecutionEngine(
                     max_workers=args.max_workers, store=store,
-                    journal=journal,
                     stop=shutdown.stop_requested,
                 )
                 with obs.span("report.generate_all", "report",
                               n_exhibits=len(names),
                               max_workers=args.max_workers):
                     results = engine.run(tasks)
-                if journal is not None and journal.skipped:
-                    print(f"resumed: {journal.skipped} exhibit(s) "
-                          "verified and skipped from the journal",
-                          file=sys.stderr)
             for name, task in zip(names, tasks):
                 # one span per table/figure: rendering happens in the
                 # parent so the trace shows where the time went

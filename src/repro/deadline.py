@@ -119,6 +119,5 @@ def check_deadline(stage: str, **progress: Any) -> None:
         f"deadline of {deadline.budget_ms:g} ms exceeded during "
         f"{stage} (over by {overshoot:.1f} ms)",
         progress={"stage": stage, **progress},
-        hint="raise deadline_ms, narrow the query, or submit it as "
-             "an async job (POST /v1/jobs) and poll",
+        hint="raise deadline_ms or narrow the query",
     )

@@ -2,7 +2,7 @@
 
 Every failure the analysis pipeline can produce for a *user* reason —
 a malformed binding, a solver that cannot bracket its root, a tape
-that overflowed, a broken graph, a bad run directory — is raised as a
+that overflowed, a broken graph, an unwritable output — is raised as a
 :class:`ReproError` subclass carrying:
 
 * a **stable code** (``E-BIND``, ``E-SOLVE``, ``E-NUMERIC``,
@@ -23,8 +23,8 @@ the seed raised (``ValueError``/``KeyError``), so existing
 
 Exit codes (documented in the README's Troubleshooting section):
 ``0`` success, ``1`` error (any :class:`ReproError`), ``3``
-resumable interrupt (graceful SIGINT/SIGTERM shutdown — rerun with
-``--resume``).
+resumable interrupt (graceful SIGINT/SIGTERM shutdown — rerun the same
+command, and the result store answers the work that finished).
 """
 
 from __future__ import annotations
@@ -161,7 +161,7 @@ class NumericError(ReproError, ArithmeticError):
 
 
 class ReproIOError(ReproError):
-    """E-IO: a run directory, journal, or output file is unusable."""
+    """E-IO: an output file or store directory is unusable."""
 
     code = "E-IO"
 
@@ -169,15 +169,19 @@ class ReproIOError(ReproError):
 class RunInterrupted(ReproError):
     """E-INT: the run was stopped by a graceful SIGINT/SIGTERM drain.
 
-    Not a failure: completed work is journaled and the CLI exits with
-    :data:`EXIT_RESUMABLE` (3) so callers know ``--resume`` applies.
-    ``results`` carries the task results completed before the drain.
+    Not a failure: completed work is in the result store and the CLI
+    exits with :data:`EXIT_RESUMABLE` (3), so rerunning the same
+    command recomputes only what did not finish.  ``results`` carries
+    the task results completed before the drain.
     """
 
     code = "E-INT"
 
     def __init__(self, message: str, *, results=None, pending=(),
                  hint: Optional[str] = None, context=None):
+        if hint is None:
+            hint = ("rerun the same command; the result store answers "
+                    "the work that finished")
         super().__init__(message, hint=hint, context=context)
         self.results = dict(results or {})
         self.pending = tuple(pending)

@@ -28,14 +28,9 @@ path:
 * **tasks** (:mod:`.tasks`) — the picklable module-level task functions
   the artifact pipeline fans out (config reports, report exhibits).
 
-* **journal** (:mod:`.journal`) — the crash-safe append-only run
-  journal behind ``--resume``: every task completion is durable the
-  moment it happens, and a resumed run replays only digest-verified
-  work.
-
 * **signals** (:mod:`.signals`) — two-stage SIGINT/SIGTERM handling:
-  first signal drains and checkpoints (exit code 3, resumable), second
-  hard-aborts.
+  first signal drains (exit code 3: rerun the same command and the
+  store answers the finished tasks), second hard-aborts.
 
 Cache hits/misses/evictions and engine retries/timeouts/fallbacks are
 counted in :mod:`repro.obs` metrics and visible via ``--metrics``.
@@ -47,12 +42,11 @@ from .engine import (
     Task,
     TaskResult,
 )
-from .journal import STATE_DIRNAME, RunJournal
 from .signals import GracefulShutdown
 from .store import ResultStore, content_key, default_cache_dir
 
 __all__ = [
     "ExecutionEngine", "Task", "TaskResult", "ExecError",
     "ResultStore", "content_key", "default_cache_dir",
-    "RunJournal", "STATE_DIRNAME", "GracefulShutdown",
+    "GracefulShutdown",
 ]

@@ -36,22 +36,17 @@ completed spans and metric deltas alongside the result; the parent
 merges them — worker spans land on their own pid track (clamped into
 the parent-side dispatch window), dispatch→worker pairs are linked by
 flow ids, and worker counts fold into the process registry.  Cache
-hits, journal replays, retries, timeouts, and failures are all
-recorded as outcome-tagged ``exec.task`` spans, so a merged
-``--trace`` shows the whole schedule including what *didn't* run.
+hits, retries, timeouts, and failures are all recorded as
+outcome-tagged ``exec.task`` spans, so a merged ``--trace`` shows the
+whole schedule including what *didn't* run.
 
-Two resilience hooks make whole runs (not just tasks) fault-tolerant:
-
-* a :class:`~repro.exec.journal.RunJournal` — every task outcome is
-  appended to the crash-safe run journal as it happens, and
-  journaled-complete tasks are *replayed* (skipped) on a resumed run
-  after their payloads and output files re-verify by digest;
-* a ``stop`` callable (see
-  :class:`~repro.exec.signals.GracefulShutdown`) polled between task
-  completions — when it flips, the engine stops launching work, drains
-  what is in flight, checkpoints the journal, and raises
-  :class:`~repro.errors.RunInterrupted` (the CLIs map it to the
-  resumable exit code 3).
+A ``stop`` callable (see :class:`~repro.exec.signals.GracefulShutdown`)
+is polled between task completions.  When it flips, the engine stops
+launching work, drains what is in flight, and raises
+:class:`~repro.errors.RunInterrupted` (the CLIs map it to exit code 3).
+Every finished keyed task is already in the result store by then, so
+rerunning the same command answers it from the store and runs only the
+rest.
 """
 
 from __future__ import annotations
@@ -66,7 +61,6 @@ from typing import (
     Callable,
     Dict,
     List,
-    Mapping,
     Optional,
     Sequence,
     Set,
@@ -75,7 +69,6 @@ from typing import (
 
 from .. import obs
 from ..errors import ReproError, RunInterrupted
-from .journal import RunJournal
 from .store import ResultStore
 from .tasks import run_traced
 
@@ -200,7 +193,6 @@ class ExecutionEngine:
                  backoff: float = 0.05,
                  store: Optional[ResultStore] = None,
                  max_pool_restarts: int = 3,
-                 journal: Optional[RunJournal] = None,
                  stop: Optional[Callable[[], bool]] = None):
         if max_workers < 0:
             raise ValueError("max_workers must be >= 0")
@@ -210,10 +202,9 @@ class ExecutionEngine:
         self.backoff = backoff
         self.store = store
         self.max_pool_restarts = max_pool_restarts
-        self.journal = journal
         self.stop = stop
         self._on_result: Optional[Callable[[Task, TaskResult],
-                                           Optional[Mapping]]] = None
+                                           None]] = None
         self._run_id: Optional[str] = None
         self._run_span: Optional[obs.Span] = None
         self._flow_ids = itertools.count(1)
@@ -221,10 +212,9 @@ class ExecutionEngine:
     def _lint_tasks(self, tasks: Sequence[Task]) -> None:
         """Refuse a statically broken task list before any dispatch.
 
-        Duplicate ids, store-key collisions (X001), output write races
-        (X002) and journal/task key drift (X003) are caller bugs, not
-        runtime faults, so they raise ``ValueError`` here instead of
-        burning retries or landing in the journal.
+        Duplicate ids, store-key collisions (X001) and output write
+        races (X002) are caller bugs, not runtime faults, so they raise
+        ``ValueError`` here instead of burning retries.
         """
         from .. import check
         from ..check.exec_lint import task_diagnostics
@@ -234,7 +224,7 @@ class ExecutionEngine:
             if task.id in seen:
                 raise ValueError(f"duplicate task id {task.id!r}")
             seen.add(task.id)
-        errors = [d for d in task_diagnostics(tasks, journal=self.journal)
+        errors = [d for d in task_diagnostics(tasks)
                   if d.severity == check.ERROR]
         if errors:
             raise ValueError(
@@ -245,20 +235,17 @@ class ExecutionEngine:
     # -- public API ----------------------------------------------------
     def run(self, tasks: Sequence[Task],
             on_result: Optional[Callable[[Task, TaskResult],
-                                         Optional[Mapping]]] = None
+                                         None]] = None
             ) -> Dict[str, TaskResult]:
         """Execute ``tasks`` in order; returns ``{task id: TaskResult}``.
 
-        ``on_result`` runs *in the parent* for every fresh successful
-        result (pool, serial, or store-cache — not journal replays);
-        its return value, if any, is a mapping of extra journal
-        metadata (e.g. ``{"files": {relpath: digest}}``) folded into
-        the task's journal record.
+        ``on_result`` runs *in the parent* for every successful result
+        (pool, serial, or store hit).
 
         Raises :class:`ExecError` if any task still fails after retry
         and serial fallback (partial results ride on the exception),
         and :class:`~repro.errors.RunInterrupted` when the ``stop``
-        poll flips mid-run (in-flight work is drained and journaled
+        poll flips mid-run (in-flight work is drained and stored
         first; completed results ride on the exception).
         """
         self._lint_tasks(tasks)
@@ -279,8 +266,6 @@ class ExecutionEngine:
             finally:
                 self._on_result = None
                 self._run_span = None
-                if self.journal is not None:
-                    self.journal.checkpoint()
         failed = [r for r in results.values() if not r.ok]
         if failed:
             raise ExecError(failed, results)
@@ -292,48 +277,30 @@ class ExecutionEngine:
 
     def _interrupt(self, order: Sequence[Task],
                    results: Dict[str, TaskResult]) -> None:
-        """Checkpoint and raise once the drain is complete."""
+        """Raise once the drain is complete."""
         _INTERRUPTED.inc()
-        if self.journal is not None:
-            self.journal.checkpoint()
         pending = tuple(t.id for t in order if t.id not in results)
         raise RunInterrupted(
             f"run interrupted after {len(results)} of {len(order)} "
-            "task(s); completed work is journaled",
+            "task(s)",
             results=results, pending=pending,
-            hint="rerun with --resume to continue from the journal",
         )
 
     def _finish(self, task: Task, result: TaskResult) -> None:
         """Parent-side completion hook for a fresh or store-hit result:
-        store put (fresh only), ``on_result`` callback, journal append."""
+        store put (fresh only), then the ``on_result`` callback."""
         if not result.ok:
-            if self.journal is not None:
-                self.journal.record_failed(task.id, result.error)
             return
         if result.source != "cache" and self.store is not None \
                 and task.key is not None:
             self.store.put(task.key, result.value)
-        extra: Optional[Mapping] = None
         if self._on_result is not None:
-            extra = self._on_result(task, result)
-        if self.journal is not None:
-            files = (extra or {}).get("files") if extra else None
-            self.journal.record_ok(task.id, result.value,
-                                   key=task.key, files=files)
+            self._on_result(task, result)
 
     def _settle(self, task: Task,
                 results: Dict[str, TaskResult]) -> bool:
-        """Resolve ``task`` without running it, if it can be: a verified
-        journal replay (the resume skip path) or a store hit.  True
-        when ``results`` now holds it."""
-        if self.journal is not None:
-            value = self.journal.replay(task.id, task.key)
-            if not RunJournal.is_missing(value):
-                self._record_outcome_span(task, "replayed")
-                results[task.id] = TaskResult(id=task.id, value=value,
-                                              source="journal")
-                return True
+        """Resolve ``task`` from the store without running it, if it
+        can be.  True when ``results`` now holds it."""
         if self.store is not None and task.key is not None:
             sentinel = object()
             value = self.store.get(task.key, sentinel)
@@ -364,8 +331,8 @@ class ExecutionEngine:
                              end_ns: Optional[int] = None,
                              error: Optional[BaseException] = None,
                              **extra) -> None:
-        """Tag a task decision (cache hit, replay, retry, timeout,
-        failure) as a completed span so it is visible in the trace."""
+        """Tag a task decision (cache hit, retry, timeout, failure)
+        as a completed span so it is visible in the trace."""
         if not obs.is_enabled():
             return
         now = obs.monotonic_ns()
@@ -589,7 +556,7 @@ class ExecutionEngine:
         while pending:
             if not draining and self._stop_requested():
                 # graceful drain: stop launching, let in-flight pool
-                # jobs finish and be journaled, then raise resumable
+                # jobs finish and be stored, then raise resumable
                 draining = True
             if draining and not running:
                 self._interrupt(order, results)

@@ -3,10 +3,11 @@
 The CLIs wrap their batch runs in :class:`GracefulShutdown`.  The first
 SIGINT/SIGTERM does *not* kill the process: it flips a flag the
 execution engine polls between task completions, so in-flight work
-finishes, its results are journaled and flushed, and the run exits with
-the resumable exit code (3) — ``--resume`` then picks up where it
-stopped.  A second signal restores the default handlers and raises
-``KeyboardInterrupt`` immediately (the hard abort for a stuck drain).
+finishes, its results land in the result store, and the run exits with
+the resumable exit code (3) — rerunning the same command then answers
+the finished work from the store.  A second signal restores the
+default handlers and raises ``KeyboardInterrupt`` immediately (the hard
+abort for a stuck drain).
 
 Handlers are installed only in the main thread (Python restricts
 ``signal.signal`` to it); elsewhere the context manager is a no-op and
@@ -56,9 +57,9 @@ class GracefulShutdown:
             self.requested = True
             _DRAINS.inc()
             print(
-                f"{name} received: draining in-flight work and "
-                "checkpointing the journal (signal again to abort "
-                "immediately); rerun with --resume to continue",
+                f"{name} received: draining in-flight work (signal "
+                "again to abort immediately); rerun the same command "
+                "to continue",
                 file=self._stream,
             )
             return

@@ -1,9 +1,9 @@
 """Atomic file-write helpers shared by the artifact/export writers.
 
-A killed run must never leave a truncated table, figure, trace, or
-journal payload on disk: every output file is written to a temp file in
-the destination directory and published with ``os.replace`` (atomic on
-POSIX within a filesystem), the same discipline
+A killed run must never leave a truncated table, figure, or trace on
+disk: every output file is written to a temp file in the destination
+directory and published with ``os.replace`` (atomic on POSIX within a
+filesystem), the same discipline
 :meth:`repro.exec.store.ResultStore.put` already uses for cache
 entries.  Readers therefore see either the complete previous version
 or the complete new one, never a partial write.
@@ -11,13 +11,12 @@ or the complete new one, never a partial write.
 
 from __future__ import annotations
 
-import hashlib
 import os
 import tempfile
 
 from .errors import ReproIOError
 
-__all__ = ["atomic_write_bytes", "atomic_write_text", "sha256_file"]
+__all__ = ["atomic_write_bytes", "atomic_write_text"]
 
 
 def atomic_write_bytes(path: str, blob: bytes, *,
@@ -68,17 +67,3 @@ def atomic_write_text(path: str, text: str, *,
     """Atomic UTF-8 text write; see :func:`atomic_write_bytes`."""
     return atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
-
-def sha256_file(path: str, *, chunk: int = 1 << 20) -> str:
-    """Hex SHA-256 of a file's contents (the journal's file digest)."""
-    digest = hashlib.sha256()
-    try:
-        with open(path, "rb") as handle:
-            while True:
-                block = handle.read(chunk)
-                if not block:
-                    break
-                digest.update(block)
-    except OSError as error:
-        raise ReproIOError(f"cannot digest {path!r}: {error}") from error
-    return digest.hexdigest()

@@ -109,14 +109,13 @@ def cmd_list(history: RunHistory, args: argparse.Namespace) -> int:
             str(record.get("status", "?")),
             f"{float(record.get('duration_s', 0.0)):.2f}",
             str(record.get("n_spans", 0)),
-            str(record.get("parent_run") or "")[:12],
         ])
     if not rows:
         print(f"no runs recorded in {history.path}")
         return 0
     print(_table(f"Run history ({history.path})",
                  ["Run", "Started", "Command", "Status", "Wall s",
-                  "Spans", "Parent"],
+                  "Spans"],
                  rows, csv=args.csv))
     return 0
 
@@ -141,8 +140,6 @@ def cmd_show(history: RunHistory, args: argparse.Namespace) -> int:
               f"  exit={record.get('exit_code')}  started="
               f"{_fmt_when(record.get('started'))}  wall="
               f"{float(record.get('duration_s', 0.0)):.2f}s")
-    if record.get("parent_run"):
-        header += f"  parent={str(record['parent_run'])[:12]}"
     if not args.csv:
         print(header)
         if record.get("config"):

@@ -11,16 +11,12 @@ an append-only JSONL history file:
   canonical-JSON record (minus the id itself), so identical runs have
   identical ids and a record can be re-verified against its id;
 * **atomic** — one record is one ``write`` + flush + fsync of a single
-  line (the journal's crash discipline), so a dying process can at
-  worst truncate the final line, which :meth:`RunHistory.load`
-  tolerates;
+  line, so a dying process can at worst truncate the final line,
+  which :meth:`RunHistory.load` tolerates;
 * **self-contained** — the record carries the full metrics snapshot
   (histograms keep their log2 buckets, so percentiles remain
   answerable forever), a span-time rollup by dotted name prefix, the
-  run's config, engine/version keys, and the exit status;
-* **chained** — a ``--resume`` run records the interrupted run it
-  continues as ``parent_run`` (the id is linked through the run dir's
-  ``.runstate`` by :func:`repro.exec.journal.link_history_run`).
+  run's config, engine/version keys, and the exit status.
 
 The history lives under the result-store cache dir by default
 (``$REPRO_CACHE_DIR``-aware) and ``$REPRO_HISTORY`` overrides the file
@@ -190,39 +186,28 @@ class RunHistory:
 class RunRecorder:
     """Capture one CLI run as a history record.
 
-    Constructed before the run body starts (so a resumed run can read
-    its parent's id from the run dir *before* anything overwrites it)
-    and finished with the exit code after the body returns or raises::
+    Constructed before the run body starts and finished with the exit
+    code after the body returns or raises::
 
-        recorder = RunRecorder("repro.artifact", config={...},
-                               run_dir=out_dir, resume=args.resume)
+        recorder = RunRecorder("repro.artifact", config={...})
         ...
         recorder.finish(exit_code)
 
     ``finish`` snapshots the metrics registry, rolls up the recorded
-    spans, appends the record, and links the run id into the run dir's
-    ``.runstate`` so the *next* resume chains to this run.  It never
-    raises: history is an observer, not a gate (failures are counted
-    in ``obs.history.append_failed``).
+    spans, and appends the record.  It never raises: history is an
+    observer, not a gate (failures are counted in
+    ``obs.history.append_failed``).
     """
 
     def __init__(self, command: str, *,
                  config: Optional[Dict[str, Any]] = None,
-                 run_dir: Optional[str] = None,
-                 resume: bool = False,
                  path: Optional[str] = None):
         self.command = command
         self.config = dict(config) if config else {}
-        self.run_dir = run_dir
         self.path = path
         self.started = time.time()
         self._t0 = _tracer.monotonic_ns()
-        self.parent_run: Optional[str] = None
         self.run_id: Optional[str] = None
-        if resume and run_dir:
-            from ..exec.journal import history_parent
-
-            self.parent_run = history_parent(run_dir)
 
     def finish(self, exit_code: int) -> Optional[str]:
         """Append the record for a run that exited with ``exit_code``;
@@ -240,7 +225,6 @@ class RunRecorder:
                 (_tracer.monotonic_ns() - self._t0) / 1e9, 6),
             "exit_code": int(exit_code),
             "status": status,
-            "parent_run": self.parent_run,
             "engine": {
                 "version": __version__,
                 "python": ".".join(str(v)
@@ -253,10 +237,6 @@ class RunRecorder:
         }
         try:
             self.run_id = RunHistory(self.path).append(record)
-            if self.run_dir:
-                from ..exec.journal import link_history_run
-
-                link_history_run(self.run_dir, self.run_id)
         except Exception:
             _APPEND_FAILED.inc()
             return None

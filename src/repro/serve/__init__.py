@@ -11,14 +11,13 @@ dependencies):
 ============  ======  ==============================================
 route         method  answers
 ============  ======  ==============================================
-``/healthz``  GET     liveness + uptime + pending-job count
+``/healthz``  GET     liveness + uptime + gate and breaker state
 ``/metrics``  GET     OpenMetrics exposition of every repro.obs metric
 ``/v1/stats`` GET     JSON counter snapshot (requests, coalesce, store)
 ``/v1/sweep`` POST    Figure 7–10 sweep rows + fitted first-order model
 ``/v1/plan``  POST    §5.2.1 subbatch choice + Roofline projection
 ``/v1/lint``  POST    repro.check diagnostics over registry models
 ``/v1/exhibit`` POST  one paper table/figure as structured cells
-``/v1/jobs``  POST    async submit (202 + job id); GET /v1/jobs/<id>
 ============  ======  ==============================================
 
 Production concerns are the point:
@@ -31,15 +30,12 @@ Production concerns are the point:
 * **warm results** — response bytes are memoized in the
   content-addressed :class:`~repro.exec.store.ResultStore`, so a
   repeated query is a disk hit instead of a recomputation;
-* **async jobs** (:class:`~repro.serve.jobs.JobQueue`) — slow sweeps
-  run on worker threads behind a submit → 202 → poll lifecycle,
-  journaled through :class:`~repro.exec.journal.RunJournal` so a
-  killed server resumes in-flight jobs under ``--resume``;
-* **graceful drain** — SIGTERM/SIGINT reuse
-  :class:`~repro.exec.signals.GracefulShutdown`: stop accepting, drain
-  the queue, checkpoint the journal, exit 0 (or 3 when jobs remain);
+* **graceful shutdown** — SIGTERM/SIGINT reuse
+  :class:`~repro.exec.signals.GracefulShutdown`: stop accepting, close
+  the worker pool, exit 0; a restarted server answers finished
+  queries from the store;
 * **observability** — per-endpoint request counters and latency
-  histograms plus coalesce/store/job counters in :mod:`repro.obs`,
+  histograms plus coalesce/store counters in :mod:`repro.obs`,
   served verbatim on ``/metrics`` via ``openmetrics_text``;
 * **overload resilience** — one compute gate, as wide as the number
   of computes that can run at once, with a bounded admission queue
@@ -58,7 +54,6 @@ Production concerns are the point:
 
 from .service import AnalysisService, Endpoint, ENDPOINTS, \
     snapshot_exhibit
-from .jobs import Job, JobQueue
 from .admission import AdmissionController, Bulkhead, TokenBucket
 from .breaker import BreakerBoard, BreakerConfig, CircuitBreaker
 from .chaos import ChaosController, ChaosInjectedError, ChaosPlan
@@ -66,7 +61,6 @@ from .server import ReproServer, ServeConfig, running_server
 
 __all__ = [
     "AnalysisService", "Endpoint", "ENDPOINTS", "snapshot_exhibit",
-    "Job", "JobQueue",
     "AdmissionController", "Bulkhead", "TokenBucket",
     "BreakerBoard", "BreakerConfig", "CircuitBreaker",
     "ChaosController", "ChaosInjectedError", "ChaosPlan",

@@ -7,9 +7,10 @@ Overload policy for the server, and every knob it reads, in one place:
 * :class:`Bulkhead` — the server's one compute gate: a concurrency
   limit with a **bounded** waiter queue.  ``width`` cold computes run
   at once; up to ``queue_depth`` more wait (at most ``queue_timeout``
-  seconds, or a request's remaining deadline); everything beyond that
-  is **shed immediately** with :class:`~repro.errors.BusyError`
-  (E-BUSY → HTTP 429 + ``Retry-After``).  Shedding at admission keeps
+  seconds, or a request's remaining deadline, which ends the wait as
+  E-DEADLINE 504); everything beyond that is **shed immediately**
+  with :class:`~repro.errors.BusyError` (E-BUSY → HTTP 429 +
+  ``Retry-After``).  Shedding at admission keeps
   the failure mode "fast 429" instead of "every thread blocked on one
   slow sweep" — and because the service checks the result store
   *before* the gate, warm hits never queue behind cold computes.
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 from .. import obs
-from ..errors import BusyError
+from ..deadline import Deadline
+from ..errors import BusyError, DeadlineError
 
 __all__ = ["AdmissionController", "Bulkhead", "ServeConfig",
            "TokenBucket", "MAX_BODY_BYTES"]
@@ -95,24 +97,28 @@ class Bulkhead:
             f"the compute gate is {reason} (width {self.width}, "
             f"queue depth {self.queue_depth})",
             retry_after=max(0.1, retry_after),
-            hint="retry after the Retry-After interval, or submit "
-                 "the query as an async job (POST /v1/jobs)",
+            hint="retry after the Retry-After interval",
         )
 
     def _has_slot(self) -> bool:
         return self._running < self.width
 
     @contextmanager
-    def admit(self, timeout: Optional[float] = None) -> Iterator[None]:
+    def admit(self, deadline: Optional[Deadline] = None
+              ) -> Iterator[None]:
         """Hold one concurrency slot for the duration of the body.
 
-        ``timeout`` caps the queue wait (defaults to the configured
-        ``queue_timeout``; a request deadline passes its remaining
-        budget).  Raises :class:`BusyError` instead of waiting when
-        the bounded queue is already full, or when the wait times out.
+        The queue wait lasts at most ``queue_timeout``, or what is left
+        of a request's ``deadline`` if that is shorter.  Raises
+        :class:`BusyError` instead of waiting when the bounded queue is
+        already full, or when ``queue_timeout`` ends the wait, and
+        :class:`~repro.errors.DeadlineError` when the deadline ends it.
         """
-        wait = self.queue_timeout if timeout is None \
-            else min(self.queue_timeout, max(0.0, timeout))
+        wait = self.queue_timeout
+        deadline_bound = (deadline is not None
+                          and deadline.remaining_s() < wait)
+        if deadline_bound:
+            wait = max(0.0, deadline.remaining_s())
         with self._cond:
             if not self._has_slot():
                 if self._waiting >= self.queue_depth:
@@ -125,6 +131,14 @@ class Bulkhead:
                 finally:
                     self._waiting -= 1
                     _WAITING.set(self._waiting)
+                if not admitted and deadline_bound:
+                    raise DeadlineError(
+                        f"deadline of {deadline.budget_ms:g} ms "
+                        "expired waiting for the compute gate",
+                        progress={"stage": "admission-queue"},
+                        hint="raise deadline_ms, or retry when the "
+                             "server is less busy",
+                    )
                 if not admitted:
                     self._shed("saturated past the queue timeout", wait)
             self._running += 1
@@ -173,8 +187,6 @@ class ServeConfig:
     header_timeout: float = 30.0
     #: wall-clock budget for reading one request body
     body_timeout: float = 10.0
-    #: graceful-drain budget used when ``shutdown()`` gets no override
-    drain_timeout: float = 5.0
     max_body_bytes: int = MAX_BODY_BYTES
 
 

@@ -2,9 +2,7 @@
 
 ::
 
-    repro-serve [--host H] [--port P] [--job-workers N]
-                [--run-dir DIR] [--resume] [--drain-timeout S]
-                [--compute-workers N]
+    repro-serve [--host H] [--port P] [--compute-workers N]
                 [--queue-depth N] [--queue-timeout S]
                 [--rate-limit R] [--rate-burst N]
                 [--breaker-threshold N] [--breaker-cooldown S]
@@ -15,16 +13,17 @@
 Prints one JSON announce line on stdout once the socket is bound
 (``{"event": "serving", "url": ..., "port": ..., "pid": ...}``) — test
 fixtures and scripts read it to learn the ephemeral port — then serves
-until the first SIGTERM/SIGINT.  The signal starts a graceful drain
-(stop accepting, finish queued jobs, checkpoint the journal); a second
-signal hard-aborts.
+until the first SIGTERM/SIGINT.  The signal shuts the server down
+(stop accepting, join the serve thread, close the worker pool); a
+second signal hard-aborts.
 
 Exit codes follow the repo-wide convention:
 
-* ``0`` — clean shutdown, no jobs left behind;
-* ``3`` (``EXIT_RESUMABLE``) — jobs were still pending at drain
-  deadline; restart with ``--run-dir DIR --resume`` to pick them up;
+* ``0`` — clean shutdown;
 * ``1`` — startup or configuration error (rendered, no traceback).
+
+Finished answers live in the result store, so a restarted server
+answers a repeated query from it; there is no exit code 3.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from typing import List, Optional
 
 from .. import obs
 from ..artifact import run_cli, store_from_args
-from ..errors import EXIT_RESUMABLE, ReproIOError
+from ..errors import ReproIOError
 from ..exec.signals import GracefulShutdown
 from ..exec.store import default_cache_dir
 from .chaos import ChaosController, ChaosPlan
@@ -61,23 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=0, metavar="P",
         help="listen port (default: 0 = ephemeral; the announce "
              "line on stdout carries the chosen port)")
-    parser.add_argument(
-        "--job-workers", type=int, default=2, metavar="N",
-        help="async-job worker threads (default: 2)")
-    parser.add_argument(
-        "--run-dir", metavar="DIR", default=None,
-        help="journal async jobs under DIR/.runstate so a restart "
-             "with --resume finishes them (default: jobs are "
-             "in-memory only)")
-    parser.add_argument(
-        "--resume", action="store_true",
-        help="recover journaled jobs from --run-dir: completed "
-             "results replay verbatim, unfinished jobs re-enter "
-             "the queue")
-    parser.add_argument(
-        "--drain-timeout", type=float, default=30.0, metavar="S",
-        help="seconds to wait for queued jobs on shutdown "
-             "(default: 30)")
     group = parser.add_argument_group(
         "overload resilience",
         "admission control, deadlines, breakers, and the chaos "
@@ -140,17 +122,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.resume and not args.run_dir:
-        build_parser().error("--resume requires --run-dir")
     recorder = obs.RunRecorder(
         "repro-serve",
         config={"host": args.host, "port": args.port,
-                "job_workers": args.job_workers,
-                "run_dir": args.run_dir, "resume": args.resume,
                 "cache": not args.no_cache,
                 "compute_workers": args.compute_workers,
                 "chaos_plan": args.chaos_plan},
-        run_dir=args.run_dir, resume=args.resume,
     )
     config = ServeConfig(
         queue_depth=max(0, args.queue_depth),
@@ -162,7 +139,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         compute_workers=max(0, args.compute_workers),
         header_timeout=max(0.1, args.header_timeout),
         body_timeout=max(0.1, args.body_timeout),
-        drain_timeout=max(0.0, args.drain_timeout),
     )
     def body() -> int:
         # inside body() so a bad plan renders as E-BIND, not a traceback
@@ -174,8 +150,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             server = ReproServer(
                 args.host, args.port,
                 store=store_from_args(args),
-                run_dir=args.run_dir, resume=args.resume,
-                job_workers=max(1, args.job_workers),
                 config=config, chaos=chaos,
             )
         except OSError as error:
@@ -191,17 +165,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             "pid": os.getpid(),
             "cache_dir": (None if args.no_cache else
                           args.cache_dir or default_cache_dir()),
-            "run_dir": args.run_dir,
         }, sort_keys=True), flush=True)
         with GracefulShutdown() as stop:
             while not stop.stop_requested():
                 time.sleep(0.1)
-        pending = server.shutdown(drain_timeout=args.drain_timeout)
-        if pending:
-            print(f"shutdown with {pending} job(s) unfinished; "
-                  f"restart with --run-dir {args.run_dir or '<dir>'} "
-                  "--resume to complete them", file=sys.stderr)
-            return EXIT_RESUMABLE
+        server.shutdown()
         return 0
 
     return run_cli(body, debug=args.debug, recorder=recorder)

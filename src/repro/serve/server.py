@@ -1,18 +1,15 @@
 """The HTTP shell: routing, error envelopes, lifecycle.
 
 A deliberately thin layer — every route is a few lines over
-:class:`~repro.serve.service.AnalysisService` and
-:class:`~repro.serve.jobs.JobQueue`:
+:class:`~repro.serve.service.AnalysisService`:
 
 ====================  ======  ====================================
 route                 method  handler
 ====================  ======  ====================================
-``/healthz``          GET     liveness, uptime, pending jobs
+``/healthz``          GET     liveness, uptime, gate and breakers
 ``/metrics``          GET     ``repro.obs`` OpenMetrics exposition
 ``/v1/stats``         GET     JSON metrics snapshot (bench reads it)
-``/v1/jobs``          POST    async submit → 202 + job id
-``/v1/jobs/<id>``     GET     poll one job
-``/v1/<endpoint>``    POST    synchronous query (sweep/plan/...)
+``/v1/<endpoint>``    POST    query (sweep/plan/lint/exhibit)
 ====================  ======  ====================================
 
 Errors never leak tracebacks: a :class:`~repro.errors.ReproError`
@@ -22,7 +19,9 @@ an oversize body, 408 for a body-read timeout), E-BUSY 429 with a
 ``Retry-After`` header, E-EXEC 503, E-DEADLINE 504 — anything else a
 minimal E-INT 500.  Each request increments
 ``serve.http.<route>.requests`` and lands its wall time in
-``serve.http.<route>.latency_ns``.
+``serve.http.<route>.latency_ns``.  An error sent before a POST's body
+was read also closes the connection (``Connection: close``): the
+unread body would otherwise be parsed as the next request.
 
 The server is ``ThreadingHTTPServer`` (one thread per connection,
 ``daemon_threads=True``, a listen backlog of 64) speaking HTTP/1.1
@@ -55,7 +54,6 @@ from .admission import MAX_BODY_BYTES, AdmissionController, \
     ServeConfig
 from .breaker import BreakerBoard, BreakerConfig
 from .chaos import ChaosController
-from .jobs import JobQueue
 from .service import AnalysisService, ENDPOINTS, canonical_json
 
 __all__ = ["ReproServer", "ServeConfig", "running_server",
@@ -99,6 +97,8 @@ class _Handler(BaseHTTPRequestHandler):
     # without TCP_NODELAY, Nagle + delayed ACK pins every keep-alive
     # round trip at ~40ms regardless of how fast the store answers
     disable_nagle_algorithm = True
+    #: set per request: a POST whose body has not been read yet
+    _body_unread = False
 
     # -- plumbing ------------------------------------------------------
     def setup(self) -> None:
@@ -133,8 +133,13 @@ class _Handler(BaseHTTPRequestHandler):
                             extra_headers: Optional[Dict[str, str]]
                             = None) -> None:
         (_ERRORS_400 if status < 500 else _ERRORS_500).inc()
+        headers = dict(extra_headers or {})
+        if self._body_unread:
+            # the unread body would be parsed as the next request;
+            # send_header sets close_connection for this header
+            headers["Connection"] = "close"
         self._send(status, _error_body(code, message, hint, context),
-                   extra_headers=extra_headers)
+                   extra_headers=headers)
 
     def _request_deadline(self) -> Optional[Deadline]:
         """The request's wall-clock budget: ``?deadline_ms=`` or the
@@ -163,16 +168,15 @@ class _Handler(BaseHTTPRequestHandler):
         config = self.server.repro.config  # type: ignore[attr-defined]
         length = int(self.headers.get("Content-Length") or 0)
         if length > config.max_body_bytes:
-            # the unread body would poison the next keep-alive request
-            self.close_connection = True
             raise _client_error(
                 f"request body of {length} bytes exceeds the "
                 f"{config.max_body_bytes}-byte limit "
                 f"(max_body_bytes)",
                 status=413,
                 hint="split the query (e.g. chunk the 'sizes' "
-                     "series) or submit several async jobs")
+                     "series) across several requests")
         raw = self._read_body_bytes(length, config.body_timeout)
+        self._body_unread = False
         if not raw:
             raise BindingError(
                 "empty request body; expected a JSON object",
@@ -240,8 +244,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _route(self, method: str) -> None:
         route = self.path.split("?", 1)[0].rstrip("/") or "/"
         label = route.strip("/").replace("/", ".") or "root"
-        if route.startswith("/v1/jobs/"):
-            label = "v1.jobs.poll"
+        self._body_unread = method == "POST"
         obs.counter(f"serve.http.{label}.requests").inc()
         t0 = time.monotonic_ns()
         try:
@@ -301,36 +304,12 @@ class _Handler(BaseHTTPRequestHandler):
             if route == "/v1/stats":
                 return self._send(200, canonical_json(
                     {"metrics": obs.snapshot()}))
-            if route.startswith("/v1/jobs/"):
-                jid = route[len("/v1/jobs/"):]
-                job = server.jobs.get(jid)
-                if job is None:
-                    return self._send_error_payload(
-                        404, "E-BIND", f"unknown job {jid!r}",
-                        "job ids are returned by POST /v1/jobs")
-                return self._send(200, canonical_json(job.payload()))
             return self._send_error_payload(
                 404, "E-BIND", f"no GET route {route!r}",
-                "GET routes: /healthz /metrics /v1/stats "
-                "/v1/jobs/<id>")
+                "GET routes: /healthz /metrics /v1/stats")
 
         # POST: one token per request from the connection's bucket
         server.admission.check_bucket(self._bucket)
-        if route == "/v1/jobs":
-            body = self._read_json_body()
-            if not isinstance(body, dict) or "endpoint" not in body:
-                raise BindingError(
-                    "job submission must be a JSON object with "
-                    "'endpoint' and 'params' fields",
-                    hint='e.g. {"endpoint": "sweep", "params": '
-                         '{"domain": "word_lm"}}')
-            jid, created = server.jobs.submit(
-                body["endpoint"], body.get("params") or {})
-            return self._send(202, canonical_json({
-                "job": jid,
-                "created": created,
-                "poll": f"/v1/jobs/{jid}",
-            }))
         if route.startswith("/v1/"):
             endpoint = route[len("/v1/"):]
             if endpoint in ENDPOINTS:
@@ -341,7 +320,7 @@ class _Handler(BaseHTTPRequestHandler):
                         endpoint, params, deadline=deadline))
         return self._send_error_payload(
             404, "E-BIND", f"no POST route {route!r}",
-            f"POST routes: /v1/jobs and /v1/{{{', '.join(sorted(ENDPOINTS))}}}")
+            f"POST routes: /v1/{{{', '.join(sorted(ENDPOINTS))}}}")
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -358,13 +337,10 @@ class _HTTPServer(ThreadingHTTPServer):
 
 
 class ReproServer:
-    """The daemon: service + job queue + threading HTTP server."""
+    """The daemon: service + threading HTTP server."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  store: Optional[ResultStore] = None,
-                 run_dir: Optional[str] = None,
-                 resume: bool = False,
-                 job_workers: int = 2,
                  config: Optional[ServeConfig] = None,
                  chaos: Optional[ChaosController] = None):
         self.config = config or ServeConfig()
@@ -391,8 +367,6 @@ class ReproServer:
         self.service = AnalysisService(
             store, admission=self.admission, breakers=self.breakers,
             pool=self.pool, chaos=chaos)
-        self.jobs = JobQueue(self.service, run_dir=run_dir,
-                             resume=resume, workers=job_workers)
         self.httpd = _HTTPServer((host, port), _Handler)
         self.httpd.repro = self  # type: ignore[attr-defined]
         self.started_at = time.time()
@@ -418,7 +392,6 @@ class ReproServer:
             "status": "ok",
             "version": __version__,
             "uptime_s": round(time.time() - self.started_at, 3),
-            "pending_jobs": self.jobs.pending_count(),
             "endpoints": self.service.endpoints(),
             "admission": self.admission.gate.snapshot(),
             "breakers": self.breakers.snapshot(),
@@ -438,27 +411,14 @@ class ReproServer:
             name="repro-serve-http", daemon=True)
         self._thread.start()
 
-    def shutdown(self, *,
-                 drain_timeout: Optional[float] = None) -> int:
-        """Graceful drain: stop accepting, drain jobs, checkpoint.
-
-        ``drain_timeout`` defaults to ``config.drain_timeout`` (the
-        ``--drain-timeout`` flag, end to end — nothing here is
-        hardcoded).  Returns the number of jobs left unfinished (0 on
-        a clean drain) — the CLI maps nonzero to ``EXIT_RESUMABLE``.
-        """
-        if drain_timeout is None:
-            drain_timeout = self.config.drain_timeout
+    def shutdown(self) -> None:
+        """Stop accepting, join the serve thread, close the pool."""
         self.httpd.shutdown()
         self.httpd.server_close()
         if self._thread is not None:
-            self._thread.join(timeout=max(0.1, drain_timeout))
-        pending = self.jobs.close(
-            drain_timeout=drain_timeout,
-            join_timeout=max(0.1, drain_timeout))
+            self._thread.join()
         if self.pool is not None:
             self.pool.close()
-        return pending
 
 
 @contextmanager

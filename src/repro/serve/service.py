@@ -182,8 +182,7 @@ def _normalize_sweep(params: Mapping) -> Dict[str, Any]:
     if len(sizes) > _MAX_SWEEP_SIZES:
         _reject(f"field 'sizes' is capped at {_MAX_SWEEP_SIZES} "
                 f"points per query, got {len(sizes)}",
-                hint="split the series across several queries or "
-                     "submit an async job per chunk")
+                hint="split the series across several queries")
     clean_sizes = []
     for value in sizes:
         if isinstance(value, bool) or not isinstance(value,
@@ -538,8 +537,8 @@ class AnalysisService:
                     "waiting on an identical in-flight query",
                     progress={"stage": "coalesce-wait",
                               "endpoint": endpoint},
-                    hint="raise deadline_ms or poll the result as an "
-                         "async job",
+                    hint="raise deadline_ms, or retry once the "
+                         "identical query finishes",
                 )
             if entry.error is not None:
                 raise entry.error
@@ -603,9 +602,7 @@ class AnalysisService:
         if breaker is not None:
             breaker.before_call()
         try:
-            with self.admission.gate.admit(
-                    timeout=deadline.remaining_s()
-                    if deadline is not None else None):
+            with self.admission.gate.admit(deadline):
                 if deadline is not None and deadline.expired():
                     raise DeadlineError(
                         f"deadline of {deadline.budget_ms:g} ms "

@@ -46,7 +46,6 @@ EXPECTED_RULES = {
     "M003": ("bracket-domain-mismatch", WARNING),
     "X001": ("store-key-collision", ERROR),
     "X002": ("output-path-race", ERROR),
-    "X003": ("journal-task-drift", WARNING),
 }
 
 
@@ -130,12 +129,12 @@ class TestFiltering:
         diags = [
             Diagnostic("I001", "i", graph="g"),
             Diagnostic("M002", "m", graph="g"),
-            Diagnostic("X003", "x", graph="g"),
+            Diagnostic("X002", "x", graph="g"),
             Diagnostic("G001", "w", graph="g"),
         ]
         out = filter_diagnostics(diags, select=["I", "M", "X"])
-        assert sorted(d.code for d in out) == ["I001", "M002", "X003"]
-        out = filter_diagnostics(diags, ignore=["I", "X003"])
+        assert sorted(d.code for d in out) == ["I001", "M002", "X002"]
+        out = filter_diagnostics(diags, ignore=["I", "X002"])
         assert sorted(d.code for d in out) == ["G001", "M002"]
 
     def test_max_severity(self):

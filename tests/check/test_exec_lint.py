@@ -5,7 +5,6 @@ import pytest
 from repro.check import ERROR, WARNING
 from repro.check.exec_lint import GRAPH_LABEL, task_diagnostics
 from repro.exec.engine import ExecutionEngine, Task
-from repro.exec.journal import RunJournal
 
 
 def _ok(n):
@@ -45,26 +44,6 @@ class TestTaskDiagnostics:
         tasks = _tasks(("a", None, ()), ("b", None, ()))
         assert task_diagnostics(tasks) == []
 
-    def test_x003_journal_key_drift(self, tmp_path):
-        run = str(tmp_path)
-        with RunJournal(run) as journal:
-            journal.record_ok("a", 2, key="old-key")
-        with RunJournal(run, resume=True) as journal:
-            tasks = _tasks(("a", "new-key", ()), ("b", "k2", ()))
-            (d,) = task_diagnostics(tasks, journal=journal)
-            assert d.code == "X003"
-            assert d.severity == WARNING
-            assert d.data == {"journaled_key": "old-key",
-                              "task_key": "new-key"}
-
-    def test_matching_journal_keys_are_clean(self, tmp_path):
-        run = str(tmp_path)
-        with RunJournal(run) as journal:
-            journal.record_ok("a", 2, key="k1")
-        with RunJournal(run, resume=True) as journal:
-            tasks = _tasks(("a", "k1", ()))
-            assert task_diagnostics(tasks, journal=journal) == []
-
 
 class TestEngineWiring:
     def test_run_raises_on_key_collision_before_dispatch(self):
@@ -87,16 +66,16 @@ class TestEngineWiring:
         assert results["a"].value == 2
         assert results["b"].value == 2
 
-    def test_warning_severity_does_not_block(self, tmp_path):
-        # X003 is a warning: the run proceeds (the journal replay layer
-        # already refuses the stale record at its own level)
-        run = str(tmp_path)
-        with RunJournal(run) as journal:
-            journal.record_ok("a", 2, key="old-key")
-        with RunJournal(run, resume=True) as journal:
-            engine = ExecutionEngine(journal=journal)
-            results = engine.run(_tasks(("a", "new-key", ())))
-            assert results["a"].value == 2
+    def test_warning_severity_does_not_block(self, monkeypatch):
+        # only error-severity findings refuse the task list
+        from repro.check import Diagnostic, exec_lint
+
+        monkeypatch.setattr(
+            exec_lint, "task_diagnostics",
+            lambda tasks: [Diagnostic("X001", "w", graph=GRAPH_LABEL,
+                                      severity=WARNING)])
+        results = ExecutionEngine().run(_tasks(("a", "k", ())))
+        assert results["a"].value == 2
 
     def test_static_lint_helper(self):
         tasks = _tasks(("a", "same-key", ()), ("b", "same-key", ()))

@@ -1,13 +1,14 @@
 """Resilience tests: graceful shutdown, engine drain, SIGINT oracle.
 
-The differential oracle at the bottom is the ISSUE's acceptance test:
-an artifact run interrupted by SIGINT mid-flight and then resumed must
-produce a byte-identical output tree to an uninterrupted run, with the
-journal showing at least one skipped (replayed) task.
+The differential oracle at the bottom is the interrupt contract: an
+artifact run interrupted by SIGINT mid-flight exits 3, and the same
+command rerun with the same result store exits 0, answers at least one
+task from the store, and leaves an output tree byte-identical to an
+uninterrupted run.
 """
 
-import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -17,8 +18,8 @@ import pytest
 
 from repro.errors import EXIT_RESUMABLE, RunInterrupted
 from repro.exec.engine import ExecutionEngine, Task
-from repro.exec.journal import STATE_DIRNAME, RunJournal
 from repro.exec.signals import GracefulShutdown
+from repro.exec.store import ResultStore
 
 from ._workers import double
 
@@ -44,63 +45,71 @@ class TestGracefulShutdown:
         assert signal.getsignal(signal.SIGUSR1) == previous
 
 
+def _keyed_tasks(n):
+    return [Task(id=f"t{i}", fn=double, args=(i,), key=f"{i:064x}")
+            for i in range(n)]
+
+
 class TestEngineDrain:
     def test_stop_interrupts_serial_run_resumably(self, tmp_path):
-        journal = RunJournal(str(tmp_path))
+        store = ResultStore(str(tmp_path))
         calls = []
 
         def stop():
             return len(calls) >= 2
 
-        tasks = [Task(id=f"t{i}", fn=double, args=(i,))
-                 for i in range(4)]
-        engine = ExecutionEngine(max_workers=0, journal=journal,
-                                 stop=stop)
+        engine = ExecutionEngine(max_workers=0, store=store, stop=stop)
 
         def on_result(task, result):
             calls.append(task.id)
 
         with pytest.raises(RunInterrupted) as info:
-            engine.run(tasks, on_result=on_result)
-        journal.close()
+            engine.run(_keyed_tasks(4), on_result=on_result)
         err = info.value
         assert sorted(err.results) == ["t0", "t1"]
         assert err.pending == ("t2", "t3")
-        # completed tasks are journaled, so a resume skips them
-        with RunJournal(str(tmp_path), resume=True) as resumed:
-            assert resumed.completed_ids() == ["t0", "t1"]
+        assert "rerun the same command" in err.hint
+        # completed tasks are in the store, so a rerun answers them
+        assert [store.get(task.key) for task in _keyed_tasks(4)] \
+            == [0, 2, None, None]
 
-    def test_resumed_engine_replays_journaled_tasks(self, tmp_path):
-        tasks = lambda: [Task(id=f"t{i}", fn=double, args=(i,))
-                         for i in range(3)]
-        with RunJournal(str(tmp_path)) as journal:
-            ExecutionEngine(max_workers=0, journal=journal).run(tasks())
-        fresh = []
-        with RunJournal(str(tmp_path), resume=True) as journal:
-            results = ExecutionEngine(max_workers=0,
-                                      journal=journal).run(
-                tasks(),
-                on_result=lambda task, result: fresh.append(task.id),
-            )
-            assert journal.skipped == 3
-        assert fresh == []  # on_result never fires for replays
+    def test_rerun_engine_answers_finished_tasks_from_the_store(
+            self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        ExecutionEngine(max_workers=0, store=store).run(_keyed_tasks(3))
+        seen = []
+        results = ExecutionEngine(max_workers=0, store=store).run(
+            _keyed_tasks(3),
+            on_result=lambda task, result: seen.append(task.id),
+        )
+        # on_result fires for store hits too: that rewrites outputs
+        assert seen == ["t0", "t1", "t2"]
         assert [results[f"t{i}"].value for i in range(3)] == [0, 2, 4]
-        assert all(results[t].source == "journal" for t in results)
+        assert all(results[t].source == "cache" for t in results)
 
-    def test_pool_run_journals_and_resumes(self, tmp_path):
-        tasks = lambda: [Task(id=f"t{i}", fn=double, args=(i,))
-                         for i in range(4)]
-        with RunJournal(str(tmp_path)) as journal:
-            ExecutionEngine(max_workers=2, journal=journal).run(tasks())
-        with RunJournal(str(tmp_path), resume=True) as journal:
-            results = ExecutionEngine(max_workers=2,
-                                      journal=journal).run(tasks())
-            assert journal.skipped == 4
+    def test_pool_rerun_answers_from_the_store(self, tmp_path):
+        store = ResultStore(str(tmp_path))
+        ExecutionEngine(max_workers=2, store=store).run(_keyed_tasks(4))
+        results = ExecutionEngine(max_workers=2, store=store).run(
+            _keyed_tasks(4))
         assert [results[f"t{i}"].value for i in range(4)] == [0, 2, 4, 6]
+        assert all(results[t].source == "cache" for t in results)
 
 
-CLI = [sys.executable, "-m", "repro.artifact", "--no-cache",
-       "--configs", "word_lm:1024,word_lm:2048,image:1,image:2"]
+#: the pooled run gets ten configs, so the drain (at most two tasks
+#: per worker in flight) cannot finish the whole batch
+CONFIGS = {
+    "serial": "word_lm:1024,word_lm:2048,image:1,image:2",
+    "pooled": "word_lm:1024,word_lm:2048,word_lm:4096,word_lm:8192,"
+              "image:1,image:2,image:4,image:8,nmt:1024,nmt:2048",
+}
+WORKERS = {"serial": "0", "pooled": "2"}
+
+
+def _cli(mode, out, *extra):
+    return [sys.executable, "-m", "repro.artifact", "--out", out,
+            "--configs", CONFIGS[mode], "--max-workers", WORKERS[mode],
+            *extra]
 
 
 def _env():
@@ -112,8 +121,7 @@ def _env():
 
 def _read_tree(out_dir):
     tree = {}
-    for root, dirs, files in os.walk(out_dir):
-        dirs[:] = [d for d in dirs if d != STATE_DIRNAME]
+    for root, _, files in os.walk(out_dir):
         for name in files:
             path = os.path.join(root, name)
             rel = os.path.relpath(path, out_dir)
@@ -122,55 +130,63 @@ def _read_tree(out_dir):
     return tree
 
 
+def _interrupt_and_rerun(tmp_path, mode):
+    """SIGINT after the first output file, rerun, diff against an
+    uninterrupted run (see the module docstring)."""
+    interrupted = str(tmp_path / "interrupted")
+    oracle = str(tmp_path / "oracle")
+    command = _cli(mode, interrupted,
+                   "--cache-dir", str(tmp_path / "store"))
+
+    proc = subprocess.Popen(command, env=_env(),
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE)
+    # interrupt as soon as the first output file is published
+    deadline = time.monotonic() + 120
+    while time.monotonic() < deadline:
+        if (os.path.isdir(interrupted)
+                and any(name.startswith("output_")
+                        for name in os.listdir(interrupted))):
+            break
+        if proc.poll() is not None:
+            break
+        time.sleep(0.05)
+    assert proc.poll() is None, (
+        "run finished before it could be interrupted: "
+        + proc.stderr.read().decode())
+    proc.send_signal(signal.SIGINT)
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == EXIT_RESUMABLE, stderr.decode()
+    assert "draining" in stderr.decode()
+    assert "rerun the same command" in stderr.decode()
+    # partial tree: some outputs exist, summary does not
+    partial = _read_tree(interrupted)
+    assert 0 < len(partial) < len(CONFIGS[mode].split(","))
+    assert "summary.txt" not in partial
+
+    rerun = subprocess.run(command + ["--metrics"], env=_env(),
+                           capture_output=True, timeout=600)
+    assert rerun.returncode == 0, rerun.stderr.decode()
+    hits = re.search(rb"^exec\.tasks\.cache_hit\s+counter\s+(\d+)",
+                     rerun.stdout, re.MULTILINE)
+    assert hits and int(hits.group(1)) >= 1, rerun.stdout.decode()
+
+    clean = subprocess.run(_cli(mode, oracle, "--no-cache"),
+                           env=_env(), capture_output=True,
+                           timeout=600)
+    assert clean.returncode == 0, clean.stderr.decode()
+    assert _read_tree(interrupted) == _read_tree(oracle)
+    assert not os.path.exists(os.path.join(interrupted, ".runstate"))
+
+
 class TestInterruptResumeOracle:
-    """SIGINT mid-flight + --resume == uninterrupted run, byte for byte."""
+    """SIGINT mid-flight + the same command rerun == uninterrupted."""
 
     def test_differential_oracle(self, tmp_path):
-        interrupted = str(tmp_path / "interrupted")
-        oracle = str(tmp_path / "oracle")
+        _interrupt_and_rerun(tmp_path, "serial")
 
-        proc = subprocess.Popen(CLI + ["--out", interrupted],
-                                env=_env(),
-                                stdout=subprocess.PIPE,
-                                stderr=subprocess.PIPE)
-        # interrupt as soon as the first output file is published
-        deadline = time.monotonic() + 120
-        while time.monotonic() < deadline:
-            if (os.path.isdir(interrupted)
-                    and any(name.startswith("output_")
-                            for name in os.listdir(interrupted))):
-                break
-            if proc.poll() is not None:
-                break
-            time.sleep(0.05)
-        assert proc.poll() is None, (
-            "run finished before it could be interrupted: "
-            + proc.stderr.read().decode())
-        proc.send_signal(signal.SIGINT)
-        _, stderr = proc.communicate(timeout=120)
-        assert proc.returncode == EXIT_RESUMABLE, stderr.decode()
-        assert "draining" in stderr.decode()
-        # partial tree: some outputs exist, summary does not
-        partial = _read_tree(interrupted)
-        assert 0 < len(partial) < 5
-        assert "summary.txt" not in partial
-
-        resumed = subprocess.run(
-            CLI + ["--out", interrupted, "--resume"],
-            env=_env(), capture_output=True, timeout=600)
-        assert resumed.returncode == 0, resumed.stderr.decode()
-        assert b"resumed:" in resumed.stdout
-
-        journal_path = os.path.join(interrupted, STATE_DIRNAME,
-                                    "journal.jsonl")
-        with open(journal_path) as handle:
-            events = [json.loads(line)["event"] for line in handle]
-        assert events.count("skipped") >= 1
-
-        clean = subprocess.run(CLI + ["--out", oracle], env=_env(),
-                               capture_output=True, timeout=600)
-        assert clean.returncode == 0, clean.stderr.decode()
-        assert _read_tree(interrupted) == _read_tree(oracle)
+    def test_pooled_differential_oracle(self, tmp_path):
+        _interrupt_and_rerun(tmp_path, "pooled")
 
 
 class TestCliErrors:

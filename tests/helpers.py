@@ -170,7 +170,7 @@ class ServerFixture:
 
     ::
 
-        with ServerFixture(run_dir=tmp, resume=False) as server:
+        with ServerFixture(cache_dir=tmp) as server:
             status, body = server.post("/v1/sweep",
                                        {"domain": "word_lm"})
 
@@ -180,22 +180,14 @@ class ServerFixture:
     after a grace period) however the test exits.
     """
 
-    def __init__(self, *, run_dir: Optional[str] = None,
-                 resume: bool = False,
-                 cache_dir: Optional[str] = None,
+    def __init__(self, *, cache_dir: Optional[str] = None,
                  no_cache: bool = False,
-                 job_workers: int = 2,
                  port: int = 0,
                  extra_args: Optional[Sequence[str]] = None,
                  extra_env: Optional[Mapping[str, str]] = None,
                  startup_timeout: float = 60.0):
         argv = [sys.executable, "-m", "repro.serve",
-                "--port", str(port),
-                "--job-workers", str(job_workers)]
-        if run_dir:
-            argv += ["--run-dir", run_dir]
-        if resume:
-            argv += ["--resume"]
+                "--port", str(port)]
         if cache_dir:
             argv += ["--cache-dir", cache_dir]
         if no_cache:

@@ -1,4 +1,4 @@
-"""Run-history store: atomic appends, chaining, and rollups."""
+"""Run-history store: atomic appends, ids, and rollups."""
 
 import json
 import os
@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro import obs
-from repro.exec.journal import history_parent, link_history_run
 from repro.obs.history import (
     RunHistory,
     RunRecorder,
@@ -121,22 +120,6 @@ class TestRunRecorder:
         assert (history.get(RunRecorder("c").finish(EXIT_RESUMABLE))
                 ["status"] == "interrupted")
 
-    def test_run_dir_link_and_resume_chain(self, history, tmp_path):
-        run_dir = str(tmp_path / "run")
-        first = RunRecorder("c", run_dir=run_dir)
-        rid_first = first.finish(3)
-        # link written for the next resume to find
-        assert history_parent(run_dir) == rid_first
-        second = RunRecorder("c", run_dir=run_dir, resume=True)
-        rid_second = second.finish(0)
-        assert history.get(rid_second)["parent_run"] == rid_first
-        # and the link now points at the newest run
-        assert history_parent(run_dir) == rid_second
-
-    def test_fresh_run_has_no_parent(self, history, tmp_path):
-        rid = RunRecorder("c", run_dir=str(tmp_path / "r")).finish(0)
-        assert history.get(rid)["parent_run"] is None
-
     def test_finish_never_raises(self, tmp_path):
         # unwritable history path: finish() swallows and counts
         recorder = RunRecorder("c", path=os.path.join(
@@ -146,13 +129,3 @@ class TestRunRecorder:
         assert recorder.finish(0) is None
         assert (obs.counter("obs.history.append_failed").value
                 == before + 1)
-
-
-class TestJournalLink:
-    def test_missing_link_reads_none(self, tmp_path):
-        assert history_parent(str(tmp_path / "nope")) is None
-
-    def test_link_roundtrip(self, tmp_path):
-        run_dir = str(tmp_path / "run")
-        link_history_run(run_dir, "abc123")
-        assert history_parent(run_dir) == "abc123"

@@ -28,7 +28,6 @@ def _record(command="repro.artifact", *, completed, failed=0,
         "duration_s": run_ms / 1000.0,
         "exit_code": 0 if status == "ok" else 1,
         "status": status,
-        "parent_run": None,
         "metrics": metrics,
         "spans": {
             "exec.run": {"count": 1, "total_ns": int(run_ms * 1e6),

@@ -18,7 +18,8 @@ import time
 import pytest
 
 from repro import obs
-from repro.errors import BindingError, BusyError
+from repro.deadline import Deadline
+from repro.errors import BindingError, BusyError, DeadlineError
 from repro.exec.store import ResultStore
 from repro.serve import ENDPOINTS, AnalysisService, Endpoint, \
     ServeConfig, running_server
@@ -63,6 +64,21 @@ class TestBulkhead:
                 with head.admit():
                     pass
         assert "queue timeout" in excinfo.value.message
+
+    def test_deadline_ending_the_wait_is_e_deadline(self):
+        head = Bulkhead(width=1, queue_depth=4, queue_timeout=30.0)
+        with head.admit():
+            with pytest.raises(DeadlineError) as excinfo:
+                with head.admit(Deadline(50.0)):
+                    pass
+        assert excinfo.value.progress == {"stage": "admission-queue"}
+
+    def test_queue_timeout_before_the_deadline_stays_e_busy(self):
+        head = Bulkhead(width=1, queue_depth=4, queue_timeout=0.05)
+        with head.admit():
+            with pytest.raises(BusyError):
+                with head.admit(Deadline(30000.0)):
+                    pass
 
     def test_queued_request_proceeds_after_release(self):
         head = Bulkhead(width=1, queue_depth=4,
@@ -239,7 +255,8 @@ def test_deadline_bounds_the_wait_for_the_compute_gate(monkeypatch,
                                                        second):
     """A request queued behind a held compute, from the same endpoint
     or another, is answered within its deadline, not when the held
-    compute ends; the wait is counted as queued."""
+    compute ends: an E-DEADLINE 504 counted as a missed deadline (not
+    an E-BUSY shed), with the wait counted as queued."""
     entered, release = threading.Event(), threading.Event()
     monkeypatch.setitem(ENDPOINTS, "gated",
                         _gated_endpoint(entered, release))
@@ -259,6 +276,8 @@ def test_deadline_bounds_the_wait_for_the_compute_gate(monkeypatch,
         timer.start()
         try:
             queued_before = _counter("serve.admission.queued")
+            exceeded_before = _counter("serve.deadline.exceeded")
+            shed_before = _counter("serve.admission.shed")
             t0 = time.monotonic()
             status, body = http_post(
                 server.url + f"/v1/{second}?deadline_ms=100",
@@ -268,10 +287,13 @@ def test_deadline_bounds_the_wait_for_the_compute_gate(monkeypatch,
             timer.cancel()
             release.set()
             thread.join(timeout=60)
-        assert status in (429, 504), body
-        assert body["error"]["code"] in ("E-BUSY", "E-DEADLINE")
+        assert status == 504, body
+        assert body["error"]["code"] == "E-DEADLINE"
+        assert {"stage": "admission-queue"} in body["error"]["context"]
         assert elapsed < 0.6, f"answered after {elapsed:.3f} s"
         assert _counter("serve.admission.queued") > queued_before
+        assert _counter("serve.deadline.exceeded") == exceeded_before + 1
+        assert _counter("serve.admission.shed") == shed_before
 
 
 def test_standalone_service_serializes_cold_computes(monkeypatch):

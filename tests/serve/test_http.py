@@ -8,13 +8,14 @@ payloads (``/metrics`` parses as OpenMetrics, terminator included).
 
 from __future__ import annotations
 
+import http.client
 import json
 import urllib.error
 import urllib.request
 
 import pytest
 
-from repro.serve import running_server
+from repro.serve import ServeConfig, running_server
 
 from ..helpers import http_get, http_post
 
@@ -140,16 +141,62 @@ def test_unknown_routes_are_structured_404(server):
     assert body["error"]["code"] == "E-BIND"
 
 
-def test_job_submission_without_endpoint_is_400(server):
-    status, body = http_post(server.url + "/v1/jobs", {"params": {}})
-    assert status == 400
-    assert "endpoint" in body["error"]["message"]
+def test_jobs_routes_are_structured_404(server):
+    # clients of the removed async-job routes get the route list
+    status, body = http_post(server.url + "/v1/jobs",
+                             {"endpoint": "sweep", "params": {}})
+    assert status == 404
+    assert body["error"]["code"] == "E-BIND"
+    assert "/v1/jobs" not in body["error"]["hint"]
+    assert "/v1/{exhibit, lint, plan, sweep}" in body["error"]["hint"]
 
-
-def test_unknown_job_id_is_404(server):
     status, body = http_get(server.url + "/v1/jobs/deadbeef")
     assert status == 404
     assert body["error"]["code"] == "E-BIND"
+    assert "/v1/jobs" not in body["error"]["hint"]
+
+
+def _exchange(conn, method, path, payload=None):
+    body = None if payload is None else json.dumps(payload).encode()
+    headers = {} if body is None else {"Content-Type":
+                                       "application/json"}
+    conn.request(method, path, body=body, headers=headers)
+    response = conn.getresponse()
+    return response.status, response.getheader("Content-Type"), \
+        response.read()
+
+
+@pytest.mark.parametrize("path, config, before", [
+    ("/v1/nope", None, None),
+    ("/v1/sweep?deadline_ms=abc", None, None),
+    # the first POST reads its body and spends the one token; the
+    # second is refused by the rate bucket before its body is read
+    ("/v1/lint", ServeConfig(rate_limit=0.001, rate_burst=1),
+     ("/v1/lint", {"domains": ["nope"]})),
+], ids=["unknown-route", "bad-deadline", "rate-limited"])
+def test_refusal_before_the_body_keeps_the_connection_usable(
+        path, config, before):
+    # a refusal sent before the body is read must not leave the body
+    # on the wire, where it would be parsed as the next request
+    with running_server(store=None, config=config) as srv:
+        conn = http.client.HTTPConnection("127.0.0.1", srv.port,
+                                          timeout=30)
+        try:
+            if before is not None:
+                status, _, _ = _exchange(conn, "POST", *before)
+                assert status == 400
+            status, ctype, body = _exchange(
+                conn, "POST", path, {"domain": "word_lm"})
+            assert status in (400, 404, 429)
+            assert_structured_error(body,
+                                    "E-BUSY" if status == 429
+                                    else "E-BIND")
+            status, ctype, body = _exchange(conn, "GET", "/healthz")
+            assert status == 200, body
+            assert ctype == "application/json"
+            assert json.loads(body)["status"] == "ok"
+        finally:
+            conn.close()
 
 
 def test_metrics_exposition_parses_as_openmetrics(server):

@@ -1,89 +1,36 @@
-"""Shutdown lifecycle: the drain budget is configuration, not a
-hardcoded constant.
+"""Shutdown lifecycle: ``ReproServer.shutdown()`` takes no budget.
 
-``--drain-timeout`` must flow end to end: CLI flag → ``ServeConfig``
-→ ``ReproServer.shutdown`` → ``JobQueue.close`` (both the drain wait
-and the worker joins).  The regression these tests pin down: the
-shutdown path used to ignore the configured budget in two places
-(``drain_timeout=5.0`` hardcoded in the server, a ``join(5.0)`` in
-the job queue), so a small budget took 5+ seconds and a large one
-was silently truncated.
+It stops the listener, joins the serve thread and closes the worker
+pool; nothing is left pending, because finished answers live in the
+result store.
 """
 
 from __future__ import annotations
 
-import time
+import socket
 
-import pytest
-
-from repro.errors import EXIT_RESUMABLE
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.cli import build_parser
 
-from ..helpers import ServerFixture
-
-SLOW_JOB = {"endpoint": "sweep",
-            "params": {"domain": "word_lm",
-                       "sizes": [float(64 * (i + 1))
-                                 for i in range(40)]}}
+from ..helpers import http_get
 
 
-def test_drain_timeout_flag_parses_with_default():
+def test_shutdown_stops_the_listener_and_closes_the_pool():
+    server = ReproServer(config=ServeConfig(compute_workers=1))
+    server.start_background()
+    status, health = http_get(server.url + "/healthz")
+    assert status == 200 and health["compute_workers"] == 1
+    port = server.port
+    assert server.shutdown() is None
+    assert not server._thread.is_alive()
+    assert server.pool.pids() == []
+    with socket.socket() as sock:
+        assert sock.connect_ex(("127.0.0.1", port)) != 0
+
+
+def test_resume_and_job_flags_are_gone():
     parser = build_parser()
-    assert parser.parse_args([]).drain_timeout == 30.0
-    assert parser.parse_args(["--drain-timeout", "0.7"]) \
-        .drain_timeout == 0.7
-
-
-def test_configured_drain_budget_bounds_shutdown(tmp_path):
-    # job_workers=0 freezes the queue: the submitted job can never
-    # finish, so shutdown *must* give up after the configured budget
-    config = ServeConfig(drain_timeout=0.3)
-    server = ReproServer(run_dir=str(tmp_path / "run"),
-                         job_workers=0, config=config)
-    server.start_background()
-    jid, created = server.jobs.submit("lint",
-                                      {"domains": ["word_lm"]})
-    assert created
-    t0 = time.monotonic()
-    pending = server.shutdown()  # no override: config value applies
-    elapsed = time.monotonic() - t0
-    assert pending == 1
-    assert 0.3 <= elapsed < 3.0, (
-        f"shutdown took {elapsed:.2f}s for a 0.3s drain budget — "
-        "a hardcoded timeout is back")
-
-
-def test_explicit_override_beats_config(tmp_path):
-    config = ServeConfig(drain_timeout=60.0)
-    server = ReproServer(run_dir=str(tmp_path / "run"),
-                         job_workers=0, config=config)
-    server.start_background()
-    server.jobs.submit("lint", {"domains": ["word_lm"]})
-    t0 = time.monotonic()
-    pending = server.shutdown(drain_timeout=0.2)
-    assert pending == 1
-    assert time.monotonic() - t0 < 3.0
-
-
-@pytest.mark.server
-def test_expired_drain_exits_resumable_and_resume_finishes(tmp_path):
-    run_dir = str(tmp_path / "run")
-    cache_dir = str(tmp_path / "cache")
-    with ServerFixture(run_dir=run_dir, cache_dir=cache_dir,
-                       extra_args=["--drain-timeout", "0.2"],
-                       ) as first:
-        status, body = first.post("/v1/jobs", SLOW_JOB)
-        assert status == 202
-        jid = body["job"]
-        # SIGTERM immediately: the sweep cannot finish in 0.2s, so
-        # the daemon must exit EXIT_RESUMABLE with the job journaled
-        code = first.terminate(timeout=60.0)
-    assert code == EXIT_RESUMABLE, (
-        f"expected exit {EXIT_RESUMABLE} on expired drain, got {code}")
-
-    with ServerFixture(run_dir=run_dir, cache_dir=cache_dir,
-                       resume=True) as second:
-        status, body = second.get(f"/v1/jobs/{jid}")
-        assert status == 200
-        assert body["resumed"] is True
+    options = {opt for action in parser._actions
+               for opt in action.option_strings}
+    assert not options & {"--resume", "--run-dir", "--job-workers",
+                          "--drain-timeout"}
