@@ -97,6 +97,14 @@ def parse_configs(spec: str) -> Tuple[Tuple[str, float], ...]:
                 f"config {part!r} has a non-numeric size "
                 f"{size_text!r}",
             ) from None
+        # the output file name is the config's identity
+        if any(_output_name(key, size) == _output_name(*seen)
+               for seen in configs):
+            raise BindingError(
+                f"config {key}:{size:g} is listed twice in --configs",
+                hint="sizes that print alike (e.g. word_lm:1024 and "
+                     "word_lm:1024.0) name one output file",
+            )
         configs.append((key, size))
     if not configs:
         raise BindingError("--configs parsed to an empty list")
@@ -180,11 +188,19 @@ def generate_results(out_dir: str,
     return written
 
 
+def _worker_count(text: str) -> int:
+    """argparse type of ``--max-workers``: a non-negative integer."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def add_exec_arguments(parser: argparse.ArgumentParser) -> None:
     """Engine, store and debug flags shared by this CLI and
     ``repro-report``."""
     parser.add_argument(
-        "--max-workers", type=int, default=0, metavar="N",
+        "--max-workers", type=_worker_count, default=0, metavar="N",
         help="fan the batch out on an N-process pool (0 = serial "
              "in-process, the default); output is byte-identical "
              "either way",

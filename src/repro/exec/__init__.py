@@ -7,10 +7,11 @@ the ROADMAP's "sharding, batching, async, caching" layer to that hot
 path:
 
 * **engine** (:mod:`.engine`) — a task-list execution engine (one task
-  per artifact unit or report exhibit, run in submitted order) with a
-  timeout per task, bounded retry with exponential backoff, and
-  graceful degradation to serial in-process execution when a worker
-  dies, hangs, or ``max_workers=0``.  Its workers come
+  per artifact unit or report exhibit, run in submitted order).  Each
+  task runs once; a failing task is reported, not retried.  The first
+  pool fault (a worker death, a refused submit, a task past its
+  timeout) hands every unfinished task to serial in-process
+  execution, the mode ``max_workers=0`` always uses.  Its workers come
   from :class:`.engine.SupervisedPool`, the package's one process pool,
   which also runs ``repro-serve``'s cold computes::
 
@@ -32,8 +33,8 @@ path:
   first signal drains (exit code 3: rerun the same command and the
   store answers the finished tasks), second hard-aborts.
 
-Cache hits/misses/evictions and engine retries/timeouts/fallbacks are
-counted in :mod:`repro.obs` metrics and visible via ``--metrics``.
+Cache hits/misses/evictions and engine failures/timeouts/degradations
+are counted in :mod:`repro.obs` metrics and visible via ``--metrics``.
 """
 
 from .engine import (

@@ -5,28 +5,28 @@ tasks (one per (model, table/figure) unit).  This engine runs that list,
 in the order it is submitted, on a :class:`SupervisedPool` — the same
 crash-supervised ``concurrent.futures`` pool that serves
 ``repro-serve``'s cold path, and the only class in the package that
-starts worker processes — and layers the failure policy a batch
-artifact needs above it:
+starts worker processes.  Every task is a deterministic function, so a
+failure is an answer, not a glitch to retry, and the engine has one
+policy:
 
-* **a timeout per task** — a worker that hangs past ``timeout`` is
-  killed (:meth:`SupervisedPool.restart` SIGKILLs the pool; unaffected
-  in-flight tasks are resubmitted without penalty);
-* **bounded retry with exponential backoff** — a task that raises,
-  times out, or returns a payload its validator rejects is retried up
-  to ``retries`` times in the pool; the pool's own restart backoff
-  after a worker crash is a wait, never a charged attempt;
-* **graceful degradation to serial** — after pool retries are
-  exhausted the task runs once in-process (the mode the seed shipped),
-  so a flaky pool can slow the artifact down but not fail it.  With
-  ``max_workers=0`` the engine *is* the serial path: same code, no
-  processes.  More than ``max_pool_restarts`` pool rebuilds hand the
-  rest of the run to that serial path.
+* **a task runs once** — a task that raises, or returns a payload its
+  validator rejects, fails and is reported in :class:`ExecError`,
+  in-process and in a worker alike;
+* **the first pool fault hands the rest to the serial path** — a
+  worker death (``BrokenProcessPool``), a ``submit`` the pool refuses,
+  or a task past ``timeout`` closes the pool (SIGKILLing its workers),
+  counts ``exec.engine.degraded`` once, and runs every unfinished task
+  in-process.  A timed-out task fails with :class:`TimeoutError` and
+  is not rerun: rerunning a hang in the parent would hang the run.
+  ``timeout`` bounds pool tasks only; with ``max_workers=0`` the
+  engine *is* the serial path: same code, no processes.
 
 Results can be warm-started through a
 :class:`~repro.exec.store.ResultStore`: tasks carrying a ``key`` are
 looked up before dispatch and stored after success.  Every decision is
-counted in :mod:`repro.obs` metrics (``exec.tasks.*``, ``exec.pool.*``)
-and the run is wrapped in spans so ``--trace`` shows the schedule.
+counted in :mod:`repro.obs` metrics (``exec.tasks.*``,
+``exec.engine.degraded``) and the run is wrapped in spans so
+``--trace`` shows the schedule.
 
 **Cross-process observability**: each pool dispatch ships a trace
 context (run id, parent span id, enabled flag, flow id) through the
@@ -36,9 +36,9 @@ completed spans and metric deltas alongside the result; the parent
 merges them — worker spans land on their own pid track (clamped into
 the parent-side dispatch window), dispatch→worker pairs are linked by
 flow ids, and worker counts fold into the process registry.  Cache
-hits, retries, timeouts, and failures are all recorded as
-outcome-tagged ``exec.task`` spans, so a merged ``--trace`` shows the
-whole schedule including what *didn't* run.
+hits, timeouts, and failures are all recorded as outcome-tagged
+``exec.task`` spans, so a merged ``--trace`` shows the whole schedule
+including what *didn't* run.
 
 A ``stop`` callable (see :class:`~repro.exec.signals.GracefulShutdown`)
 is polled between task completions.  When it flips, the engine stops
@@ -78,11 +78,9 @@ __all__ = ["Task", "TaskResult", "ExecError", "ExecutionEngine",
 _SUBMITTED = obs.counter("exec.tasks.submitted")
 _COMPLETED = obs.counter("exec.tasks.completed")
 _CACHE_HITS = obs.counter("exec.tasks.cache_hit")
-_RETRIES = obs.counter("exec.tasks.retried")
 _TIMEOUTS = obs.counter("exec.tasks.timeout")
 _WORKER_ERRORS = obs.counter("exec.tasks.worker_error")
 _INVALID = obs.counter("exec.tasks.invalid_payload")
-_FALLBACKS = obs.counter("exec.tasks.serial_fallback")
 _FAILURES = obs.counter("exec.tasks.failed")
 _POOL_RESTARTS = obs.counter("exec.pool.restarts")
 _DEGRADED = obs.counter("exec.engine.degraded")
@@ -119,15 +117,13 @@ class Task:
 
 @dataclass
 class TaskResult:
-    """Outcome of one task: value, provenance, and cost."""
+    """Outcome of one task: value or error, and provenance."""
 
     id: str
     value: Any = None
     error: Optional[BaseException] = None
     #: 'cache' | 'pool' | 'serial'
     source: str = "serial"
-    attempts: int = 0
-    duration: float = 0.0
 
     @property
     def ok(self) -> bool:
@@ -135,7 +131,7 @@ class TaskResult:
 
 
 class ExecError(ReproError, RuntimeError):
-    """Raised when tasks fail permanently (after retry + fallback).
+    """Raised when tasks fail (each runs once; see the module docstring).
 
     Carries the full result map so callers can salvage completed work.
     A :class:`~repro.errors.ReproError` (code ``E-EXEC``): the CLI
@@ -152,15 +148,12 @@ class ExecError(ReproError, RuntimeError):
             f"{r.id}: {type(r.error).__name__}: {r.error}"
             for r in self.failed
         )
-        super().__init__(
-            f"{len(self.failed)} task(s) failed permanently: {detail}"
-        )
+        super().__init__(f"{len(self.failed)} task(s) failed: {detail}")
 
     def render(self) -> str:
         from ..errors import render_error
 
-        lines = [f"[{self.code}] {len(self.failed)} task(s) failed "
-                 "permanently:"]
+        lines = [f"[{self.code}] {len(self.failed)} task(s) failed:"]
         for result in self.failed:
             lines.append(f"  - {result.id}: "
                          f"{render_error(result.error)}")
@@ -168,20 +161,17 @@ class ExecError(ReproError, RuntimeError):
 
 
 class _Pending:
-    """Book-keeping for one not-yet-finished task."""
+    """One task in flight on the pool."""
 
-    __slots__ = ("task", "attempts", "not_before", "future",
-                 "deadline", "started", "submit_ns", "flow")
+    __slots__ = ("task", "future", "deadline", "submit_ns", "flow")
 
-    def __init__(self, task: Task):
+    def __init__(self, task: Task, timeout: Optional[float], flow: int):
         self.task = task
-        self.attempts = 0
-        self.not_before = 0.0       # backoff gate for resubmission
         self.future = None
-        self.deadline = float("inf")
-        self.started = 0.0
-        self.submit_ns = 0          # obs clock at dispatch
-        self.flow = None            # flow id linking dispatch→worker
+        self.deadline = (time.monotonic() + timeout
+                         if timeout is not None else float("inf"))
+        self.submit_ns = obs.monotonic_ns()  # obs clock at dispatch
+        self.flow = flow                     # links dispatch→worker
 
 
 class ExecutionEngine:
@@ -189,19 +179,13 @@ class ExecutionEngine:
 
     def __init__(self, max_workers: int = 0, *,
                  timeout: Optional[float] = 300.0,
-                 retries: int = 2,
-                 backoff: float = 0.05,
                  store: Optional[ResultStore] = None,
-                 max_pool_restarts: int = 3,
                  stop: Optional[Callable[[], bool]] = None):
         if max_workers < 0:
             raise ValueError("max_workers must be >= 0")
         self.max_workers = max_workers
         self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff
         self.store = store
-        self.max_pool_restarts = max_pool_restarts
         self.stop = stop
         self._on_result: Optional[Callable[[Task, TaskResult],
                                            None]] = None
@@ -214,7 +198,7 @@ class ExecutionEngine:
 
         Duplicate ids, store-key collisions (X001) and output write
         races (X002) are caller bugs, not runtime faults, so they raise
-        ``ValueError`` here instead of burning retries.
+        ``ValueError`` here before any task runs.
         """
         from .. import check
         from ..check.exec_lint import task_diagnostics
@@ -242,11 +226,11 @@ class ExecutionEngine:
         ``on_result`` runs *in the parent* for every successful result
         (pool, serial, or store hit).
 
-        Raises :class:`ExecError` if any task still fails after retry
-        and serial fallback (partial results ride on the exception),
-        and :class:`~repro.errors.RunInterrupted` when the ``stop``
-        poll flips mid-run (in-flight work is drained and stored
-        first; completed results ride on the exception).
+        Raises :class:`ExecError` if any task failed (partial results
+        ride on the exception), and
+        :class:`~repro.errors.RunInterrupted` when the ``stop`` poll
+        flips mid-run (in-flight work is drained and stored first;
+        completed results ride on the exception).
         """
         self._lint_tasks(tasks)
         results: Dict[str, TaskResult] = {}
@@ -286,9 +270,11 @@ class ExecutionEngine:
             results=results, pending=pending,
         )
 
-    def _finish(self, task: Task, result: TaskResult) -> None:
-        """Parent-side completion hook for a fresh or store-hit result:
-        store put (fresh only), then the ``on_result`` callback."""
+    def _finish(self, task: Task, result: TaskResult,
+                results: Dict[str, TaskResult]) -> None:
+        """Record ``result``; for a success, the store put (fresh only)
+        and then the ``on_result`` callback."""
+        results[task.id] = result
         if not result.ok:
             return
         if result.source != "cache" and self.store is not None \
@@ -307,9 +293,8 @@ class ExecutionEngine:
             if value is not sentinel:
                 _CACHE_HITS.inc()
                 self._record_outcome_span(task, "cache")
-                results[task.id] = TaskResult(id=task.id, value=value,
-                                              source="cache")
-                self._finish(task, results[task.id])
+                self._finish(task, TaskResult(id=task.id, value=value,
+                                              source="cache"), results)
                 return True
         return False
 
@@ -322,7 +307,6 @@ class ExecutionEngine:
             "parent_span": (self._run_span.id
                             if self._run_span is not None else None),
             "task": p.task.id,
-            "attempt": p.attempts,
             "flow": p.flow,
         }
 
@@ -331,8 +315,8 @@ class ExecutionEngine:
                              end_ns: Optional[int] = None,
                              error: Optional[BaseException] = None,
                              **extra) -> None:
-        """Tag a task decision (cache hit, retry, timeout, failure)
-        as a completed span so it is visible in the trace."""
+        """Tag a task decision (cache hit, pool result, timeout) as a
+        completed span so it is visible in the trace."""
         if not obs.is_enabled():
             return
         now = obs.monotonic_ns()
@@ -377,58 +361,30 @@ class ExecutionEngine:
             )
         return value
 
-    def _run_one_serial(self, task: Task, *,
-                        retries: Optional[int] = None,
-                        mode: str = "serial") -> TaskResult:
-        """Execute one task in-process with bounded retries."""
-        if retries is None:
-            retries = self.retries
-        attempts = 0
-        start = time.perf_counter()
+    # -- serial path ---------------------------------------------------
+    def _run_one_serial(self, task: Task) -> TaskResult:
+        """Execute one task in-process, once."""
         with obs.span("exec.task", "exec", task=task.id,
-                      mode=mode) as span:
-            while True:
-                attempts += 1
-                attempt_ns = obs.monotonic_ns()
-                try:
-                    value = self._validated(
-                        task, task.fn(*task.args)
-                    )
-                    _COMPLETED.inc()
-                    span.set(outcome="ok", attempts=attempts)
-                    return TaskResult(
-                        id=task.id, value=value, source="serial",
-                        attempts=attempts,
-                        duration=time.perf_counter() - start,
-                    )
-                except Exception as error:
-                    if attempts > retries:
-                        _FAILURES.inc()
-                        span.set(outcome="failed", attempts=attempts,
-                                 error=type(error).__name__)
-                        return TaskResult(
-                            id=task.id, error=error, source="serial",
-                            attempts=attempts,
-                            duration=time.perf_counter() - start,
-                        )
-                    _RETRIES.inc()
-                    self._record_outcome_span(
-                        task, "retried", start_ns=attempt_ns,
-                        error=error, mode="serial", attempt=attempts,
-                    )
-                    time.sleep(self.backoff * (2 ** (attempts - 1)))
+                      mode="serial") as span:
+            try:
+                value = self._validated(task, task.fn(*task.args))
+            except Exception as error:
+                _FAILURES.inc()
+                span.set(outcome="failed", error=type(error).__name__)
+                return TaskResult(id=task.id, error=error)
+            _COMPLETED.inc()
+            span.set(outcome="ok")
+            return TaskResult(id=task.id, value=value)
 
     def _run_serial(self, order: Sequence[Task],
                     results: Dict[str, TaskResult]) -> None:
         for task in order:
-            if task.id in results:  # finished before a pool degraded
+            if task.id in results:  # finished before a pool fault
                 continue
             if self._stop_requested():
                 self._interrupt(order, results)
-            if self._settle(task, results):
-                continue
-            results[task.id] = self._run_one_serial(task)
-            self._finish(task, results[task.id])
+            if not self._settle(task, results):
+                self._finish(task, self._run_one_serial(task), results)
 
     # -- pool path -----------------------------------------------------
     def _run_pool(self, order: Sequence[Task],
@@ -439,187 +395,104 @@ class ExecutionEngine:
             pool = SupervisedPool(self.max_workers, niceness=0,
                                   start_method=None)
         except Exception:
-            _DEGRADED.inc()
-            self._run_serial(order, results)
-            return
-        try:
-            degraded = self._dispatch(pool, order, results)
-        finally:
-            pool.close()
-        if degraded:
+            faulted = True
+        else:
+            try:
+                faulted = self._dispatch(pool, order, results)
+            finally:
+                pool.close()
+        if faulted:
             _DEGRADED.inc()
             self._run_serial(order, results)
 
     def _dispatch(self, pool: "SupervisedPool", order: Sequence[Task],
                   results: Dict[str, TaskResult]) -> bool:
-        """Drive ``order`` on ``pool``; True once more than
-        ``max_pool_restarts`` rebuilds hand the rest to serial."""
-        pending: Dict[str, _Pending] = {
-            task.id: _Pending(task) for task in order
-        }
-        waiting: List[str] = [task.id for task in order]
-        running: List[str] = []
+        """Drive ``order`` on ``pool``; True on the first pool fault,
+        which hands every unfinished task to the serial path."""
+        waiting: List[Task] = list(order)
+        running: List[_Pending] = []
         draining = False
-
-        def finish(p: _Pending, result: TaskResult) -> None:
-            results[p.task.id] = result
-            del pending[p.task.id]
-            self._finish(p.task, result)
-
-        def register_failure(p: _Pending,
-                             error: BaseException) -> None:
-            p.future = None
-            if p.attempts <= self.retries:
-                _RETRIES.inc()
-                p.not_before = (
-                    time.monotonic()
-                    + self.backoff * (2 ** (p.attempts - 1))
-                )
-                waiting.insert(0, p.task.id)
-                return
-            # last resort after pool retries: one in-process run
-            _FALLBACKS.inc()
-            result = self._run_one_serial(p.task, retries=0,
-                                          mode="serial-fallback")
-            result.attempts += p.attempts
-            finish(p, result)
-
-        def submit(p: _Pending) -> None:
-            task = p.task
-            p.attempts += 1
-            p.started = time.monotonic()
-            p.submit_ns = obs.monotonic_ns()
-            p.flow = next(self._flow_ids)
-            p.deadline = (p.started + self.timeout
-                          if self.timeout is not None else float("inf"))
-            _SUBMITTED.inc()
-            try:
-                # every pool task travels through the run_traced shim
-                # with a trace context; the worker sends spans + metric
-                # deltas home alongside the value
-                p.future = pool.submit(
-                    run_traced, self._trace_ctx(p), task.fn, task.args)
-            except Exception as error:
-                gate = pool.backoff_remaining()
-                if gate > 0:
-                    # the pool is rebuilding after a worker crash: a
-                    # wait for the engine, never a failed attempt
-                    p.attempts -= 1
-                    p.not_before = time.monotonic() + gate
-                    waiting.insert(0, task.id)
-                    return
-                # dispatch itself failed: same retry/fallback ladder
-                # as a worker-side error
-                _WORKER_ERRORS.inc()
-                register_failure(p, error)
-                return
-            running.append(task.id)
-
-        def collect(p: _Pending) -> None:
-            task = p.task
-            end_ns = obs.monotonic_ns()
-            try:
-                raw = p.future.result()
-            except Exception as error:
-                # transport-level failure: the payload (and its spans)
-                # died with the worker or could not be pickled
-                value, worker_error = None, error
-            else:
-                value, worker_error = self._absorb_worker_payload(
-                    p, raw, end_ns)
-                if worker_error is None:
-                    try:
-                        value = self._validated(task, value)
-                    except Exception as error:
-                        worker_error = error
-            if worker_error is not None:
-                _WORKER_ERRORS.inc()
-                self._record_outcome_span(
-                    task, "worker_error", start_ns=p.submit_ns,
-                    end_ns=end_ns, error=worker_error, mode="pool",
-                    attempt=p.attempts, flow=p.flow, flow_role="out",
-                )
-                register_failure(p, worker_error)
-                return
-            _COMPLETED.inc()
-            self._record_outcome_span(
-                task, "ok", start_ns=p.submit_ns, end_ns=end_ns,
-                mode="pool", attempt=p.attempts, flow=p.flow,
-                flow_role="out",
-            )
-            finish(p, TaskResult(
-                id=task.id, value=value, source="pool",
-                attempts=p.attempts,
-                duration=time.monotonic() - p.started,
-            ))
-
-        while pending:
+        while waiting or running:
             if not draining and self._stop_requested():
                 # graceful drain: stop launching, let in-flight pool
                 # jobs finish and be stored, then raise resumable
                 draining = True
             if draining and not running:
                 self._interrupt(order, results)
-            degraded = pool.restarts > self.max_pool_restarts
-            if degraded and not running:
-                return True
 
-            # promote ready tasks into the pool (bounded in-flight)
-            now = time.monotonic()
-            if not (draining or degraded or pool.backoff_remaining()):
-                for tid in list(waiting):
-                    if len(running) >= 2 * self.max_workers:
-                        break
-                    p = pending[tid]
-                    if p.not_before > now:
-                        continue
-                    waiting.remove(tid)
-                    if self._settle(p.task, results):
-                        del pending[tid]
-                    else:
-                        submit(p)
-
-            if not running:
-                if pending:
-                    time.sleep(_POLL_INTERVAL)  # backoff-gated tasks
-                continue
+            # launch ready tasks (bounded in-flight)
+            while (not draining and waiting
+                   and len(running) < 2 * self.max_workers):
+                task = waiting.pop(0)
+                if self._settle(task, results):
+                    continue
+                p = _Pending(task, self.timeout, next(self._flow_ids))
+                try:
+                    # every pool task travels through the run_traced
+                    # shim with a trace context; the worker sends spans
+                    # + metric deltas home alongside the value
+                    p.future = pool.submit(
+                        run_traced, self._trace_ctx(p), task.fn,
+                        task.args)
+                except Exception:
+                    return True     # the pool refused the task
+                _SUBMITTED.inc()
+                running.append(p)
 
             # collect finished / timed-out pool jobs
-            progressed = False
-            for tid in list(running):
-                p = pending[tid]
-                if p.future.done():
+            faulted = progressed = False
+            for p in list(running):
+                if p.future.done() or time.monotonic() > p.deadline:
+                    running.remove(p)
                     progressed = True
-                    running.remove(tid)
-                    collect(p)
-                elif time.monotonic() > p.deadline:
-                    progressed = True
-                    _TIMEOUTS.inc()
-                    # the hung worker must die: kill the whole pool;
-                    # innocent in-flight tasks are requeued with no
-                    # attempt penalty
-                    running.remove(tid)
-                    for other in running:
-                        innocent = pending[other]
-                        innocent.future = None
-                        innocent.attempts -= 1
-                        waiting.insert(0, other)
-                    running.clear()
-                    pool.restart()
-                    timeout_error = TimeoutError(
-                        f"task {tid!r} exceeded {self.timeout:g}s"
-                    )
-                    self._record_outcome_span(
-                        p.task, "timeout", start_ns=p.submit_ns,
-                        error=timeout_error, mode="pool",
-                        attempt=p.attempts, flow=p.flow,
-                        flow_role="out",
-                    )
-                    register_failure(p, timeout_error)
-                    break
+                    faulted |= not self._collect(p, results)
+            if faulted:
+                return True
             if not progressed:
                 time.sleep(_POLL_INTERVAL)
-        return pool.restarts > self.max_pool_restarts
+        return False
+
+    def _collect(self, p: _Pending,
+                 results: Dict[str, TaskResult]) -> bool:
+        """Settle a finished or timed-out pool job; False on a pool
+        fault (its worker died, or it hangs there until the pool is
+        killed)."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        task, end_ns = p.task, obs.monotonic_ns()
+        value = error = None
+        if not p.future.done():
+            _TIMEOUTS.inc()
+            outcome = "timeout"
+            error = TimeoutError(
+                f"task {task.id!r} exceeded {self.timeout:g}s")
+        else:
+            try:
+                raw = p.future.result()
+            except BrokenProcessPool:
+                return False
+            except Exception as exc:
+                # the payload could not cross the process boundary
+                error = exc
+            else:
+                value, error = self._absorb_worker_payload(p, raw, end_ns)
+                if error is None:
+                    try:
+                        value = self._validated(task, value)
+                    except Exception as invalid:
+                        error = invalid
+            outcome = "ok" if error is None else "worker_error"
+            (_COMPLETED if error is None else _WORKER_ERRORS).inc()
+        if error is not None:
+            _FAILURES.inc()
+        self._record_outcome_span(
+            task, outcome, start_ns=p.submit_ns, end_ns=end_ns,
+            error=error, mode="pool", flow=p.flow, flow_role="out",
+        )
+        self._finish(task, TaskResult(id=task.id, value=value,
+                                      error=error, source="pool"),
+                     results)
+        return outcome != "timeout"
 
 
 def _pool_worker_init(niceness: int) -> None:
@@ -667,11 +540,11 @@ class SupervisedPool:
     * an executor a worker death broke is discarded and rebuilt behind
       an **exponential backoff gate** (``restart_backoff`` doubling up
       to 5 s; submits landing inside the gate fail fast with E-EXEC
-      instead of blocking, and :meth:`backoff_remaining` says how long
-      to wait); a successful :meth:`call` resets the backoff;
-    * :meth:`restart` SIGKILLs every worker and rebuilds, which is how
-      the engine stops a hung task.  Every rebuild counts once on
-      ``exec.pool.restarts`` and on :attr:`restarts`.
+      instead of blocking); a successful :meth:`call` resets the
+      backoff.  Every rebuild counts once on ``exec.pool.restarts``.
+
+    The server relies on that recovery.  The engine does not: it
+    closes the pool at its first fault and finishes the run serially.
 
     Workers ignore SIGINT/SIGTERM (:func:`_pool_worker_init`), so
     :meth:`close` SIGKILLs them: no worker outlives its pool.
@@ -693,7 +566,6 @@ class SupervisedPool:
 
         self.workers = max(1, int(workers))
         self.niceness = max(0, int(niceness))
-        self.restarts = 0
         if start_method not in multiprocessing.get_all_start_methods():
             start_method = None  # e.g. no forkserver on Windows
         self.start_method = start_method
@@ -754,27 +626,8 @@ class SupervisedPool:
             self._gate_until = time.monotonic() + self._backoff
             self._backoff = min(_MAX_BACKOFF,
                                 self._backoff * _BACKOFF_FACTOR)
-            self.restarts += 1
             _POOL_RESTARTS.inc()
         _kill(executor)
-
-    def backoff_remaining(self) -> float:
-        """Seconds until the pool takes work again (0.0 when it does)."""
-        self._reap()
-        return max(0.0, self._gate_until - time.monotonic())
-
-    def restart(self) -> None:
-        """SIGKILL every worker; the next :meth:`submit` rebuilds.
-
-        Futures still riding the old workers fail; callers requeue
-        them.  No backoff gate: a deliberate kill is not a crash.
-        """
-        with self._lock:
-            executor, self._executor = self._executor, None
-            self.restarts += 1
-            _POOL_RESTARTS.inc()
-        if executor is not None:
-            _kill(executor)
 
     # -- calls ---------------------------------------------------------
     def submit(self, fn, *args):

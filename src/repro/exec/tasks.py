@@ -128,8 +128,8 @@ def run_traced(ctx: Mapping[str, Any], fn: Callable[..., Any],
     """Worker-side wrapper: run one task under local observability.
 
     The engine ships every pool task through this shim with a *trace
-    context* — run id, parent span id, enabled flag, task id, attempt,
-    flow id.  The worker runs a buffering tracer (cleared per task,
+    context* — run id, parent span id, enabled flag, task id and flow
+    id.  The worker runs a buffering tracer (cleared per task,
     records exported as plain dicts) and a delta-capturing metrics
     registry (baseline snapshot at task start), and returns the
     completed spans and metric deltas *alongside* the result::
@@ -160,7 +160,6 @@ def run_traced(ctx: Mapping[str, Any], fn: Callable[..., Any],
         if enabled:
             with obs.span("exec.worker_task", "exec",
                           task=ctx.get("task"), run=ctx.get("run_id"),
-                          attempt=ctx.get("attempt"),
                           flow=ctx.get("flow"), flow_role="in"):
                 value = fn(*args)
         else:

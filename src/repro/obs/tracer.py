@@ -231,7 +231,7 @@ class Tracer:
         """Append an already-timed span (no stack interaction).
 
         The exec engine uses this for synthetic parent-side task spans
-        — a pool dispatch window, a cache hit, a retried attempt —
+        — a pool dispatch window, a cache hit, a timed-out task —
         whose start/end were measured outside a ``with`` block.
         Returns None (and records nothing) while disabled.
         """

@@ -166,7 +166,12 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _read_json_body(self) -> Any:
         config = self.server.repro.config  # type: ignore[attr-defined]
-        length = int(self.headers.get("Content-Length") or 0)
+        raw_length = (self.headers.get("Content-Length") or "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            raise BindingError(
+                f"Content-Length must be a non-negative decimal "
+                f"integer, got {raw_length!r}")
+        length = int(raw_length)
         if length > config.max_body_bytes:
             raise _client_error(
                 f"request body of {length} bytes exceeds the "

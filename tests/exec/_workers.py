@@ -6,11 +6,14 @@ classes and closures don't pickle).  Fault injection keys off the
 process id: ``PARENT_PID`` is captured at import, and with the fork
 start method (the Linux default) children inherit it, so a function can
 misbehave *only inside a pool worker* while the same call succeeds in
-the parent — exactly what the serial-fallback path needs to prove it
-rescues a flaky pool.
+the parent.  That tells the two fault classes apart: a task that fails
+must fail the run after one call (a success would mean it was rerun),
+while a pool fault must hand the rest of the run to the serial path
+(where the same call succeeds).
 """
 
 import os
+import signal
 import time
 
 PARENT_PID = os.getpid()
@@ -62,17 +65,24 @@ def traced_payload(x):
         return x * 2
 
 
-def fail_first_n(counter_path, n, x):
-    """Fails the first ``n`` calls, then succeeds — state lives in a
-    file so attempts are counted across pool worker processes."""
+def die_in_worker(x):
+    """SIGKILLs its own pool worker (a worker death); fine in the
+    parent."""
+    if in_worker():
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * 2
+
+
+def count_calls_then_bind_error(counter_path):
+    """Raises E-BIND on every call, counting the calls in a file so
+    they add up across pool worker processes and the parent."""
+    from repro.errors import BindingError
+
     try:
         with open(counter_path) as handle:
-            attempts = int(handle.read().strip() or 0)
+            calls = int(handle.read().strip() or 0)
     except FileNotFoundError:
-        attempts = 0
-    attempts += 1
+        calls = 0
     with open(counter_path, "w") as handle:
-        handle.write(str(attempts))
-    if attempts <= n:
-        raise RuntimeError(f"injected failure #{attempts}")
-    return x * 2
+        handle.write(str(calls + 1))
+    raise BindingError("injected deterministic failure")

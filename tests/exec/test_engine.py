@@ -1,7 +1,7 @@
 """Tests for the task-list execution engine (repro.exec.engine).
 
-Serial-mode semantics (task-list validation, submitted order, retries,
-store integration) plus the happy pool path; fault injection against a
+Serial-mode semantics (task-list validation, submitted order, one run
+per task, store integration) plus the happy pool path; fault injection against a
 live pool is in test_faults.py.
 """
 
@@ -45,7 +45,7 @@ class TestSerialExecution:
         results = ExecutionEngine().run(
             [Task(id=f"t{i}", fn=_value, args=(i,)) for i in range(5)])
         assert [results[f"t{i}"].value for i in range(5)] == list(range(5))
-        assert all(r.ok and r.source == "serial" and r.attempts == 1
+        assert all(r.ok and r.source == "serial"
                    for r in results.values())
 
     def test_results_and_callbacks_follow_submitted_order(self):
@@ -63,35 +63,23 @@ class TestSerialExecution:
         assert seen == ids
         assert list(results) == ids
 
-    def test_retry_then_success(self):
+    def test_permanent_failure_raises_exec_error(self):
         calls = []
 
-        def flaky(x):
-            calls.append(x)
-            if len(calls) < 3:
-                raise RuntimeError("transient")
-            return x
-
-        results = ExecutionEngine(retries=3, backoff=0.001).run(
-            [Task(id="f", fn=flaky, args=(7,))])
-        assert results["f"].value == 7
-        assert results["f"].attempts == 3
-
-    def test_permanent_failure_raises_exec_error(self):
         def boom():
+            calls.append(1)
             raise RuntimeError("always")
 
         with pytest.raises(ExecError) as excinfo:
-            ExecutionEngine(retries=1, backoff=0.001).run(
-                [Task(id="bad", fn=boom)])
+            ExecutionEngine().run([Task(id="bad", fn=boom)])
         err = excinfo.value
         assert [r.id for r in err.failed] == ["bad"]
-        assert err.results["bad"].attempts == 2  # 1 try + 1 retry
+        assert calls == [1]                  # run once, never retried
         assert "bad" in str(err)
 
     def test_validator_rejects_payload(self):
         with pytest.raises(ExecError):
-            ExecutionEngine(retries=0, backoff=0.001).run(
+            ExecutionEngine().run(
                 [Task(id="v", fn=_value, args=(1,),
                       validate=lambda value: value == 2)])
 
@@ -126,7 +114,7 @@ class TestStoreIntegration:
             raise RuntimeError("always")
 
         with pytest.raises(ExecError):
-            ExecutionEngine(store=store, retries=0, backoff=0.001).run(
+            ExecutionEngine(store=store).run(
                 [Task(id="bad", fn=boom, key=content_key("fail"))])
         assert store.stats()["entries"] == 0
 

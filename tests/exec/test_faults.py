@@ -2,9 +2,11 @@
 
 Worker functions (tests/exec/_workers.py) misbehave only when
 ``os.getpid()`` differs from the pid that imported the module, so the
-same call that raises/hangs/corrupts in a pool worker succeeds when the
-engine's serial fallback runs it in the parent — proving degradation
-rescues the batch rather than merely retrying the same failure.
+same call that raises/hangs/corrupts/dies in a pool worker succeeds in
+the parent.  Every task is deterministic, so the engine runs it once:
+a task that fails in a worker fails the run (a success here would mean
+it was rerun), while a fault of the pool itself — a worker death, a
+refused submit, a hang — hands the rest of the run to the serial path.
 """
 
 import multiprocessing
@@ -20,85 +22,101 @@ from repro.obs import metrics
 from . import _workers
 
 
+def _neighbours(n):
+    return [Task(id=f"ok{i}", fn=_workers.double, args=(i,))
+            for i in range(n)]
+
+
+def _assert_neighbours(results, n, source=None):
+    for i in range(n):
+        r = results[f"ok{i}"]
+        assert r.ok and r.value == i * 2
+        if source is not None:
+            assert r.source == source
+
+
+class TestOneRun:
+    @pytest.mark.parametrize("max_workers", [0, 2])
+    def test_failing_task_runs_exactly_once(self, tmp_path, max_workers):
+        counter_path = tmp_path / "calls"
+        with pytest.raises(ExecError) as excinfo:
+            ExecutionEngine(max_workers=max_workers).run(
+                [Task(id="bind", fn=_workers.count_calls_then_bind_error,
+                      args=(str(counter_path),))])
+        assert excinfo.value.results["bind"].error.code == "E-BIND"
+        assert counter_path.read_text() == "1"
+
+
 class TestWorkerRaises:
-    def test_retried_then_rescued_serially(self):
+    def test_raise_fails_the_run_after_one_call(self):
         metrics.clear()
-        results = ExecutionEngine(
-            max_workers=2, retries=1, backoff=0.001,
-        ).run([Task(id="r", fn=_workers.raise_in_worker, args=(21,))])
-        r = results["r"]
-        assert r.ok and r.value == 42
-        assert r.source == "serial"          # fallback, not the pool
-        assert r.attempts == 3               # 2 pool tries + 1 serial
-        assert metrics.counter("exec.tasks.worker_error").value == 2
-        assert metrics.counter("exec.tasks.retried").value == 1
-        assert metrics.counter("exec.tasks.serial_fallback").value == 1
-        assert metrics.counter("exec.tasks.completed").value == 1
-
-    def test_transient_failure_recovers_in_pool(self, tmp_path):
-        counter_path = str(tmp_path / "attempts")
-        results = ExecutionEngine(
-            max_workers=2, retries=2, backoff=0.001,
-        ).run([Task(id="f", fn=_workers.fail_first_n,
-                    args=(counter_path, 1, 5))])
-        assert results["f"].value == 10
-        assert results["f"].source == "pool"  # retry succeeded in-pool
-        assert results["f"].attempts == 2
-
-
-class TestWorkerHangs:
-    def test_timeout_restarts_pool_then_falls_back(self):
-        metrics.clear()
-        results = ExecutionEngine(
-            max_workers=2, timeout=0.4, retries=1, backoff=0.001,
-            max_pool_restarts=3,
-        ).run([Task(id="h", fn=_workers.hang_in_worker, args=(5,))])
-        r = results["h"]
-        assert r.ok and r.value == 10 and r.source == "serial"
-        assert metrics.counter("exec.tasks.timeout").value == 2
-        assert metrics.counter("exec.pool.restarts").value == 2
-        assert metrics.counter("exec.tasks.serial_fallback").value == 1
-
-    def test_innocent_inflight_tasks_survive_pool_restart(self):
-        # one hanging task next to well-behaved ones: the pool restart
-        # the hang forces must not fail (or double-count) the others
-        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(1,))]
-        tasks += [Task(id=f"ok{i}", fn=_workers.double, args=(i,))
-                  for i in range(4)]
-        results = ExecutionEngine(
-            max_workers=2, timeout=0.4, retries=0, backoff=0.001,
-        ).run(tasks)
-        assert results["h"].value == 2       # serial fallback
-        for i in range(4):
-            r = results[f"ok{i}"]
-            assert r.ok and r.value == i * 2
-
-    def test_exhausted_restarts_degrade_whole_run_to_serial(self):
-        metrics.clear()
-        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(3,))]
-        tasks += [Task(id=f"ok{i}", fn=_workers.double, args=(i,))
-                  for i in range(3)]
-        results = ExecutionEngine(
-            max_workers=2, timeout=0.3, retries=0, backoff=0.001,
-            max_pool_restarts=0,
-        ).run(tasks)
-        assert all(r.ok for r in results.values())
-        assert results["h"].value == 6
-        assert metrics.counter("exec.engine.degraded").value >= 1
+        tasks = [Task(id="r", fn=_workers.raise_in_worker, args=(21,))]
+        with pytest.raises(ExecError) as excinfo:
+            ExecutionEngine(max_workers=2).run(tasks + _neighbours(3))
+        error = excinfo.value
+        assert [r.id for r in error.failed] == ["r"]
+        r = error.results["r"]
+        assert r.source == "pool"            # not rerun in the parent
+        assert "injected worker failure" in str(r.error)
+        # a task failure is not a pool fault: the rest stay pooled
+        _assert_neighbours(error.results, 3, source="pool")
+        assert metrics.counter("exec.tasks.worker_error").value == 1
+        assert metrics.counter("exec.tasks.failed").value == 1
+        assert metrics.counter("exec.tasks.completed").value == 3
+        assert metrics.counter("exec.engine.degraded").value == 0
 
 
 class TestCorruptPayload:
-    def test_validator_triggers_retry_then_fallback(self):
+    def test_validator_rejection_fails_after_one_call(self):
         metrics.clear()
-        results = ExecutionEngine(
-            max_workers=2, retries=1, backoff=0.001,
-        ).run([Task(id="c", fn=_workers.corrupt_in_worker, args=(4,),
-                    validate=_workers.payload_ok)])
-        r = results["c"]
-        assert r.ok and r.value == {"value": 8}
-        assert r.source == "serial"
-        assert metrics.counter("exec.tasks.invalid_payload").value == 2
-        assert metrics.counter("exec.tasks.serial_fallback").value == 1
+        with pytest.raises(ExecError) as excinfo:
+            ExecutionEngine(max_workers=2).run(
+                [Task(id="c", fn=_workers.corrupt_in_worker, args=(4,),
+                      validate=_workers.payload_ok)])
+        r = excinfo.value.results["c"]
+        assert r.source == "pool"
+        assert isinstance(r.error, ValueError)
+        assert "validator rejected" in str(r.error)
+        assert metrics.counter("exec.tasks.invalid_payload").value == 1
+        assert metrics.counter("exec.tasks.failed").value == 1
+
+
+class TestWorkerDies:
+    def test_worker_death_hands_the_run_to_serial(self):
+        metrics.clear()
+        tasks = [Task(id="d", fn=_workers.die_in_worker, args=(3,))]
+        results = ExecutionEngine(max_workers=2).run(
+            tasks + _neighbours(3))
+        r = results["d"]
+        assert r.ok and r.value == 6 and r.source == "serial"
+        _assert_neighbours(results, 3)
+        assert metrics.counter("exec.engine.degraded").value == 1
+        assert metrics.counter("exec.tasks.failed").value == 0
+
+
+class TestWorkerHangs:
+    def test_timeout_fails_the_task_without_a_rerun(self):
+        metrics.clear()
+        with pytest.raises(ExecError) as excinfo:
+            ExecutionEngine(max_workers=2, timeout=0.4).run(
+                [Task(id="h", fn=_workers.hang_in_worker, args=(5,))])
+        r = excinfo.value.results["h"]
+        # instant in the parent, so a rerun would have succeeded
+        assert isinstance(r.error, TimeoutError)
+        assert r.source == "pool"
+        assert metrics.counter("exec.tasks.timeout").value == 1
+        assert metrics.counter("exec.engine.degraded").value == 1
+        assert metrics.counter("exec.pool.restarts").value == 0
+
+    def test_innocent_neighbours_finish_serially(self):
+        tasks = [Task(id="h", fn=_workers.hang_in_worker, args=(1,))]
+        with pytest.raises(ExecError) as excinfo:
+            ExecutionEngine(max_workers=2, timeout=0.4).run(
+                tasks + _neighbours(4))
+        error = excinfo.value
+        assert [r.id for r in error.failed] == ["h"]
+        assert isinstance(error.results["h"].error, TimeoutError)
+        _assert_neighbours(error.results, 4)
 
 
 class TestArtifactUnderFaults:
@@ -127,14 +145,16 @@ class TestArtifactUnderFaults:
 
 
 def _timeout_fallback_run():
-    ExecutionEngine(max_workers=2, timeout=0.4, retries=1,
-                    backoff=0.001).run(
-        [Task(id="h", fn=_workers.hang_in_worker, args=(5,))])
+    # the hang times out; its neighbour falls back to the serial path
+    with pytest.raises(ExecError):
+        ExecutionEngine(max_workers=2, timeout=0.4).run(
+            [Task(id="h", fn=_workers.hang_in_worker, args=(5,))]
+            + _neighbours(1))
 
 
 def _failing_run():
     with pytest.raises(ExecError):
-        ExecutionEngine(max_workers=2, retries=0).run(
+        ExecutionEngine(max_workers=2).run(
             [Task(id="bad", fn=int, args=("x",))])
 
 

@@ -210,3 +210,33 @@ class TestCliErrors:
             env=_env(), capture_output=True, timeout=120)
         assert proc.returncode != 0
         assert b"Traceback" in proc.stderr
+
+    @pytest.mark.parametrize("module", ["repro.cli", "repro.artifact"])
+    def test_negative_max_workers_is_a_usage_error(self, module,
+                                                   tmp_path, capsys):
+        import importlib
+
+        main = importlib.import_module(module).main
+        argv = (["table1"] if module == "repro.cli"
+                else ["--no-cache", "--out", str(tmp_path / "out")])
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--max-workers", "-1"])
+        assert excinfo.value.code == 2
+        stderr = capsys.readouterr().err
+        assert "argument --max-workers: must be a non-negative" in stderr
+        assert "Traceback" not in stderr
+
+    @pytest.mark.parametrize("spec", ["word_lm:1024,word_lm:1024",
+                                      "word_lm:1024,image:1,"
+                                      "word_lm:1024.0"])
+    def test_repeated_config_exits_1_with_e_bind(self, spec, tmp_path,
+                                                 capsys):
+        from repro.artifact import main
+
+        out = tmp_path / "out"
+        assert main(["--no-cache", "--out", str(out),
+                     "--configs", spec]) == 1
+        stderr = capsys.readouterr().err
+        assert "[E-BIND] config word_lm:1024 is listed twice" in stderr
+        assert "Traceback" not in stderr
+        assert not out.exists()       # refused before any work

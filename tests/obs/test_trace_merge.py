@@ -11,8 +11,10 @@ as error-tagged spans; and structural determinism across pool widths.
 import json
 import os
 
+import pytest
+
 from repro import obs
-from repro.exec.engine import ExecutionEngine, Task
+from repro.exec.engine import ExecError, ExecutionEngine, Task
 from repro.obs.export import chrome_trace
 
 from ..exec import _workers
@@ -26,7 +28,7 @@ def _run_traced(tasks, **kwargs):
     obs.clear()
     obs.enable()
     try:
-        results = ExecutionEngine(backoff=0.001, **kwargs).run(tasks)
+        results = ExecutionEngine(**kwargs).run(tasks)
     finally:
         obs.disable()
     return results, obs.spans()
@@ -96,45 +98,53 @@ class TestPoolMerge:
         assert len(pids) >= 2
 
 
+def _failed_traced(tasks, **kwargs):
+    """Run a traced batch that must fail; returns its result map."""
+    with pytest.raises(ExecError) as excinfo:
+        _run_traced(tasks, **kwargs)
+    return excinfo.value.results
+
+
+def _task_spans(task_id):
+    return [s for s in _spans_named("exec.task")
+            if s.args.get("task") == task_id]
+
+
 class TestFaultVisibility:
-    def test_retried_and_failed_tasks_are_error_tagged(self):
+    """Each fault is one error-tagged span: a task runs once, so there
+    is no retried attempt and no serial rerun to show."""
+
+    def test_failed_task_is_one_error_tagged_span(self):
         tasks = [Task(id="bad", fn=_workers.raise_in_worker,
                       args=(21,))]
-        results, _ = _run_traced(tasks, max_workers=2, retries=1)
-        assert results["bad"].ok          # serial fallback rescued it
+        results = _failed_traced(tasks, max_workers=2)
+        assert results["bad"].source == "pool"
 
-        # worker attempts came home with the error on the span
+        # the worker's span came home with the error on it
         worker_spans = _spans_named("exec.worker_task")
-        assert len(worker_spans) == 2     # initial + 1 pool retry
-        assert all(s.error == "RuntimeError" for s in worker_spans)
-        # parent tagged each collected failure
-        outcomes = [s.args["outcome"] for s in _spans_named("exec.task")
-                    if "outcome" in s.args]
-        assert outcomes.count("worker_error") == 2
-        assert any(s.args.get("outcome") == "ok"
-                   and s.args.get("mode") == "serial-fallback"
-                   for s in _spans_named("exec.task"))
+        assert len(worker_spans) == 1
+        assert worker_spans[0].error == "RuntimeError"
+        # the parent tagged the collected failure, and nothing reran it
+        spans = _task_spans("bad")
+        assert [s.args["outcome"] for s in spans] == ["worker_error"]
+        assert spans[0].error == "RuntimeError"
 
     def test_timeout_is_a_tagged_span(self):
         tasks = [Task(id="hang", fn=_workers.hang_in_worker,
                       args=(5, 30.0))]
-        results, _ = _run_traced(tasks, max_workers=2, timeout=0.3,
-                                 retries=0)
-        assert results["hang"].ok         # instant in the parent
-        timeouts = [s for s in _spans_named("exec.task")
-                    if s.args.get("outcome") == "timeout"]
-        assert len(timeouts) == 1
-        assert timeouts[0].error == "TimeoutError"
+        results = _failed_traced(tasks, max_workers=2, timeout=0.3)
+        assert isinstance(results["hang"].error, TimeoutError)
+        spans = _task_spans("hang")
+        assert [s.args["outcome"] for s in spans] == ["timeout"]
+        assert spans[0].error == "TimeoutError"
 
     def test_corrupt_payload_is_a_tagged_span(self):
         tasks = [Task(id="c", fn=_workers.corrupt_in_worker, args=(5,),
                       validate=_workers.payload_ok)]
-        results, _ = _run_traced(tasks, max_workers=2, retries=0)
-        assert results["c"].ok
-        bad = [s for s in _spans_named("exec.task")
-               if s.args.get("outcome") == "worker_error"]
-        assert len(bad) == 1
-        assert bad[0].error == "ValueError"  # validator rejection
+        _failed_traced(tasks, max_workers=2)
+        spans = _task_spans("c")
+        assert [s.args["outcome"] for s in spans] == ["worker_error"]
+        assert spans[0].error == "ValueError"  # validator rejection
 
 
 def _structure(span_list):

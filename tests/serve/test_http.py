@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro import obs
 from repro.serve import ServeConfig, running_server
 
 from ..helpers import http_get, http_post
@@ -65,6 +67,33 @@ def test_non_object_body_is_structured_400(server):
     assert status == 400
     error = assert_structured_error(body)
     assert "JSON object" in error["message"]
+
+
+@pytest.mark.parametrize("length", ["abc", "-5", "1.5"])
+def test_malformed_content_length_is_structured_400(server, length):
+    unstructured = obs.counter("serve.http.unstructured_errors").value
+    body = b'{"domain": "word_lm"}'
+    request = (f"POST /v1/sweep HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+               f"Content-Type: application/json\r\n"
+               f"Content-Length: {length}\r\n\r\n").encode() + body
+    with socket.create_connection(("127.0.0.1", server.port),
+                                  timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:  # the server closes: the body is never read
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    head, _, payload = b"".join(chunks).partition(b"\r\n\r\n")
+    lines = head.decode("latin-1").split("\r\n")
+    assert lines[0].split()[1] == "400", lines[0]
+    assert "Connection: close" in lines[1:]
+    error = assert_structured_error(payload)
+    assert "Content-Length" in error["message"]
+    assert repr(length) in error["message"]
+    assert obs.counter("serve.http.unstructured_errors").value \
+        == unstructured
 
 
 def test_unknown_domain_gets_did_you_mean(server):
