@@ -189,7 +189,9 @@ def generate_results(out_dir: str,
 
 
 def _worker_count(text: str) -> int:
-    """argparse type of ``--max-workers``: a non-negative integer."""
+    """argparse type of a count flag (``--max-workers`` here,
+    ``--compute-workers`` and ``--queue-depth`` of ``repro-serve``): a
+    non-negative integer."""
     if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"must be a non-negative integer, got {text!r}")

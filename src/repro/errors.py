@@ -201,8 +201,8 @@ class InternalError(ReproError, RuntimeError):
 class BusyError(ReproError):
     """E-BUSY: the server shed this request under overload.
 
-    Raised when an admission queue is full, a rate limit is exceeded,
-    or a circuit breaker is open.  ``retry_after`` is the advisory
+    Raised when the compute gate's admission queue is full or a rate
+    limit is exceeded.  ``retry_after`` is the advisory
     wait in seconds before retrying; the HTTP layer maps the error to
     status 429 and surfaces it as a ``Retry-After`` header.
     """

@@ -668,8 +668,8 @@ class SupervisedPool:
             raise WorkerCrashError(
                 "a pool worker died mid-computation; the pool is "
                 "restarting",
-                hint="retry the request; repeated crashes open the "
-                     "endpoint's circuit breaker",
+                hint="retry the request; the pool rebuilds after a "
+                     "backoff that doubles per crash, up to 5 s",
             ) from error
         with self._lock:
             self._backoff = self._base_backoff

@@ -263,6 +263,10 @@ def cmd_check(history: RunHistory, args: argparse.Namespace) -> int:
          "require_spans": ["exec.run", ...],# rollup key must exist
          "span_total_ms_max": {"key": MS}}  # rollup total must be <= MS
 
+    A metric that ``metrics_min`` or ``metrics_max`` names must be in
+    the record: registered metrics are snapshotted even at 0, so a
+    missing one is a misspelt or deleted name, and a violation.
+
     A floors file may also carry named ``"sections"`` — the same
     schema, keyed by section name, gating *different* run records
     (e.g. the ``serve`` section gates the chaos-smoke daemon run while
@@ -303,7 +307,10 @@ def cmd_check(history: RunHistory, args: argparse.Namespace) -> int:
     for name, ceiling in (floors.get("metrics_max") or {}).items():
         checks += 1
         value = _metric_value(metrics.get(name, {}))
-        if value is not None and value > float(ceiling):
+        if value is None:
+            violations.append(f"metric {name!r} missing "
+                              f"(needs <= {ceiling})")
+        elif value > float(ceiling):
             violations.append(f"metric {name} = {_fmt_num(value)} "
                               f"above ceiling {ceiling}")
     for name in floors.get("require_spans") or []:

@@ -11,7 +11,7 @@ dependencies):
 ============  ======  ==============================================
 route         method  answers
 ============  ======  ==============================================
-``/healthz``  GET     liveness + uptime + gate and breaker state
+``/healthz``  GET     liveness + uptime + compute-gate state
 ``/metrics``  GET     OpenMetrics exposition of every repro.obs metric
 ``/v1/stats`` GET     JSON counter snapshot (requests, coalesce, store)
 ``/v1/sweep`` POST    Figure 7–10 sweep rows + fitted first-order model
@@ -43,11 +43,12 @@ Production concerns are the point:
   (:mod:`~repro.serve.admission`); client
   deadlines (``?deadline_ms=`` / ``X-Repro-Deadline-Ms``) propagate
   into the analysis kernels and stop work with an E-DEADLINE 504
-  carrying partial progress (:mod:`repro.deadline`); repeated compute
-  crashes open a per-endpoint circuit breaker
-  (:mod:`~repro.serve.breaker`); ``--compute-workers N`` moves cold
-  computes onto a supervised process pool so a crash is a structured
-  503, not a dead listener; and a seeded chaos harness
+  carrying partial progress (:mod:`repro.deadline`);
+  ``--compute-workers N`` moves cold computes onto a supervised
+  process pool so a crash is a structured 503, not a dead listener,
+  and the pool rebuilds behind its backoff gate (the server's one
+  fault backoff: a failing compute is answered per request and never
+  sheds other inputs); and a seeded chaos harness
   (:mod:`~repro.serve.chaos`, ``--chaos-plan``) injects faults
   deterministically for the resilience suite.
 """
@@ -55,14 +56,12 @@ Production concerns are the point:
 from .service import AnalysisService, Endpoint, ENDPOINTS, \
     snapshot_exhibit
 from .admission import AdmissionController, Bulkhead, TokenBucket
-from .breaker import BreakerBoard, BreakerConfig, CircuitBreaker
 from .chaos import ChaosController, ChaosInjectedError, ChaosPlan
 from .server import ReproServer, ServeConfig, running_server
 
 __all__ = [
     "AnalysisService", "Endpoint", "ENDPOINTS", "snapshot_exhibit",
     "AdmissionController", "Bulkhead", "TokenBucket",
-    "BreakerBoard", "BreakerConfig", "CircuitBreaker",
     "ChaosController", "ChaosInjectedError", "ChaosPlan",
     "ReproServer", "ServeConfig", "running_server",
 ]

@@ -3,7 +3,7 @@
 Overload policy for the server, and every knob it reads, in one place:
 
 * :class:`ServeConfig` — the server's resilience knobs (admission
-  queue, rate limits, breakers, compute workers, socket timeouts).
+  queue, rate limits, compute workers, socket timeouts).
 * :class:`Bulkhead` — the server's one compute gate: a concurrency
   limit with a **bounded** waiter queue.  ``width`` cold computes run
   at once; up to ``queue_depth`` more wait (at most ``queue_timeout``
@@ -171,13 +171,6 @@ class ServeConfig:
     rate_limit: float = 0.0
     #: per-connection token-bucket burst
     rate_burst: int = 20
-    #: consecutive compute failures that open a family's breaker
-    breaker_threshold: int = 3
-    #: seconds an open breaker sheds before its half-open probe
-    breaker_cooldown: float = 1.0
-    #: cooldown multiplier per consecutive re-open (capped below)
-    breaker_backoff: float = 2.0
-    breaker_max_cooldown: float = 30.0
     #: cold computes run on this many supervised worker processes
     #: (0 = in-process, the default for tests and small deployments);
     #: it is also the compute gate's width (1 in-process)

@@ -14,9 +14,7 @@ Plan schema::
         "ms": 25, "jitter_ms": 10},
        {"op": "error",         "endpoint": "plan", "at_request": 4},
        {"op": "kill_worker",   "at_request": 6},
-       {"op": "corrupt_store", "endpoint": "exhibit", "at_request": 8},
-       {"op": "open_breaker",  "endpoint": "sweep",   "at_request": 9},
-       {"op": "close_breaker", "endpoint": "sweep",  "at_request": 12}
+       {"op": "corrupt_store", "endpoint": "exhibit", "at_request": 8}
      ]}
 
 ``at_request`` matches one request index exactly;
@@ -33,23 +31,22 @@ Fault semantics:
   jitter in ``[0, jitter_ms]`` drawn from
   ``random.Random(seed ^ index)``;
 * ``error`` — at the compute boundary, raise
-  :class:`ChaosInjectedError` (an infrastructure fault: it trips the
-  circuit breaker and surfaces as a structured E-EXEC 503, never an
-  unstructured 500);
+  :class:`ChaosInjectedError` (a foreign exception: it surfaces as a
+  structured E-EXEC 503 for that request alone, never an unstructured
+  500);
 * ``kill_worker`` — at the compute boundary, SIGKILL one
   supervised-pool worker via the bound callback (no-op when serving
   in-process);
 * ``corrupt_store`` — garble the store payload for the *current* key
-  before the warm-path read, exercising the envelope integrity guard;
-* ``open_breaker`` / ``close_breaker`` — force the endpoint's breaker
-  state, applied *before* the breaker gate so a plan can force a
-  shedding breaker closed.
+  before the warm-path read, exercising the envelope integrity guard.
+
+Any other op is rejected as E-BIND when the plan is parsed.
 
 The interpreter itself is policy-free: :class:`ReproServer` binds the
-callbacks (:meth:`ChaosController.bind`), ``repro-serve --chaos-plan``
-loads a plan file, and the byte-drip *client* faults live in
-``tests/helpers.DripClient`` — slow clients are injected from outside
-the process, where real ones come from.
+pool's worker-kill callback (:meth:`ChaosController.bind`),
+``repro-serve --chaos-plan`` loads a plan file, and the byte-drip
+*client* faults live in ``tests/helpers.DripClient`` — slow clients
+are injected from outside the process, where real ones come from.
 """
 
 from __future__ import annotations
@@ -67,8 +64,7 @@ __all__ = ["ChaosPlan", "ChaosController", "ChaosInjectedError"]
 
 _INJECTED = obs.counter("serve.chaos.injected")
 
-_OPS = ("latency", "error", "kill_worker", "corrupt_store",
-        "open_breaker", "close_breaker")
+_OPS = ("latency", "error", "kill_worker", "corrupt_store")
 _FIELDS = ("op", "endpoint", "at_request", "from_request",
            "to_request", "ms", "jitter_ms")
 
@@ -76,8 +72,7 @@ _FIELDS = ("op", "endpoint", "at_request", "from_request",
 class ChaosInjectedError(RuntimeError):
     """The fault the ``error`` op raises — deliberately *not* a
     ReproError: the resilience suite asserts that even a foreign
-    exception class surfaces as a structured 503, and that it counts
-    as a breaker failure."""
+    exception class surfaces as a structured 503."""
 
 
 class _Fault:
@@ -163,16 +158,10 @@ class ChaosController:
         self._lock = threading.Lock()
         self._index = 0
         self._kill_worker: Optional[Callable[[], Any]] = None
-        self._breaker_for: Optional[Callable[[str], Any]] = None
 
-    def bind(self, *, kill_worker: Optional[Callable[[], Any]] = None,
-             breaker_for: Optional[Callable[[str], Any]] = None,
-             ) -> None:
-        """Attach the server-side effectors the ops need."""
-        if kill_worker is not None:
-            self._kill_worker = kill_worker
-        if breaker_for is not None:
-            self._breaker_for = breaker_for
+    def bind(self, *, kill_worker: Callable[[], Any]) -> None:
+        """Attach the supervised pool's worker-kill effector."""
+        self._kill_worker = kill_worker
 
     # -- hook points ---------------------------------------------------
     def next_index(self) -> int:
@@ -190,26 +179,6 @@ class ChaosController:
                 _INJECTED.inc()
                 return b"\x00chaos\x00" + body[: max(0, len(body) - 7)]
         return None
-
-    def before_admission(self, endpoint: str, index: int) -> None:
-        """Apply breaker-flip faults *before* the breaker gate.
-
-        ``open_breaker``/``close_breaker`` fire here — ahead of the
-        breaker's own shed check — so a plan can force a breaker
-        closed even while it is shedding (the compute boundary would
-        never be reached in that state).
-        """
-        for fault in self.plan.faults:
-            if fault.op not in ("open_breaker", "close_breaker") \
-                    or not fault.matches(endpoint, index) \
-                    or self._breaker_for is None:
-                continue
-            _INJECTED.inc()
-            breaker = self._breaker_for(endpoint)
-            if fault.op == "open_breaker":
-                breaker.trip()
-            else:
-                breaker.reset()
 
     def before_compute(self, endpoint: str, index: int) -> None:
         """Apply latency/error/kill faults at the compute boundary."""

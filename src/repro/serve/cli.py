@@ -5,7 +5,6 @@
     repro-serve [--host H] [--port P] [--compute-workers N]
                 [--queue-depth N] [--queue-timeout S]
                 [--rate-limit R] [--rate-burst N]
-                [--breaker-threshold N] [--breaker-cooldown S]
                 [--header-timeout S] [--body-timeout S]
                 [--chaos-plan PATH]
                 [--no-cache] [--cache-dir PATH] [--debug]
@@ -36,7 +35,7 @@ import time
 from typing import List, Optional
 
 from .. import obs
-from ..artifact import run_cli, store_from_args
+from ..artifact import _worker_count, run_cli, store_from_args
 from ..errors import ReproIOError
 from ..exec.signals import GracefulShutdown
 from ..exec.store import default_cache_dir
@@ -62,16 +61,17 @@ def build_parser() -> argparse.ArgumentParser:
              "line on stdout carries the chosen port)")
     group = parser.add_argument_group(
         "overload resilience",
-        "admission control, deadlines, breakers, and the chaos "
-        "harness (see the README operations runbook)")
+        "admission control, deadlines, and the chaos harness (see "
+        "the README operations runbook)")
     group.add_argument(
-        "--compute-workers", type=int, default=0, metavar="N",
+        "--compute-workers", type=_worker_count, default=0,
+        metavar="N",
         help="run cold computes on N supervised worker processes so "
              "a crashing compute cannot take down the listener; N "
              "computes then run at once, else one (default: 0 = "
              "in-process)")
     group.add_argument(
-        "--queue-depth", type=int, default=8, metavar="N",
+        "--queue-depth", type=_worker_count, default=8, metavar="N",
         help="cold computes that may wait for the compute gate; "
              "beyond them requests shed E-BUSY 429 (default: 8)")
     group.add_argument(
@@ -86,14 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-burst", type=int, default=20, metavar="N",
         help="per-connection burst allowance (default: 20)")
     group.add_argument(
-        "--breaker-threshold", type=int, default=3, metavar="N",
-        help="consecutive compute failures that open an endpoint's "
-             "circuit breaker (default: 3)")
-    group.add_argument(
-        "--breaker-cooldown", type=float, default=1.0, metavar="S",
-        help="seconds an open breaker sheds before its half-open "
-             "probe; doubles per re-open up to 30s (default: 1)")
-    group.add_argument(
         "--header-timeout", type=float, default=30.0, metavar="S",
         help="socket read timeout for request headers / keep-alive "
              "idles — the slow-loris bound (default: 30)")
@@ -104,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument(
         "--chaos-plan", metavar="PATH", default=None,
         help="inject faults from a seeded JSON plan (latency, "
-             "worker kills, store corruption, breaker flips) — the "
+             "errors, worker kills, store corruption) — the "
              "resilience suite's harness; never use in production")
     parser.add_argument(
         "--no-cache", action="store_true",
@@ -130,13 +122,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                 "chaos_plan": args.chaos_plan},
     )
     config = ServeConfig(
-        queue_depth=max(0, args.queue_depth),
+        queue_depth=args.queue_depth,
         queue_timeout=max(0.0, args.queue_timeout),
         rate_limit=max(0.0, args.rate_limit),
         rate_burst=max(1, args.rate_burst),
-        breaker_threshold=max(1, args.breaker_threshold),
-        breaker_cooldown=max(0.0, args.breaker_cooldown),
-        compute_workers=max(0, args.compute_workers),
+        compute_workers=args.compute_workers,
         header_timeout=max(0.1, args.header_timeout),
         body_timeout=max(0.1, args.body_timeout),
     )

@@ -6,7 +6,7 @@ A deliberately thin layer — every route is a few lines over
 ====================  ======  ====================================
 route                 method  handler
 ====================  ======  ====================================
-``/healthz``          GET     liveness, uptime, gate and breakers
+``/healthz``          GET     liveness, uptime, compute gate
 ``/metrics``          GET     ``repro.obs`` OpenMetrics exposition
 ``/v1/stats``         GET     JSON metrics snapshot (bench reads it)
 ``/v1/<endpoint>``    POST    query (sweep/plan/lint/exhibit)
@@ -52,7 +52,6 @@ from ..errors import BindingError, ReproError
 from ..exec.store import ResultStore
 from .admission import MAX_BODY_BYTES, AdmissionController, \
     ServeConfig
-from .breaker import BreakerBoard, BreakerConfig
 from .chaos import ChaosController
 from .service import AnalysisService, ENDPOINTS, canonical_json
 
@@ -357,21 +356,11 @@ class ReproServer:
 
             self.pool = SupervisedPool(self.config.compute_workers)
         self.admission = AdmissionController(self.config)
-        self.breakers = BreakerBoard(BreakerConfig(
-            failure_threshold=self.config.breaker_threshold,
-            cooldown=self.config.breaker_cooldown,
-            backoff=self.config.breaker_backoff,
-            max_cooldown=self.config.breaker_max_cooldown,
-        ))
-        if chaos is not None:
-            chaos.bind(
-                kill_worker=(self.pool.kill_worker
-                             if self.pool is not None else None),
-                breaker_for=self.breakers.breaker,
-            )
+        if chaos is not None and self.pool is not None:
+            chaos.bind(kill_worker=self.pool.kill_worker)
         self.service = AnalysisService(
-            store, admission=self.admission, breakers=self.breakers,
-            pool=self.pool, chaos=chaos)
+            store, admission=self.admission, pool=self.pool,
+            chaos=chaos)
         self.httpd = _HTTPServer((host, port), _Handler)
         self.httpd.repro = self  # type: ignore[attr-defined]
         self.started_at = time.time()
@@ -399,7 +388,6 @@ class ReproServer:
             "uptime_s": round(time.time() - self.started_at, 3),
             "endpoints": self.service.endpoints(),
             "admission": self.admission.gate.snapshot(),
-            "breakers": self.breakers.snapshot(),
             "compute_workers": (self.pool.workers
                                 if self.pool is not None else 0),
         }

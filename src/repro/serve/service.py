@@ -26,9 +26,7 @@ so mixed query loads cannot deadlock.  Completed bytes are memoized in
 the content-addressed :class:`~repro.exec.store.ResultStore`
 (``exec.store.hit/miss`` then measure the warm path).
 
-**Resilience** (wired by :class:`ReproServer`): cold computes pass a
-:class:`~repro.serve.breaker.CircuitBreaker` (consecutive
-infrastructure failures open it; client errors never count) and then
+**Resilience** (wired by :class:`ReproServer`): cold computes pass
 the **compute gate**, the one :class:`~repro.serve.admission.Bulkhead`
 of the service's :class:`~repro.serve.admission.AdmissionController`
 (bounded concurrency + bounded queue, E-BUSY shed beyond it).  The
@@ -37,7 +35,12 @@ in-process, because the pipeline's memoized caches (sweep LRU, model
 registry, tape caches) predate multithreading, and the worker count
 with a :class:`~repro.exec.engine.SupervisedPool` attached, whose
 worker processes turn a segfault into a structured E-EXEC 503 instead
-of killing the listener.  A service built without a controller gets
+of killing the listener; the pool's restart gate is the server's only
+fault backoff.  A failing compute is answered per request (its own
+structured code, or E-EXEC 503 for a foreign exception) and never
+sheds other inputs: every compute is deterministic in its
+content-keyed input, so one input's failure says nothing about
+another's.  A service built without a controller gets
 its own, so standalone computes are serialized too.  The **store
 lookup happens before any of that**, so warm hits never queue behind
 cold computes.  Requests carrying a :class:`~repro.deadline.
@@ -56,8 +59,8 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .. import obs
 from ..deadline import Deadline, deadline_scope
-from ..errors import (BindingError, BusyError, DeadlineError,
-                      ReproError, WorkerCrashError, did_you_mean)
+from ..errors import (BindingError, DeadlineError, ReproError,
+                      WorkerCrashError, did_you_mean)
 from ..exec.store import ResultStore, content_key
 from .admission import AdmissionController
 
@@ -244,6 +247,10 @@ def _normalize_plan(params: Mapping) -> Dict[str, Any]:
                 f"{tolerance!r}")
     max_subbatch = _positive_number(params, "max_subbatch",
                                     float(2 ** 18))
+    if max_subbatch < 1.0:
+        # choose_subbatch searches subbatches in [1, max_subbatch]
+        _reject(f"field 'max_subbatch' must be at least 1, got "
+                f"{max_subbatch!r}")
     return {"domain": domain, "params": n_params,
             "tolerance": tolerance, "max_subbatch": max_subbatch}
 
@@ -438,26 +445,14 @@ def _looks_canonical(body: bytes) -> bool:
     return body.startswith(b'{"endpoint":') and body.endswith(b"}")
 
 
-def _breaker_counts(error: BaseException) -> bool:
-    """Whether a compute failure trips the circuit breaker.
-
-    Only infrastructure faults count — a client's own malformed input
-    (E-BIND), shed load (E-BUSY), or expired budget (E-DEADLINE) says
-    nothing about the endpoint's health.
-    """
-    return not isinstance(error,
-                          (BindingError, BusyError, DeadlineError))
-
-
 class AnalysisService:
     """Coalescing, store-backed executor for the endpoint registry."""
 
     def __init__(self, store: Optional[ResultStore] = None, *,
                  admission: Optional[AdmissionController] = None,
-                 breakers=None, pool=None, chaos=None):
+                 pool=None, chaos=None):
         self.store = store
         self.admission = admission or AdmissionController()
-        self.breakers = breakers
         self.pool = pool
         self.chaos = chaos
         self._registry_lock = threading.Lock()
@@ -589,18 +584,12 @@ class AnalysisService:
         chaos_index = 0
         if self.chaos is not None:
             chaos_index = self.chaos.next_index()
-            self.chaos.before_admission(endpoint, chaos_index)
         cached = self._store_get(endpoint, key, chaos_index)
         if cached is not None:
             return cached
 
-        # cold compute: the breaker, then the compute gate, whose
-        # queue wait the deadline bounds — the warm path above never
-        # touches either
-        breaker = (self.breakers.breaker(endpoint)
-                   if self.breakers is not None else None)
-        if breaker is not None:
-            breaker.before_call()
+        # cold compute: the compute gate, whose queue wait the
+        # deadline bounds — the warm path above never touches it
         try:
             with self.admission.gate.admit(deadline):
                 if deadline is not None and deadline.expired():
@@ -616,23 +605,18 @@ class AnalysisService:
                               endpoint=endpoint, key=key[:12]):
                     result = self._dispatch_compute(
                         endpoint, clean, deadline)
-        except BaseException as error:
-            if breaker is not None and _breaker_counts(error):
-                breaker.record_failure()
-            if (isinstance(error, Exception)
-                    and not isinstance(error, ReproError)):
-                # a foreign exception out of a compute is a dependency
-                # failure, not a protocol bug: surface it as a
-                # structured E-EXEC 503, never an unstructured 500
-                raise WorkerCrashError(
-                    f"compute for /v1/{endpoint} failed: "
-                    f"{type(error).__name__}: {error}",
-                    hint="retry the request; repeated failures open "
-                         "the endpoint's circuit breaker",
-                ) from error
+        except ReproError:
             raise
-        if breaker is not None:
-            breaker.record_success()
+        except Exception as error:
+            # a foreign exception out of a compute is a dependency
+            # failure, not a protocol bug: surface it as a structured
+            # E-EXEC 503, never an unstructured 500
+            raise WorkerCrashError(
+                f"compute for /v1/{endpoint} failed: "
+                f"{type(error).__name__}: {error}",
+                hint="retry the request; the failure is answered for "
+                     "this query alone and sheds no other",
+            ) from error
         _COMPUTED.inc()
         body = canonical_json({
             "endpoint": endpoint,

@@ -144,6 +144,21 @@ class TestCheck:
         assert "below floor" in out and "above ceiling" in out
         assert "absent" in out and "exceeds budget" in out
 
+    def test_ceiling_on_a_missing_metric_is_a_violation(
+            self, history, tmp_path, capsys):
+        # a ceiling binds nothing on a metric the run never recorded
+        # (a misspelt or deleted name), so it must not pass silently
+        history.append(_record(completed=2))
+        floors = self._floors(tmp_path, {
+            "metrics_max": {"exec.tasks.failed": 0,
+                            "no.such.metric": 0},
+        })
+        assert (_main(history, "check", "--floors", floors)
+                == EXIT_VIOLATION)
+        out = capsys.readouterr().out
+        assert "FAILED (1/2 checks)" in out
+        assert "metric 'no.such.metric' missing (needs <= 0)" in out
+
     def test_unreadable_floors(self, history, tmp_path):
         history.append(_record(completed=1))
         assert (_main(history, "check", "--floors",

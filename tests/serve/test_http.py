@@ -153,6 +153,17 @@ def test_invalid_engine_and_sizes(server):
     assert "at least two" in body["error"]["message"]
 
 
+def test_plan_max_subbatch_below_one_is_rejected(server):
+    # choose_subbatch searches [1, max_subbatch]; a cap below 1 is a
+    # malformed request, not a solver failure
+    status, body = http_post(server.url + "/v1/plan",
+                             {"domain": "word_lm", "max_subbatch": 0.5})
+    assert status == 400
+    assert body["error"]["code"] == "E-BIND"
+    assert "'max_subbatch'" in body["error"]["message"]
+    assert "at least 1" in body["error"]["message"]
+
+
 def test_unknown_exhibit_is_rejected_with_choices(server):
     status, body = http_post(server.url + "/v1/exhibit",
                              {"name": "table99"})

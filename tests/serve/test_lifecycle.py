@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import socket
 
+import pytest
+
 from repro.serve import ReproServer, ServeConfig
 from repro.serve.cli import build_parser
 
@@ -34,3 +36,20 @@ def test_resume_and_job_flags_are_gone():
                for opt in action.option_strings}
     assert not options & {"--resume", "--run-dir", "--job-workers",
                           "--drain-timeout"}
+
+
+def test_breaker_flags_are_gone():
+    parser = build_parser()
+    options = {opt for action in parser._actions
+               for opt in action.option_strings}
+    assert not options & {"--breaker-threshold", "--breaker-cooldown"}
+
+
+@pytest.mark.parametrize("flag", ["--compute-workers", "--queue-depth"])
+def test_negative_count_is_a_usage_error(flag, capsys):
+    # argparse rejects it (exit 2) instead of clamping it to 0
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([flag, "-3"])
+    assert excinfo.value.code == 2
+    assert (f"argument {flag}: must be a non-negative integer, "
+            f"got '-3'") in capsys.readouterr().err
