@@ -28,9 +28,9 @@ package is the correctness gate that runs *without executing anything*:
 
 Every pass emits :class:`~repro.check.diagnostics.Diagnostic` records
 with severity-ranked stable rule codes (``G001 dead-op`` …).  The
-``repro-lint`` console script (:mod:`repro.check.cli`) drives all
-passes across every registry model and exits nonzero on error-severity
-findings — the CI gate.
+``repro-lint`` console script (:mod:`repro.check.cli`) drives the
+passes its rule filter selects across every registry model and exits
+nonzero on error-severity findings — the CI gate.
 """
 
 from .diagnostics import (

@@ -1,9 +1,10 @@
 """``repro-lint``: static-analysis gate over the model registry.
 
-Runs every analysis pass (structure, dataflow, cost formulas,
-autodiff, compiled tapes, whole-domain interval proofs, and solver
-monotonicity preconditions) across every model in the registry — or a
-chosen subset — and reports severity-ranked findings::
+Runs the analysis passes (structure, dataflow, cost formulas,
+autodiff, compiled tapes, whole-domain interval proofs, and — on a
+full-registry run — solver monotonicity preconditions) across every
+model in the registry — or a chosen subset — and reports
+severity-ranked findings::
 
     repro-lint                        # all domains, text report
     repro-lint --domain word_lm --domain image
@@ -11,6 +12,14 @@ chosen subset — and reports severity-ranked findings::
     repro-lint --select C,T           # only cost + tape families
     repro-lint --ignore G002          # drop one rule
     repro-lint --list-rules
+
+``--select`` / ``--ignore`` decide which passes run, not only which
+findings are kept: a family's pass runs only when one of its rules
+can get past them, so ``--select C003`` runs the cost pass alone and
+keeps its C003 findings.  A filter under which no pass would run
+(``--select X``, which only the exec engine runs; ``--select M`` with
+``--domain``; ``--select S --ignore S``) is a usage error (exit 2),
+not a clean report.
 
 Exits nonzero when any finding at or above ``--fail-on`` severity
 (default: error) survives filtering — the CI gate.
@@ -30,6 +39,7 @@ from .diagnostics import (
     RULES,
     SEVERITY_RANK,
     WARNING,
+    check_lint_filter,
     check_rule_codes,
 )
 
@@ -128,6 +138,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         check_rule_codes(select, "--select")
         check_rule_codes(ignore, "--ignore")
+        check_lint_filter(select, ignore, full_registry=not args.domain)
     except BindingError as error:
         parser.error(error.render())
 

@@ -35,7 +35,10 @@ __all__ = [
     "Rule",
     "RULES",
     "Diagnostic",
+    "GRAPH_FAMILIES",
+    "check_lint_filter",
     "check_rule_codes",
+    "family_passes",
     "filter_diagnostics",
     "max_severity",
     "per_op_findings",
@@ -154,6 +157,15 @@ _RULE_DEFS = [
 
 RULES: Dict[str, Rule] = {r.code: r for r in _RULE_DEFS}
 
+#: the pass families a graph lint runs, one pass each, in run order
+GRAPH_FAMILIES = ("S", "G", "C", "A", "T", "I")
+
+#: where the families that are not graph passes run
+_RUNS_ELSEWHERE = {
+    "M": "only on a full-registry lint (no domain named)",
+    "X": "only in the exec engine, over a task list before dispatch",
+}
+
 
 @dataclass
 class Diagnostic:
@@ -219,6 +231,13 @@ def check_rule_codes(codes: Optional[Sequence[str]],
             )
 
 
+def _kept(code: str, select: Optional[Sequence[str]],
+          ignore: Sequence[str], suppress: Sequence[str]) -> bool:
+    if select is not None and not _matches(code, select):
+        return False
+    return not (_matches(code, ignore) or _matches(code, suppress))
+
+
 def filter_diagnostics(
     diagnostics: Iterable[Diagnostic],
     *,
@@ -233,16 +252,50 @@ def filter_diagnostics(
     family letter selects/ignores the whole pass family.  Results are
     sorted most-severe first, then by graph, code, and anchor.
     """
-    out = []
-    for d in diagnostics:
-        if select is not None and not _matches(d.code, select):
-            continue
-        if _matches(d.code, ignore) or _matches(d.code, suppress):
-            continue
-        out.append(d)
+    out = [d for d in diagnostics
+           if _kept(d.code, select, ignore, suppress)]
     out.sort(key=lambda d: (SEVERITY_RANK[d.severity], d.graph,
                             d.code, d.obj))
     return out
+
+
+def family_passes(
+    family: str,
+    *,
+    select: Optional[Sequence[str]] = None,
+    ignore: Sequence[str] = (),
+    suppress: Sequence[str] = (),
+) -> bool:
+    """Whether any registered rule of ``family`` (a code prefix, one
+    letter per pass) can get past :func:`filter_diagnostics` with these
+    filters.  Each pass emits only its own family's codes, so a pass
+    whose family cannot get past adds nothing to the kept findings and
+    need not run."""
+    return any(code.startswith(family)
+               and _kept(code, select, ignore, suppress)
+               for code in RULES)
+
+
+def check_lint_filter(select: Optional[Sequence[str]],
+                      ignore: Sequence[str], *,
+                      full_registry: bool) -> None:
+    """Refuse (E-BIND) a ``select``/``ignore`` pair under which a
+    registry lint runs no pass: its clean report would check nothing.
+
+    A registry lint runs the :data:`GRAPH_FAMILIES` passes, plus the M
+    family on a full-registry run (no domain named).
+    """
+    families = GRAPH_FAMILIES + (("M",) if full_registry else ())
+    if any(family_passes(f, select=select, ignore=ignore)
+           for f in families):
+        return
+    kept = sorted({code[0] for code in RULES
+                   if _kept(code, select, ignore, ())})
+    reason = ("; ".join(f"{f} runs {_RUNS_ELSEWHERE[f]}" for f in kept)
+              if kept else "ignore drops every selected rule")
+    raise BindingError(
+        f"the rule filter leaves nothing to check: {reason}",
+        hint=f"select one of the families {', '.join(families)}")
 
 
 def max_severity(diagnostics: Iterable[Diagnostic]) -> Optional[str]:

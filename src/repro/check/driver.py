@@ -1,14 +1,18 @@
-"""Lint driver: run every pass over a graph, a model, or the registry.
+"""Lint driver: run the passes a filter reports over a graph, a model,
+or the registry.
 
-The driver is what ``repro-lint`` (and CI) calls: it builds one
-:class:`~repro.check.dataflow.DataflowIndex` per graph, runs the
-structural, dataflow, cost, autodiff, tape, and interval passes, and
-applies rule filtering (``--select`` / ``--ignore``) plus per-graph
-suppressions (``BuiltModel.meta["lint_suppress"]``, a list of rule
-codes or family prefixes).  Registry-wide runs additionally lint the
-planner's solver preconditions (the M family) as a pseudo-row keyed
+The driver is what ``repro-lint`` (and CI) calls.  Per graph it runs
+the structural, dataflow, cost, autodiff, tape, and interval passes
+(the S/G/C/A/T/I families), each only when one of its rule codes can
+get past the rule filter (``--select`` / ``--ignore``) and the
+per-graph suppressions (``BuiltModel.meta["lint_suppress"]``, a list of
+rule codes or family prefixes); the filter then keeps the matching
+findings rule by rule.  One :class:`~repro.check.dataflow.DataflowIndex`
+per graph serves the dataflow and autodiff passes, built only when one
+of them runs.  Registry-wide runs additionally lint the planner's
+solver preconditions (the M family) as a pseudo-row keyed
 ``planner.subbatch`` — those proofs are per curve family, not per
-model graph.
+model graph — and the row is there, empty, when M is filtered out.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ from .absint import BindingDomain
 from .autodiff import autodiff_diagnostics
 from .costs import cost_diagnostics
 from .dataflow import DataflowIndex
-from .diagnostics import Diagnostic, filter_diagnostics
+from .diagnostics import (GRAPH_FAMILIES, Diagnostic, family_passes,
+                          filter_diagnostics)
 from .graph_lint import dataflow_diagnostics
 from .intervals import interval_diagnostics, model_binding_domain
 from .structure import structural_diagnostics
@@ -76,20 +81,36 @@ def lint_graph(
     ignore: Sequence[str] = (),
     suppress: Sequence[str] = (),
 ) -> List[Diagnostic]:
-    """Run all graph-level pass families over one graph.
+    """Run the graph-level pass families the filter can report over one
+    graph.
 
-    ``domain`` declares per-symbol ranges for the interval (I-family)
-    proofs; without one the conservative default ranges apply.
+    A family's pass runs only when one of its rule codes can get past
+    ``select``, ``ignore`` and ``suppress``; the kept findings are then
+    filtered rule by rule, so they equal the filtered findings of every
+    pass.  ``domain`` declares per-symbol ranges for the interval
+    (I-family) proofs; without one the conservative default ranges
+    apply.
     """
-    index = DataflowIndex(graph, loss=loss)
+    run = {family for family in GRAPH_FAMILIES
+           if family_passes(family, select=select, ignore=ignore,
+                            suppress=suppress)}
+    index = (DataflowIndex(graph, loss=loss)
+             if run & {"G", "A"} else None)
     diagnostics: List[Diagnostic] = []
-    diagnostics.extend(structural_diagnostics(graph))
-    diagnostics.extend(dataflow_diagnostics(graph, loss=loss, index=index))
-    diagnostics.extend(cost_diagnostics(graph))
-    diagnostics.extend(autodiff_diagnostics(
-        graph, loss=loss, param_grads=param_grads, index=index))
-    diagnostics.extend(_tape_diagnostics(graph))
-    diagnostics.extend(interval_diagnostics(graph, domain))
+    if "S" in run:
+        diagnostics.extend(structural_diagnostics(graph))
+    if "G" in run:
+        diagnostics.extend(dataflow_diagnostics(
+            graph, loss=loss, index=index))
+    if "C" in run:
+        diagnostics.extend(cost_diagnostics(graph))
+    if "A" in run:
+        diagnostics.extend(autodiff_diagnostics(
+            graph, loss=loss, param_grads=param_grads, index=index))
+    if "T" in run:
+        diagnostics.extend(_tape_diagnostics(graph))
+    if "I" in run:
+        diagnostics.extend(interval_diagnostics(graph, domain))
     return filter_diagnostics(
         diagnostics, select=select, ignore=ignore, suppress=suppress)
 
@@ -127,7 +148,8 @@ def lint_registry(
     A full-registry run (no explicit ``domains``) also verifies the
     planner's bisection preconditions (M family) under the
     ``planner.subbatch`` pseudo-key — one proof covers every model the
-    solver can plan for.
+    solver can plan for.  The key is there on every full-registry run;
+    the proofs run only when an M code gets past the filter.
     """
     from ..models.registry import DOMAINS, build_symbolic
     from .solver_lint import solver_diagnostics
@@ -138,6 +160,9 @@ def lint_registry(
         model = build_symbolic(key, training=training)
         out[key] = lint_model(model, select=select, ignore=ignore)
     if not domains:
+        found: List[Diagnostic] = []
+        if family_passes("M", select=select, ignore=ignore):
+            found = solver_diagnostics()
         out[SOLVER_KEY] = filter_diagnostics(
-            solver_diagnostics(), select=select, ignore=ignore)
+            found, select=select, ignore=ignore)
     return out

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -43,6 +44,29 @@ from .chaos import ChaosController, ChaosPlan
 from .server import ReproServer, ServeConfig
 
 __all__ = ["main", "build_parser"]
+
+
+def _seconds(text: str, *, positive: bool) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value) or value < 0 or (positive and value == 0):
+        kind = "positive" if positive else "non-negative"
+        raise argparse.ArgumentTypeError(
+            f"must be a finite {kind} number of seconds, got {text!r}")
+    return value
+
+
+def _wait_seconds(text: str) -> float:
+    """argparse type of ``--queue-timeout``: 0 sheds at once."""
+    return _seconds(text, positive=False)
+
+
+def _timeout_seconds(text: str) -> float:
+    """argparse type of the socket and body budgets, which must
+    leave a client some time."""
+    return _seconds(text, positive=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="cold computes that may wait for the compute gate; "
              "beyond them requests shed E-BUSY 429 (default: 8)")
     group.add_argument(
-        "--queue-timeout", type=float, default=30.0, metavar="S",
+        "--queue-timeout", type=_wait_seconds, default=30.0, metavar="S",
         help="max seconds a request waits for the compute gate "
              "(default: 30)")
     group.add_argument(
@@ -86,11 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--rate-burst", type=int, default=20, metavar="N",
         help="per-connection burst allowance (default: 20)")
     group.add_argument(
-        "--header-timeout", type=float, default=30.0, metavar="S",
+        "--header-timeout", type=_timeout_seconds, default=30.0, metavar="S",
         help="socket read timeout for request headers / keep-alive "
              "idles — the slow-loris bound (default: 30)")
     group.add_argument(
-        "--body-timeout", type=float, default=10.0, metavar="S",
+        "--body-timeout", type=_timeout_seconds, default=10.0, metavar="S",
         help="wall-clock budget for reading one request body "
              "(default: 10)")
     group.add_argument(
@@ -123,12 +147,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     config = ServeConfig(
         queue_depth=args.queue_depth,
-        queue_timeout=max(0.0, args.queue_timeout),
+        queue_timeout=args.queue_timeout,
         rate_limit=max(0.0, args.rate_limit),
         rate_burst=max(1, args.rate_burst),
         compute_workers=args.compute_workers,
-        header_timeout=max(0.1, args.header_timeout),
-        body_timeout=max(0.1, args.body_timeout),
+        header_timeout=args.header_timeout,
+        body_timeout=args.body_timeout,
     )
     def body() -> int:
         # inside body() so a bad plan renders as E-BIND, not a traceback

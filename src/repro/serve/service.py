@@ -291,7 +291,7 @@ def _compute_plan(params: Dict[str, Any]) -> Dict[str, Any]:
 # -- endpoint: /v1/lint ------------------------------------------------------
 
 def _normalize_lint(params: Mapping) -> Dict[str, Any]:
-    from ..check.diagnostics import check_rule_codes
+    from ..check.diagnostics import check_lint_filter, check_rule_codes
     from ..models.registry import DOMAINS
 
     params = _expect_mapping(params, "lint")
@@ -308,6 +308,7 @@ def _normalize_lint(params: Mapping) -> Dict[str, Any]:
     ignore = _string_list(params, "ignore") or []
     check_rule_codes(select, "select")
     check_rule_codes(ignore, "ignore")
+    check_lint_filter(select, ignore, full_registry=not domains)
     return {"domains": domains, "select": select, "ignore": ignore}
 
 

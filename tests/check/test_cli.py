@@ -77,3 +77,25 @@ class TestRegistryGate:
         payload = json.loads(capsys.readouterr().out)
         assert payload["summary"] == {"error": 0, "warning": 0,
                                       "info": 0}
+
+    @pytest.mark.parametrize("argv, reason", [
+        (["--domain", "image", "--select", "X"], "X runs only in the "
+                                                 "exec engine"),
+        (["--domain", "image", "--select", "M"], "M runs only on a "
+                                                 "full-registry lint"),
+        (["--select", "S", "--ignore", "S"], "ignore drops every "
+                                             "selected rule"),
+        (["--domain", "image", "--ignore", "S,G,C,A,T,I"],
+         "M runs only on a full-registry lint"),
+    ], ids=["exec-family", "solver-family-on-a-domain", "self-cancel",
+            "every-graph-family-ignored"])
+    def test_filter_that_runs_nothing_is_usage_error(self, capsys, argv,
+                                                     reason):
+        # no pass would run, so a clean report would check nothing
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "E-BIND" in err
+        assert "leaves nothing to check" in err
+        assert reason in err

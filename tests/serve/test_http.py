@@ -115,6 +115,20 @@ def test_unknown_lint_rule_code_gets_did_you_mean(server):
         assert hint in body["error"]["hint"]
 
 
+def test_lint_filter_that_runs_nothing_is_rejected(server):
+    # X runs only in the exec engine, M only on a full-registry lint:
+    # a 200 with no findings would report a check that never ran
+    for body, reason in (
+            ({"domains": ["image"], "select": ["X"]}, "exec engine"),
+            ({"domains": ["image"], "select": ["M"]}, "full-registry"),
+            ({"select": ["S"], "ignore": ["S"]}, "ignore drops")):
+        status, answer = http_post(server.url + "/v1/lint", body)
+        assert status == 400
+        assert answer["error"]["code"] == "E-BIND"
+        assert "leaves nothing to check" in answer["error"]["message"]
+        assert reason in answer["error"]["message"]
+
+
 def test_unknown_field_is_rejected(server):
     status, body = http_post(server.url + "/v1/sweep",
                              {"domain": "word_lm", "sises": [1]})

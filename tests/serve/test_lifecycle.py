@@ -53,3 +53,28 @@ def test_negative_count_is_a_usage_error(flag, capsys):
     assert excinfo.value.code == 2
     assert (f"argument {flag}: must be a non-negative integer, "
             f"got '-3'") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value, kind", [
+    ("--queue-timeout", "-5", "non-negative"),
+    ("--queue-timeout", "nan", "non-negative"),
+    ("--header-timeout", "-1", "positive"),
+    ("--header-timeout", "0", "positive"),
+    ("--body-timeout", "inf", "positive"),
+    ("--body-timeout", "soon", "positive"),
+])
+def test_bad_timeout_is_a_usage_error(flag, value, kind, capsys):
+    # argparse rejects it (exit 2) instead of clamping it
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([flag, value])
+    assert excinfo.value.code == 2
+    assert (f"argument {flag}: must be a finite {kind} number of "
+            f"seconds, got '{value}'") in capsys.readouterr().err
+
+
+def test_timeouts_parse_as_given():
+    args = build_parser().parse_args(
+        ["--queue-timeout", "0", "--header-timeout", "0.05",
+         "--body-timeout", "2.5"])
+    assert (args.queue_timeout, args.header_timeout,
+            args.body_timeout) == (0.0, 0.05, 2.5)
