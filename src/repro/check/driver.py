@@ -149,16 +149,21 @@ def lint_registry(
     planner's bisection preconditions (M family) under the
     ``planner.subbatch`` pseudo-key — one proof covers every model the
     solver can plan for.  The key is there on every full-registry run;
-    the proofs run only when an M code gets past the filter.
+    the proofs run only when an M code gets past the filter.  When no
+    graph family can get past it, no model is built and every domain's
+    row is empty.
     """
     from ..models.registry import DOMAINS, build_symbolic
     from .solver_lint import solver_diagnostics
 
     keys = list(domains) if domains else sorted(DOMAINS)
+    graphs = any(family_passes(family, select=select, ignore=ignore)
+                 for family in GRAPH_FAMILIES)
     out: Dict[str, List[Diagnostic]] = {}
     for key in keys:
-        model = build_symbolic(key, training=training)
-        out[key] = lint_model(model, select=select, ignore=ignore)
+        out[key] = (lint_model(build_symbolic(key, training=training),
+                               select=select, ignore=ignore)
+                    if graphs else [])
     if not domains:
         found: List[Diagnostic] = []
         if family_passes("M", select=select, ignore=ignore):

@@ -2,9 +2,8 @@
 
 ``choose_subbatch`` runs three ``bisect_increasing`` roots per plan;
 each silently assumes its objective is monotone over the bracket, and
-a violated assumption surfaces only at runtime as an ``E-SOLVE``
-bracket-expansion failure (or worse, as a wrong root with no error at
-all).  This pass discharges the assumption statically: the planner
+a violated assumption surfaces only as a wrong root with no error at
+all.  This pass discharges the assumption statically: the planner
 exposes its curve family symbolically
 (:func:`repro.planner.subbatch.symbolic_curves`, every fitted constant
 a free symbol), and the log-elasticity analysis in

@@ -2,8 +2,9 @@
 
 Three candidate operating points on the subbatch axis:
 
-* **saturation** — graph-level operational intensity nears its
-  asymptote (huge footprint, marginal time gains);
+* **saturation** — graph-level operational intensity reaches 95% of
+  its value at ``max_subbatch``, so the point moves with the cap (huge
+  footprint, marginal time gains);
 * **ridge match** — intensity equals the accelerator's effective ridge
   point (still leaves ~40% throughput on the table: many ops remain
   memory-bound);
@@ -28,7 +29,7 @@ import numpy as np
 from .. import obs
 from ..analysis.firstorder import FirstOrderModel
 from ..deadline import check_deadline
-from ..errors import error_context
+from ..errors import BindingError, error_context
 from ..hardware.accelerator import AcceleratorConfig
 from ..symbolic import bisect_increasing
 
@@ -210,10 +211,11 @@ class SubbatchChoice:
     """The three §5.2.1 points of interest plus the final pick."""
 
     ridge_match: float          # b where intensity == effective ridge
-    saturation: float           # b where intensity is ~95% of asymptote
+    saturation: float           # b at 95% of the intensity at the cap
     min_latency: float          # smallest b near asymptotic best t/sample
-    chosen: int                 # min_latency snapped to the grid
+    chosen: int                 # min_latency on the grid, at most the cap
     asymptotic_time_per_sample: float
+    capped: bool                # max_subbatch, not the curve, set the answer
 
 
 def subbatch_curve(model: FirstOrderModel, params: float,
@@ -245,16 +247,37 @@ def subbatch_curve(model: FirstOrderModel, params: float,
 def choose_subbatch(model: FirstOrderModel, params: float,
                     accel: AcceleratorConfig, *,
                     tolerance: float = 0.05,
-                    max_subbatch: float = 2**18) -> SubbatchChoice:
+                    max_subbatch: float = SOLVE_BRACKET[1]) -> SubbatchChoice:
     """Pick the training subbatch per §5.2.1.
 
     The asymptotic per-sample time is the compute-bound limit
     ``max(γ·p/(0.8·xc), µ·√p/(0.7·xa))``; we take the smallest grid
-    subbatch within ``tolerance`` of it.
+    subbatch within ``tolerance`` of it.  The saturation point is where
+    intensity reaches 95% of its value at ``max_subbatch``, so it moves
+    with the cap.
+
+    Every root is searched in ``[1, max_subbatch]`` and ``chosen`` never
+    exceeds the cap: it is ``min(ceil32(min_latency),
+    floor32(max_subbatch))``.  ``capped`` says the cap set the answer
+    instead of the curve: the ridge or min-latency solve ended at
+    ``max_subbatch`` short of its target, or ``chosen`` was rounded
+    down to stay under it.  A cap below the 32-sample grid, or above
+    :data:`SOLVE_BRACKET` (the bracket the solver-precondition proofs
+    cover), raises :class:`~repro.errors.BindingError` (E-BIND).
 
     The root-finding loops drive the compiled curves (invariant terms
     folded once) rather than re-deriving ``√p`` per probe.
     """
+    lo, hi = SOLVE_BRACKET
+    cap = float(max_subbatch)
+    if not _GRID <= cap <= hi:
+        raise BindingError(
+            f"'max_subbatch' must be in [{_GRID}, {hi:g}], got "
+            f"{max_subbatch!r}",
+            hint=f"subbatches are chosen on a {_GRID}-sample grid, and "
+                 f"the solver proofs (repro-lint M003) cover only "
+                 f"[{lo:g}, {hi:g}]",
+        )
     _CHOICES.inc()
     iters_before = _BISECT_ITERS.value
     with error_context(model=model.domain, stage="choose_subbatch",
@@ -268,37 +291,45 @@ def choose_subbatch(model: FirstOrderModel, params: float,
                        solved=0, solves_total=3)
         ridge = bisect_increasing(
             curves.intensity,
-            accel.effective_ridge_point, 1.0, max_subbatch,
+            accel.effective_ridge_point, lo, cap,
         )
 
-        asymptote_intensity = curves.intensity(max_subbatch)
+        cap_intensity = curves.intensity(cap)
         check_deadline("choose_subbatch", model=model.domain,
                        solved=1, solves_total=3)
         saturation = bisect_increasing(
             curves.intensity,
-            0.95 * asymptote_intensity, 1.0, max_subbatch,
+            0.95 * cap_intensity, lo, cap,
         )
 
-        limit = max(
+        limit = float(max(
             model.gamma * params / accel.achievable_flops,
             model.mu * np.sqrt(params) / accel.achievable_bandwidth,
-        )
+        ))
         # per-sample time decreases monotonically in b; bisect on -time
         check_deadline("choose_subbatch", model=model.domain,
                        solved=2, solves_total=3)
+        latency_target = (1.0 + tolerance) * limit
         min_latency = bisect_increasing(
             lambda b: -curves.time_per_sample(b),
-            -(1.0 + tolerance) * limit, 1.0, max_subbatch,
+            -latency_target, lo, cap,
         )
 
-        chosen = max(_GRID, int(math.ceil(min_latency / _GRID)) * _GRID)
+        grid_cap = int(cap // _GRID) * _GRID
+        chosen = min(int(math.ceil(min_latency / _GRID)) * _GRID,
+                     grid_cap)
+        capped = bool(cap_intensity < accel.effective_ridge_point
+                      or curves.time_per_sample(cap) > latency_target
+                      or chosen < min_latency)
         iterations = _BISECT_ITERS.value - iters_before
         _CHOICE_ITERS.observe(iterations)
-        span.set(chosen=chosen, bisect_iterations=iterations)
+        span.set(chosen=chosen, capped=capped,
+                 bisect_iterations=iterations)
         return SubbatchChoice(
             ridge_match=ridge,
             saturation=saturation,
             min_latency=min_latency,
             chosen=chosen,
             asymptotic_time_per_sample=limit,
+            capped=capped,
         )

@@ -55,13 +55,13 @@ Production concerns are the point:
 
 from .service import AnalysisService, Endpoint, ENDPOINTS, \
     snapshot_exhibit
-from .admission import AdmissionController, Bulkhead, TokenBucket
+from .admission import AdmissionController, Bulkhead
 from .chaos import ChaosController, ChaosInjectedError, ChaosPlan
 from .server import ReproServer, ServeConfig, running_server
 
 __all__ = [
     "AnalysisService", "Endpoint", "ENDPOINTS", "snapshot_exhibit",
-    "AdmissionController", "Bulkhead", "TokenBucket",
+    "AdmissionController", "Bulkhead",
     "ChaosController", "ChaosInjectedError", "ChaosPlan",
     "ReproServer", "ServeConfig", "running_server",
 ]

@@ -1,9 +1,9 @@
-"""Admission control: the compute gate and per-connection rate limits.
+"""Admission control: the compute gate.
 
 Overload policy for the server, and every knob it reads, in one place:
 
 * :class:`ServeConfig` — the server's resilience knobs (admission
-  queue, rate limits, compute workers, socket timeouts).
+  queue, compute workers, socket timeouts).
 * :class:`Bulkhead` — the server's one compute gate: a concurrency
   limit with a **bounded** waiter queue.  ``width`` cold computes run
   at once; up to ``queue_depth`` more wait (at most ``queue_timeout``
@@ -14,24 +14,19 @@ Overload policy for the server, and every knob it reads, in one place:
   the failure mode "fast 429" instead of "every thread blocked on one
   slow sweep" — and because the service checks the result store
   *before* the gate, warm hits never queue behind cold computes.
-* :class:`TokenBucket` — the classic rate limiter: ``burst`` tokens,
-  refilled at ``rate`` per second.  The HTTP layer keeps one bucket
-  per connection, so a single misbehaving keep-alive client throttles
-  itself without affecting the others.
+  The gate is the only limit: one per connection would let a client
+  through by opening another connection.
 * :class:`AdmissionController` — what the server threads share: the
-  compute gate, sized from the config, and the per-connection buckets
-  it hands to the HTTP layer.
+  compute gate, sized from the config.
 
 Counters: ``serve.admission.admitted`` (requests that acquired a
 gate slot), ``serve.admission.queued`` (had to wait first),
-``serve.admission.shed`` (rejected with E-BUSY, including rate-limit
-rejections).
+``serve.admission.shed`` (rejected with E-BUSY).
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
@@ -41,7 +36,7 @@ from ..deadline import Deadline
 from ..errors import BusyError, DeadlineError
 
 __all__ = ["AdmissionController", "Bulkhead", "ServeConfig",
-           "TokenBucket", "MAX_BODY_BYTES"]
+           "MAX_BODY_BYTES"]
 
 #: request bodies larger than this are rejected outright (413)
 MAX_BODY_BYTES = 1 << 20
@@ -50,33 +45,6 @@ _ADMITTED = obs.counter("serve.admission.admitted")
 _QUEUED = obs.counter("serve.admission.queued")
 _SHED = obs.counter("serve.admission.shed")
 _WAITING = obs.gauge("serve.admission.waiting")
-
-
-class TokenBucket:
-    """``burst`` tokens refilled at ``rate``/s; thread-safe."""
-
-    def __init__(self, rate: float, burst: int):
-        if rate <= 0:
-            raise ValueError(f"rate must be positive, got {rate!r}")
-        self.rate = float(rate)
-        self.burst = max(1, int(burst))
-        self._tokens = float(self.burst)
-        self._stamp = time.monotonic()
-        self._lock = threading.Lock()
-
-    def try_take(self) -> float:
-        """Take one token; returns 0.0 on success, else the advisory
-        seconds to wait until a token is available."""
-        with self._lock:
-            now = time.monotonic()
-            self._tokens = min(
-                float(self.burst),
-                self._tokens + (now - self._stamp) * self.rate)
-            self._stamp = now
-            if self._tokens >= 1.0:
-                self._tokens -= 1.0
-                return 0.0
-            return (1.0 - self._tokens) / self.rate
 
 
 class Bulkhead:
@@ -167,10 +135,6 @@ class ServeConfig:
     queue_depth: int = 8
     #: max seconds a request waits in the admission queue
     queue_timeout: float = 30.0
-    #: per-connection requests/second token rate (0 disables)
-    rate_limit: float = 0.0
-    #: per-connection token-bucket burst
-    rate_burst: int = 20
     #: cold computes run on this many supervised worker processes
     #: (0 = in-process, the default for tests and small deployments);
     #: it is also the compute gate's width (1 in-process)
@@ -184,7 +148,7 @@ class ServeConfig:
 
 
 class AdmissionController:
-    """The compute gate + rate-limit policy the server shares."""
+    """The compute gate the server threads share."""
 
     def __init__(self, config: Optional[ServeConfig] = None):
         self.config = config or ServeConfig()
@@ -194,26 +158,3 @@ class AdmissionController:
         self.gate = Bulkhead(max(1, self.config.compute_workers),
                              self.config.queue_depth,
                              self.config.queue_timeout)
-
-    def connection_bucket(self) -> Optional[TokenBucket]:
-        """A fresh per-connection bucket (None: limiting disabled)."""
-        if self.config.rate_limit <= 0:
-            return None
-        return TokenBucket(self.config.rate_limit,
-                           self.config.rate_burst)
-
-    @staticmethod
-    def check_bucket(bucket: Optional[TokenBucket]) -> None:
-        """Raise E-BUSY when the connection's bucket is empty."""
-        if bucket is None:
-            return
-        retry_after = bucket.try_take()
-        if retry_after > 0:
-            _SHED.inc()
-            raise BusyError(
-                "per-connection rate limit exceeded",
-                retry_after=retry_after,
-                hint="slow down, batch queries, or open a second "
-                     "connection only if you are genuinely a "
-                     "different client",
-            )

@@ -4,7 +4,6 @@
 
     repro-serve [--host H] [--port P] [--compute-workers N]
                 [--queue-depth N] [--queue-timeout S]
-                [--rate-limit R] [--rate-burst N]
                 [--header-timeout S] [--body-timeout S]
                 [--chaos-plan PATH]
                 [--no-cache] [--cache-dir PATH] [--debug]
@@ -103,13 +102,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max seconds a request waits for the compute gate "
              "(default: 30)")
     group.add_argument(
-        "--rate-limit", type=float, default=0.0, metavar="R",
-        help="per-connection token-bucket rate, requests/second "
-             "(default: 0 = unlimited)")
-    group.add_argument(
-        "--rate-burst", type=int, default=20, metavar="N",
-        help="per-connection burst allowance (default: 20)")
-    group.add_argument(
         "--header-timeout", type=_timeout_seconds, default=30.0, metavar="S",
         help="socket read timeout for request headers / keep-alive "
              "idles — the slow-loris bound (default: 30)")
@@ -148,8 +140,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     config = ServeConfig(
         queue_depth=args.queue_depth,
         queue_timeout=args.queue_timeout,
-        rate_limit=max(0.0, args.rate_limit),
-        rate_burst=max(1, args.rate_burst),
         compute_workers=args.compute_workers,
         header_timeout=args.header_timeout,
         body_timeout=args.body_timeout,

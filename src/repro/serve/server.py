@@ -103,11 +103,9 @@ class _Handler(BaseHTTPRequestHandler):
     def setup(self) -> None:
         # per-connection state: the socket read timeout (slow-loris
         # defense — the stdlib's handle_one_request turns a header
-        # read timeout into a silent disconnect) and the rate bucket
+        # read timeout into a silent disconnect)
         config = self.server.repro.config  # type: ignore[attr-defined]
         self.timeout = config.header_timeout
-        self._bucket = \
-            self.server.repro.admission.connection_bucket()  # type: ignore
         super().setup()
 
     def log_message(self, format: str, *args: Any) -> None:
@@ -312,8 +310,6 @@ class _Handler(BaseHTTPRequestHandler):
                 404, "E-BIND", f"no GET route {route!r}",
                 "GET routes: /healthz /metrics /v1/stats")
 
-        # POST: one token per request from the connection's bucket
-        server.admission.check_bucket(self._bucket)
         if route.startswith("/v1/"):
             endpoint = route[len("/v1/"):]
             if endpoint in ENDPOINTS:

@@ -232,6 +232,8 @@ def _compute_sweep(params: Dict[str, Any]) -> Dict[str, Any]:
 # -- endpoint: /v1/plan ------------------------------------------------------
 
 def _normalize_plan(params: Mapping) -> Dict[str, Any]:
+    from ..planner.subbatch import SOLVE_BRACKET
+
     params = _expect_mapping(params, "plan")
     _check_fields(params, ("domain", "params", "tolerance",
                            "max_subbatch"), "plan")
@@ -245,12 +247,9 @@ def _normalize_plan(params: Mapping) -> Dict[str, Any]:
     if tolerance >= 1.0:
         _reject(f"field 'tolerance' must be in (0, 1), got "
                 f"{tolerance!r}")
+    # choose_subbatch states and enforces the cap rule (E-BIND)
     max_subbatch = _positive_number(params, "max_subbatch",
-                                    float(2 ** 18))
-    if max_subbatch < 1.0:
-        # choose_subbatch searches subbatches in [1, max_subbatch]
-        _reject(f"field 'max_subbatch' must be at least 1, got "
-                f"{max_subbatch!r}")
+                                    SOLVE_BRACKET[1])
     return {"domain": domain, "params": n_params,
             "tolerance": tolerance, "max_subbatch": max_subbatch}
 
@@ -277,8 +276,7 @@ def _compute_plan(params: Dict[str, Any]) -> Dict[str, Any]:
         "domain": domain,
         "params": n_params,
         "accelerator": V100_LIKE.name,
-        "choice": {k: (int(v) if k == "chosen" else float(v))
-                   for k, v in asdict(choice).items()},
+        "choice": asdict(choice),
         "step_flops": ct,
         "step_bytes": at,
         "step_time_s": float(rt.step_time),

@@ -6,6 +6,12 @@ finding on monotone expressions (e.g. "smallest subbatch whose
 graph-level operational intensity reaches the accelerator ridge
 point").  Both live here so the scaling and planner layers stay free of
 numerics.
+
+:func:`bisect_increasing` has one bracket policy: its answer stays in
+the bracket it is given, and a target outside the bracket's range
+yields the nearer end.  :func:`expand_bracket` (grow a bracket until it
+straddles a target) has no caller in the pipeline; it stays because
+``e2ebench/layers.py`` times it by name.
 """
 
 from __future__ import annotations
@@ -165,32 +171,19 @@ def expand_bracket(fn: Callable[[float], float], target: float,
 
 def bisect_increasing(fn: Callable[[float], float], target: float,
                       lo: float, hi: float, *, tol: float = 1e-9,
-                      max_iter: int = 200,
-                      bracket: str = "clamp") -> float:
+                      max_iter: int = 200) -> float:
     """Find x in [lo, hi] with fn(x) == target for nondecreasing ``fn``.
 
-    ``bracket`` selects what happens when the target falls outside
-    ``[fn(lo), fn(hi)]``:
-
-    * ``"clamp"`` (default, the seed semantics) — return ``hi`` when
-      even ``fn(hi) < target`` (saturated) and ``lo`` when
-      ``fn(lo) > target`` already;
-    * ``"expand"`` — grow the bracket geometrically
-      (:func:`expand_bracket`) until it straddles the target, raising
-      :class:`~repro.errors.SolveError` (code E-SOLVE) with expansion
-      diagnostics when the target is unreachable;
-    * ``"strict"`` — raise E-SOLVE immediately on a non-bracketing
-      interval.
-
-    In ``expand``/``strict`` mode a bisection that exhausts
-    ``max_iter`` without meeting ``tol`` also raises E-SOLVE with
-    convergence diagnostics; ``clamp`` keeps the seed's
-    return-the-midpoint behaviour.  NaN probes raise E-SOLVE in every
-    mode.  Used e.g. to find the subbatch size where operational
-    intensity crosses the accelerator ridge point.
+    The answer always lies in ``[lo, hi]``: when the target falls
+    outside ``[fn(lo), fn(hi)]`` the bracket end is returned (``hi``
+    when even ``fn(hi) < target``, ``lo`` when ``fn(lo) > target``), so
+    a caller that must tell a root from a clamp compares ``fn`` at the
+    end against the target itself.  A bisection that exhausts
+    ``max_iter`` returns the midpoint of what is left.  NaN probes
+    raise :class:`~repro.errors.SolveError` (E-SOLVE).  Used e.g. to
+    find the subbatch size where operational intensity crosses the
+    accelerator ridge point.
     """
-    if bracket not in ("clamp", "expand", "strict"):
-        raise ValueError(f"unknown bracket mode {bracket!r}")
     if not (math.isfinite(lo) and math.isfinite(hi)
             and math.isfinite(target)):
         raise SolveError(
@@ -207,26 +200,9 @@ def bisect_increasing(fn: Callable[[float], float], target: float,
     iterations = 0
     try:
         flo, fhi = _checked(fn, lo), _checked(fn, hi)
-        if bracket == "expand" and (flo > target or fhi < target):
-            lo, hi = expand_bracket(fn, target, lo, hi)
-            flo, fhi = _checked(fn, lo), _checked(fn, hi)
         if flo >= target:
-            if bracket == "strict" and flo > target:
-                raise SolveError(
-                    f"target {target:g} below bracket: "
-                    f"f({lo:g})={flo:g}",
-                    diagnostics={"target": target, "lo": lo,
-                                 "f_lo": flo},
-                )
             return lo
         if fhi <= target:
-            if bracket == "strict" and fhi < target:
-                raise SolveError(
-                    f"target {target:g} above bracket: "
-                    f"f({hi:g})={fhi:g}",
-                    diagnostics={"target": target, "hi": hi,
-                                 "f_hi": fhi},
-                )
             return hi
         for _ in range(max_iter):
             check_deadline("bisect", iterations=iterations,
@@ -242,18 +218,6 @@ def bisect_increasing(fn: Callable[[float], float], target: float,
                 hi = mid
             if hi - lo <= tol * max(1.0, abs(hi)):
                 break
-        else:
-            if bracket != "clamp":
-                raise SolveError(
-                    f"bisection did not converge to rel/abs tol "
-                    f"{tol:g} in {max_iter} iterations",
-                    diagnostics={"iterations": max_iter, "lo": lo,
-                                 "hi": hi, "width": hi - lo,
-                                 "target": target},
-                    hint="loosen tol or raise max_iter; a "
-                         "discontinuous or non-monotone objective "
-                         "also produces this",
-                )
         return 0.5 * (lo + hi)
     finally:
         _BISECT_ITERS.inc(iterations)

@@ -184,6 +184,20 @@ class TestPassGate:
         lint_registry(ignore=["M001"])
         assert solved == [1, 1]
 
+    def test_registry_builds_no_model_when_no_graph_family_can_pass(
+            self, monkeypatch):
+        from repro.models import registry
+
+        built = []
+        monkeypatch.setattr(registry, "build_symbolic",
+                            lambda key, training=True: built.append(key))
+        out = lint_registry(select=["M"])
+        assert built == []
+        assert set(out) == set(registry.DOMAINS) | {SOLVER_KEY}
+        assert all(out[key] == [] for key in registry.DOMAINS)
+        lint_registry(["image"], ignore=list(PASSES) + ["M"])
+        assert built == []
+
 
 def _family_subsets():
     families = sorted(PASSES)

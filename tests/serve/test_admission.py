@@ -1,5 +1,5 @@
 """Admission control: the compute gate sheds, warm hits never queue,
-rate limits throttle per connection, deadlines surface as 429/504.
+deadlines surface as 429/504.
 
 Synchronization is event-based throughout: the gated endpoint signals
 when its compute has *entered* (so the gate's slot is provably held),
@@ -9,7 +9,6 @@ ordering.
 
 from __future__ import annotations
 
-import http.client
 import json
 import sys
 import threading
@@ -23,24 +22,9 @@ from repro.errors import BindingError, BusyError, DeadlineError
 from repro.exec.store import ResultStore
 from repro.serve import ENDPOINTS, AnalysisService, Endpoint, \
     ServeConfig, running_server
-from repro.serve.admission import AdmissionController, Bulkhead, \
-    TokenBucket
+from repro.serve.admission import AdmissionController, Bulkhead
 
 from ..helpers import http_get, http_post
-
-
-# -- unit: TokenBucket -------------------------------------------------------
-
-class TestTokenBucket:
-    def test_burst_then_throttle(self):
-        bucket = TokenBucket(rate=1.0, burst=3)
-        assert [bucket.try_take() for _ in range(3)] == [0.0] * 3
-        wait = bucket.try_take()
-        assert 0.0 < wait <= 1.0
-
-    def test_rate_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=1)
 
 
 # -- unit: Bulkhead ----------------------------------------------------------
@@ -154,12 +138,6 @@ def test_gate_width_follows_compute_workers():
     assert AdmissionController().gate.width == 1
     assert AdmissionController(
         ServeConfig(compute_workers=3)).gate.width == 3
-
-
-def test_rate_limit_disabled_by_default():
-    controller = AdmissionController()
-    assert controller.connection_bucket() is None
-    controller.check_bucket(None)  # must be a no-op
 
 
 # -- service/server level ----------------------------------------------------
@@ -337,32 +315,6 @@ def test_healthz_reports_the_single_compute_gate():
     assert status == 200
     assert health["admission"] == {"width": 1, "queue_depth": 8,
                                    "waiting": 0}
-
-
-def test_per_connection_rate_limit_throttles(monkeypatch):
-    config = ServeConfig(rate_limit=1.0, rate_burst=2)
-    with running_server(store=None, config=config) as server:
-        # one keep-alive connection: the bucket is per connection, and
-        # the token check runs before body parsing (garbage bodies
-        # cost tokens too — a misbehaving client cannot dodge it)
-        conn = http.client.HTTPConnection("127.0.0.1", server.port,
-                                          timeout=30)
-        try:
-            statuses = []
-            for _ in range(3):
-                conn.request("POST", "/v1/sweep", body=b"{not json",
-                             headers={"Content-Type":
-                                      "application/json"})
-                response = conn.getresponse()
-                statuses.append(response.status)
-                body = json.loads(response.read())
-                if response.status == 429:
-                    assert body["error"]["code"] == "E-BUSY"
-                    assert "rate limit" in body["error"]["message"]
-                    assert int(response.headers["Retry-After"]) >= 1
-            assert statuses == [400, 400, 429]
-        finally:
-            conn.close()
 
 
 def test_deadline_via_query_param_is_504_with_progress():

@@ -81,10 +81,8 @@ def test_plan_matches_library(server):
     choice = choose_subbatch(model, params, V100_LIKE)
     result = body["result"]
     assert result["params"] == params
-    assert result["choice"] == {
-        key: (int(value) if key == "chosen" else float(value))
-        for key, value in asdict(choice).items()
-    }
+    assert result["choice"] == asdict(choice)
+    assert result["choice"]["capped"] is False
     ct = float(model.step_flops(params, choice.chosen))
     at = float(model.step_bytes(params, choice.chosen))
     rt = roofline_time(ct, at, V100_LIKE)

@@ -17,7 +17,7 @@ import urllib.request
 import pytest
 
 from repro import obs
-from repro.serve import ServeConfig, running_server
+from repro.serve import running_server
 
 from ..helpers import http_get, http_post
 
@@ -168,14 +168,29 @@ def test_invalid_engine_and_sizes(server):
 
 
 def test_plan_max_subbatch_below_one_is_rejected(server):
-    # choose_subbatch searches [1, max_subbatch]; a cap below 1 is a
-    # malformed request, not a solver failure
+    # choose_subbatch refuses a cap with no grid point under it, or one
+    # past the bracket its solver proofs cover: a malformed request,
+    # not a solver failure
+    for cap in (1, 31, 2 ** 18 + 1):
+        status, body = http_post(server.url + "/v1/plan",
+                                 {"domain": "word_lm",
+                                  "max_subbatch": cap})
+        assert status == 400, (cap, body)
+        assert body["error"]["code"] == "E-BIND"
+        assert "'max_subbatch'" in body["error"]["message"]
+        assert "[32, 262144]" in body["error"]["message"]
+
+
+def test_plan_under_a_binding_cap_is_flagged(server):
     status, body = http_post(server.url + "/v1/plan",
-                             {"domain": "word_lm", "max_subbatch": 0.5})
-    assert status == 400
-    assert body["error"]["code"] == "E-BIND"
-    assert "'max_subbatch'" in body["error"]["message"]
-    assert "at least 1" in body["error"]["message"]
+                             {"domain": "word_lm", "max_subbatch": 40})
+    assert status == 200, body
+    assert body["result"]["choice"]["chosen"] == 32
+    assert body["result"]["choice"]["capped"] is True
+    status, body = http_post(server.url + "/v1/plan",
+                             {"domain": "word_lm"})
+    assert status == 200, body
+    assert body["result"]["choice"]["capped"] is False
 
 
 def test_unknown_exhibit_is_rejected_with_choices(server):
@@ -220,31 +235,21 @@ def _exchange(conn, method, path, payload=None):
         response.read()
 
 
-@pytest.mark.parametrize("path, config, before", [
-    ("/v1/nope", None, None),
-    ("/v1/sweep?deadline_ms=abc", None, None),
-    # the first POST reads its body and spends the one token; the
-    # second is refused by the rate bucket before its body is read
-    ("/v1/lint", ServeConfig(rate_limit=0.001, rate_burst=1),
-     ("/v1/lint", {"domains": ["nope"]})),
-], ids=["unknown-route", "bad-deadline", "rate-limited"])
-def test_refusal_before_the_body_keeps_the_connection_usable(
-        path, config, before):
+@pytest.mark.parametrize("path", [
+    "/v1/nope",
+    "/v1/sweep?deadline_ms=abc",
+], ids=["unknown-route", "bad-deadline"])
+def test_refusal_before_the_body_keeps_the_connection_usable(path):
     # a refusal sent before the body is read must not leave the body
     # on the wire, where it would be parsed as the next request
-    with running_server(store=None, config=config) as srv:
+    with running_server(store=None) as srv:
         conn = http.client.HTTPConnection("127.0.0.1", srv.port,
                                           timeout=30)
         try:
-            if before is not None:
-                status, _, _ = _exchange(conn, "POST", *before)
-                assert status == 400
             status, ctype, body = _exchange(
                 conn, "POST", path, {"domain": "word_lm"})
-            assert status in (400, 404, 429)
-            assert_structured_error(body,
-                                    "E-BUSY" if status == 429
-                                    else "E-BIND")
+            assert status in (400, 404)
+            assert_structured_error(body, "E-BIND")
             status, ctype, body = _exchange(conn, "GET", "/healthz")
             assert status == 200, body
             assert ctype == "application/json"

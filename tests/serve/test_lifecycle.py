@@ -45,6 +45,14 @@ def test_breaker_flags_are_gone():
     assert not options & {"--breaker-threshold", "--breaker-cooldown"}
 
 
+@pytest.mark.parametrize("flag", ["--rate-limit", "--rate-burst"])
+def test_rate_limit_flags_are_gone(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        build_parser().parse_args([flag, "1"])
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--compute-workers", "--queue-depth"])
 def test_negative_count_is_a_usage_error(flag, capsys):
     # argparse rejects it (exit 2) instead of clamping it to 0

@@ -164,17 +164,13 @@ class TestBracketExpansion:
            st.floats(min_value=0.1, max_value=4.0))
     @settings(max_examples=60, deadline=None)
     def test_property_expanded_roots_converge(self, target, seed_hi):
-        """bisect(bracket="expand") from an arbitrary non-bracketing
-        seed either converges to the true root or raises E-SOLVE."""
+        """Bisecting the bracket expand_bracket grows from an arbitrary
+        non-bracketing seed converges to the true root."""
         fn = lambda v: v * v  # root at sqrt(target)
-        try:
-            root = bisect_increasing(fn, target, seed_hi / 2, seed_hi,
-                                     bracket="expand")
-        except SolveError as err:
-            assert err.code == "E-SOLVE"
-        else:
-            assert math.isclose(root, math.sqrt(target),
-                                rel_tol=1e-6, abs_tol=1e-6)
+        lo, hi = expand_bracket(fn, target, seed_hi / 2, seed_hi)
+        root = bisect_increasing(fn, target, lo, hi)
+        assert math.isclose(root, math.sqrt(target),
+                            rel_tol=1e-6, abs_tol=1e-6)
 
 
 class TestBisectModes:
@@ -183,19 +179,6 @@ class TestBisectModes:
         assert bisect_increasing(lambda v: v, 100.0, 0.0, 1.0) == 1.0
         # target below the range: seed returned lo
         assert bisect_increasing(lambda v: v, -5.0, 0.0, 1.0) == 0.0
-
-    def test_strict_raises_on_non_bracketing(self):
-        with pytest.raises(SolveError):
-            bisect_increasing(lambda v: v, 100.0, 0.0, 1.0,
-                              bracket="strict")
-        with pytest.raises(SolveError):
-            bisect_increasing(lambda v: v, -5.0, 0.0, 1.0,
-                              bracket="strict")
-
-    def test_strict_accepts_bracketing_interval(self):
-        root = bisect_increasing(lambda v: v, 0.5, 0.0, 1.0,
-                                 bracket="strict")
-        assert math.isclose(root, 0.5, rel_tol=1e-6)
 
     def test_non_finite_bracket_raises(self):
         with pytest.raises(SolveError):
@@ -208,8 +191,3 @@ class TestBisectModes:
     def test_nan_probe_raises_in_clamp_mode_too(self):
         with pytest.raises(SolveError):
             bisect_increasing(lambda v: float("nan"), 1.0, 0.0, 1.0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            bisect_increasing(lambda v: v, 1.0, 0.0, 1.0,
-                              bracket="elastic")

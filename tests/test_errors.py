@@ -190,7 +190,7 @@ class TestAcceptanceAllDomains:
 
         with pytest.raises(SolveError) as info:
             with error_context(model=key, stage="test_solver"):
-                bisect_increasing(lambda x: x, 10.0, 0.0, 1.0,
-                                  bracket="strict")
+                bisect_increasing(lambda x: float("nan"), 10.0, 0.0,
+                                  1.0)
         assert info.value.code == "E-SOLVE"
         assert f"model={key}" in info.value.context_summary()
