@@ -48,7 +48,8 @@ class FootprintEstimate:
     greedy_bytes: int
     #: persistent bytes (weights + inputs), always resident
     persistent_bytes: int
-    #: lower bound: persistent + max single-op working set
+    #: lower bound: persistent + max single-op working set (buffers
+    #: charged as the schedules are, in-place chains once)
     lower_bound_bytes: int
 
     @property
@@ -90,7 +91,8 @@ def _estimate_footprint(graph, bindings, use_greedy,
                                sizes, aliases=aliases)
     else:
         greedy = program
-    persistent, working_set = liveness_bounds(graph, sizes)
+    persistent, working_set = liveness_bounds(graph, sizes,
+                                              aliases=aliases)
 
     return FootprintEstimate(
         program_order_bytes=program,

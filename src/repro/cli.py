@@ -15,7 +15,7 @@ it, and ``--metrics`` prints the counter/histogram summary (cache hit
 rates, tape statistics) after the reports::
 
     repro-report table1 --trace /tmp/t.json --metrics
-    repro-report fig10 --trace fig10.json --trace-jsonl fig10.jsonl
+    repro-report fig10 --trace fig10.json
 
 Exhibits are independent computations, so ``repro-report all
 --max-workers 4`` regenerates them as a task list on the
@@ -93,18 +93,13 @@ def main(argv: Optional[List[str]] = None) -> int:
              "trace_events JSON to PATH (chrome://tracing / Perfetto)",
     )
     parser.add_argument(
-        "--trace-jsonl", metavar="PATH", default=None,
-        help="enable tracing and write one JSON object per span to "
-             "PATH (for jq/pandas)",
-    )
-    parser.add_argument(
         "--metrics", action="store_true",
         help="print the repro.obs span/metrics summary to stderr "
              "after the reports",
     )
     args = parser.parse_args(argv)
 
-    observing = bool(args.trace or args.trace_jsonl or args.metrics)
+    observing = bool(args.trace or args.metrics)
     if observing:
         obs.enable()
 
@@ -160,9 +155,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.trace:
             path = obs.write_chrome_trace(args.trace)
             print(f"wrote Chrome trace: {path}", file=sys.stderr)
-        if args.trace_jsonl:
-            path = obs.write_jsonl(args.trace_jsonl)
-            print(f"wrote span JSONL: {path}", file=sys.stderr)
         if args.metrics:
             print(obs.summary(), file=sys.stderr)
         return 0

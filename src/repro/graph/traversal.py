@@ -19,10 +19,12 @@ Persistent tensors (weights) are charged once.
 This module is the one home of the liveness rule — weights and graph
 inputs are pinned for the whole step, a tensor is born when its
 producer runs and dies after its last consumer.  :func:`skeleton`
-resolves it to tensor indices once per graph, and every schedule
-replay reads it from there: :func:`liveness_trace` (with in-place
-aliases too), the allocator model in :mod:`repro.runtime.allocator`
-and the measured replay in :mod:`repro.runtime.profiler`.
+resolves it to tensor indices once per graph, and everything that
+prices or replays a schedule reads it from there:
+:func:`memory_greedy_order`, :func:`liveness_trace` and
+:func:`liveness_bounds` (with in-place aliases too), the allocator
+model in :mod:`repro.runtime.allocator` and the measured replay in
+:mod:`repro.runtime.profiler`.
 """
 
 from __future__ import annotations
@@ -59,12 +61,12 @@ class GraphSkeleton:
     only on the graph's wiring.  Resolving tensors and ops to dense
     integer indices once takes the per-point cost down to plain list
     arithmetic; every function below produces *identical* results to
-    its original mapping-based body (the reference oracles and
-    equivalence tests are unchanged).
+    its mapping-based reference oracle in the tests.
 
     The liveness rule is held by ``persistent_idx`` (pinned for the
     step), ``out_live`` (born when the op runs) and ``consumer_counts``
-    counted down by ``live_uses`` (dead at zero).  Two methods add
+    counted down by ``live_uses`` (dead at zero); the greedy scheduler
+    prices ops by it and every replay scores by it.  Two methods add
     tables only some callers read, built on first use:
     :meth:`touch_order` (the read order, for replays that track
     recency) and :meth:`greedy_tables` (the memory-greedy scheduler's).
@@ -122,20 +124,18 @@ class GraphSkeleton:
         return self.touches
 
     def greedy_tables(self) -> Tuple:
-        """``(pending0, edge_consumers, greedy_uses, holders)`` for
-        :func:`memory_greedy_order`: each op's distinct producer count,
-        its consumer edges, its uses of each distinct non-persistent
-        input (greedy counts graph inputs; liveness does not, and counts
-        via the consumer lists — preserve both exactly), and each
-        tensor's ``(op, uses)`` holders.  Program-order footprints and
+        """``(pending0, edge_consumers, holders)`` for
+        :func:`memory_greedy_order`: each op's count of produced inputs,
+        its consumer edges (one per input read, as ``pending0`` counts
+        them), and each live tensor's ``(op, uses)`` holders, read from
+        ``live_uses`` so the greedy prices an op by the liveness rule
+        that scores it.  Program-order footprints and
         liveness replays never read them, so they are built on first
         use rather than for every graph."""
         if self.greedy is None:
-            index = {t: i for i, t in enumerate(self.tensors)}
             op_index = self.op_index
             pending0 = [
-                len({t.producer for t in op.inputs
-                     if t.producer is not None})
+                sum(1 for t in op.inputs if t.producer is not None)
                 for op in self.ops
             ]
             edge_consumers = [
@@ -143,20 +143,12 @@ class GraphSkeleton:
                       for c in out.consumers)
                 for op in self.ops
             ]
-            greedy_uses = []
             holders: Dict[int, List[Tuple[int, int]]] = {}
-            for i, op in enumerate(self.ops):
-                counts: Dict[int, int] = {}
-                for t in op.inputs:
-                    if not t.is_persistent:
-                        ti = index[t]
-                        counts[ti] = counts.get(ti, 0) + 1
-                items = tuple(counts.items())
-                greedy_uses.append(items)
-                for ti, c in items:
+            for i, uses in enumerate(self.live_uses):
+                for ti, c in uses:
                     holders.setdefault(ti, []).append((i, c))
             self.greedy = (
-                pending0, edge_consumers, greedy_uses,
+                pending0, edge_consumers,
                 {ti: tuple(v) for ti, v in holders.items()},
             )
         return self.greedy
@@ -251,6 +243,8 @@ def memory_greedy_order(graph: Graph,
     At each step, among ready ops pick the one whose execution changes
     live bytes the least (bytes allocated for outputs minus bytes of
     inputs that die).  Ties break on program order for determinism.
+    Ops are priced by the rule :func:`liveness_trace` scores them by:
+    weights and graph inputs are pinned, so they never die.
 
     Deltas are maintained *incrementally*: an op's growth (output
     bytes) is fixed, and its shrink (input bytes it frees) only ever
@@ -264,7 +258,8 @@ def memory_greedy_order(graph: Graph,
     sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
     n = len(sk.ops)
-    pending0, edge_consumers, uses, holders = sk.greedy_tables()
+    pending0, edge_consumers, holders = sk.greedy_tables()
+    uses = sk.live_uses
 
     remaining = list(sk.consumer_counts)
     grow = []
@@ -419,25 +414,35 @@ def _buffers(sk: GraphSkeleton, size_arr: List[int],
     return owner, charge, uses
 
 
-def liveness_bounds(graph: Graph,
-                    sizes: Mapping[Tensor, int]) -> Tuple[int, int]:
+def liveness_bounds(
+    graph: Graph,
+    sizes: Mapping[Tensor, int],
+    *,
+    aliases: Optional[Mapping[Tensor, Tensor]] = None,
+) -> Tuple[int, int]:
     """``(persistent, working_set)`` bytes under the liveness rule.
 
     ``persistent`` is what :func:`liveness_peak` charges for the whole
     step; ``working_set`` is the largest live input plus output bytes
     of one op (disjoint in an acyclic graph), live at once under every
     schedule, so their sum bounds every traversal's peak from below.
+    ``aliases`` charges buffers as :func:`liveness_trace` does: an
+    in-place chain's root is counted once, so the bound also holds for
+    aliased schedules, and is never above the unaliased one.  (Under
+    :func:`~repro.graph.inplace_aliases`' rule an op's inputs are
+    never members of one chain: a member's source has one reader.)
     """
     sk = skeleton(graph)
     size_arr = _size_array(sk, sizes)
     persistent = sum(size_arr[i] for i in sk.persistent_idx)
+    owner, charge, _ = _buffers(sk, size_arr, aliases or {})
     working_set = 0
     for outs, uses in zip(sk.out_live, sk.live_uses):
         local = 0
         for t in outs:
-            local += size_arr[t]
+            local += charge[t]
         for t, _ in uses:
-            local += size_arr[t]
+            local += size_arr[owner[t]]
         if local > working_set:
             working_set = local
     return persistent, working_set

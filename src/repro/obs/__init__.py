@@ -22,8 +22,8 @@ Table/Figure regeneration is no longer a black box:
       _HITS = obs.counter("analysis.sweep.cache.hit")
       _HITS.inc()
 
-* **exporters** (:mod:`.export`) — Chrome ``trace_events`` JSON, a
-  JSONL span stream, and ASCII/CSV summary tables built on
+* **exporters** (:mod:`.export`) — Chrome ``trace_events`` JSON,
+  OpenMetrics text, and ASCII/CSV summary tables built on
   :mod:`repro.reports.common`.
 
 The CLI surfaces all of it: ``repro-report fig10 --trace t.json
@@ -61,12 +61,10 @@ from .tracer import (
 )
 from .export import (
     chrome_trace,
-    jsonl_events,
     metrics_summary_table,
     openmetrics_text,
     span_summary_table,
     write_chrome_trace,
-    write_jsonl,
     write_openmetrics,
 )
 from .history import (
@@ -85,7 +83,7 @@ __all__ = [
     "counter", "gauge", "histogram", "snapshot",
     "histogram_percentiles", "reset", "save_state", "restore_state",
     # export
-    "chrome_trace", "write_chrome_trace", "jsonl_events", "write_jsonl",
+    "chrome_trace", "write_chrome_trace",
     "span_summary_table", "metrics_summary_table",
     "openmetrics_text", "write_openmetrics",
     # history

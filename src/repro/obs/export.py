@@ -1,6 +1,6 @@
-"""Exporters: Chrome trace JSON, JSONL stream, OpenMetrics, tables.
+"""Exporters: Chrome trace JSON, OpenMetrics, tables.
 
-Four consumers, four formats:
+Three consumers, three formats:
 
 * :func:`chrome_trace` / :func:`write_chrome_trace` — the Chrome
   ``trace_events`` JSON object format (``{"traceEvents": [...]}``),
@@ -17,8 +17,6 @@ Four consumers, four formats:
   (pid, tid, name), then timed events by (ts, pid, tid, ph, name) —
   stable keys so structurally-equal runs export structurally-equal
   traces.
-* :func:`jsonl_events` / :func:`write_jsonl` — one JSON object per
-  line, one line per span, for ad-hoc ``jq``/pandas analysis.
 * :func:`openmetrics_text` / :func:`write_openmetrics` — the
   OpenMetrics / Prometheus text exposition format, one family per
   registered instrument (histograms with cumulative ``le`` buckets).
@@ -39,7 +37,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from . import metrics as _metrics
 from . import tracer as _tracer
@@ -49,8 +47,6 @@ from .tracer import Span
 __all__ = [
     "chrome_trace",
     "write_chrome_trace",
-    "jsonl_events",
-    "write_jsonl",
     "openmetrics_text",
     "write_openmetrics",
     "span_summary_table",
@@ -168,39 +164,6 @@ def write_chrome_trace(path: str,
 
     payload = chrome_trace(span_list, registry)
     atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
-    return path
-
-
-def jsonl_events(span_list: Optional[Sequence[Span]] = None
-                 ) -> Iterator[str]:
-    """One compact JSON object per span, in completion order."""
-    if span_list is None:
-        span_list = _tracer.TRACER.spans()
-    base_ns = min((s.start_ns for s in span_list), default=0)
-    for span in span_list:
-        yield json.dumps({
-            "id": span.id,
-            "name": span.name,
-            "cat": span.category or "default",
-            "ts_ns": span.start_ns - base_ns,
-            "dur_ns": span.duration_ns,
-            "pid": span.pid,
-            "tid": span.thread_id,
-            "depth": span.depth,
-            "parent": span.parent.name if span.parent else None,
-            "parent_id": span.parent.id if span.parent else None,
-            "args": _clean_args(span),
-        }, sort_keys=True)
-
-
-def write_jsonl(path: str,
-                span_list: Optional[Sequence[Span]] = None) -> str:
-    """Write the JSONL event stream to ``path``; returns the path."""
-    from ..ioutil import atomic_write_text
-
-    atomic_write_text(
-        path, "".join(line + "\n" for line in jsonl_events(span_list))
-    )
     return path
 
 

@@ -214,7 +214,7 @@ def ablation_scheduler(
             si(program) + "B",
             f"{greedy.greedy_bytes / program * 100:.1f}%",
             f"{inplace.minimal_bytes / program * 100:.1f}%",
-            f"{greedy.lower_bound_bytes / program * 100:.1f}%",
+            f"{inplace.lower_bound_bytes / program * 100:.1f}%",
         ])
     return Table(
         title="Ablation: footprint estimate vs traversal strategy "

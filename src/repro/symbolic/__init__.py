@@ -30,8 +30,7 @@ from .expr import (
     sqrt,
     symbols,
 )
-from .compile import (CompiledExpr, compile_batch, compile_expr,
-                      numeric_guard, numeric_policy, set_numeric_policy)
+from .compile import CompiledExpr, compile_batch, compile_expr
 from .poly import (Poly, asymptotic_ratio, coefficient, degree, degrees,
                    expand, leading_term, nonnegative)
 from .solve import (bisect_increasing, evalf_fn, expand_bracket,
@@ -68,7 +67,4 @@ __all__ = [
     "CompiledExpr",
     "compile_expr",
     "compile_batch",
-    "numeric_guard",
-    "numeric_policy",
-    "set_numeric_policy",
 ]

@@ -31,8 +31,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
-from contextlib import contextmanager
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -54,8 +52,7 @@ from .expr import (
     Symbol,
 )
 
-__all__ = ["CompiledExpr", "compile_expr", "compile_batch",
-           "numeric_guard", "set_numeric_policy", "numeric_policy"]
+__all__ = ["CompiledExpr", "compile_expr", "compile_batch"]
 
 # Compile-time observability: tapes built, instructions emitted, and
 # instructions *avoided* by CSE (a slot lookup that found the subtree
@@ -67,41 +64,9 @@ _CSE_REUSED = _obs_counter("symbolic.compile.cse_reused")
 
 # Numeric sentinels: every tape replay checks its outputs for NaN/Inf
 # (overflowed ``h**2`` terms, 0/0 intensities, log of a non-positive
-# dimension).  The policy decides what a violation does.
+# dimension) and raises E-NUMERIC on the first one.
 _GUARD_CHECKS = _obs_counter("guard.numeric.checks")
 _GUARD_VIOLATIONS = _obs_counter("guard.numeric.violations")
-
-#: 'raise' -> NumericError (E-NUMERIC), 'warn' -> RuntimeWarning and
-#: the value flows through, 'off' -> seed behaviour (no check)
-_NUMERIC_POLICY = "raise"
-
-
-def numeric_policy() -> str:
-    """The active NaN/Inf sentinel policy ('raise' | 'warn' | 'off')."""
-    return _NUMERIC_POLICY
-
-
-def set_numeric_policy(policy: str) -> str:
-    """Set the sentinel policy; returns the previous one."""
-    global _NUMERIC_POLICY
-    if policy not in ("raise", "warn", "off"):
-        raise ValueError(
-            f"unknown numeric policy {policy!r} "
-            "(expected 'raise', 'warn', or 'off')"
-        )
-    previous = _NUMERIC_POLICY
-    _NUMERIC_POLICY = policy
-    return previous
-
-
-@contextmanager
-def numeric_guard(policy: str):
-    """Scoped :func:`set_numeric_policy` (restores on exit)."""
-    previous = set_numeric_policy(policy)
-    try:
-        yield
-    finally:
-        set_numeric_policy(previous)
 
 # Tape opcodes.  Every instruction writes exactly one value; the slot of
 # instruction i is i, so the tape doubles as its own register file.
@@ -344,8 +309,6 @@ class CompiledExpr:
             # python-float arithmetic raises instead of producing
             # inf/nan, so the post-replay finiteness check never sees
             # the value; fold the hard failure into the same guard
-            if _NUMERIC_POLICY == "off":
-                raise
             self._replay_failure(error, vec)
 
     def _eval_vector(self, vec: Sequence[Optional[float]]):
@@ -385,18 +348,16 @@ class CompiledExpr:
             else:  # _LOG
                 v = math.log(vals[payload])
             vals[i] = v
-        if _NUMERIC_POLICY != "off":
-            _GUARD_CHECKS.inc()
-            for j, slot in enumerate(self.out_slots):
-                if not math.isfinite(vals[slot]):
-                    self._numeric_violation(vals[slot], j, vec)
-                    break
+        _GUARD_CHECKS.inc()
+        for j, slot in enumerate(self.out_slots):
+            if not math.isfinite(vals[slot]):
+                self._numeric_violation(vals[slot], j, vec)
         if self._single:
             return vals[self.out_slots[0]]
         return [vals[s] for s in self.out_slots]
 
     def _numeric_violation(self, value, out_index: int, vec) -> None:
-        """Apply the sentinel policy to one non-finite output."""
+        """Raise E-NUMERIC for one non-finite output."""
         _GUARD_VIOLATIONS.inc()
         kind = "NaN" if (isinstance(value, float)
                          and math.isnan(value)) else "overflow/Inf"
@@ -410,23 +371,18 @@ class CompiledExpr:
             f"output {out_index + 1} of {len(self.out_slots)}; "
             f"inputs: {inputs}"
         )
-        if _NUMERIC_POLICY == "warn":
-            warnings.warn(message, RuntimeWarning, stacklevel=3)
-            return
         raise NumericError(
             message,
             hint="the bindings push an aggregate past the float "
-                 "range (or into 0/0); shrink the sweep sizes, or "
-                 "evaluate under numeric_guard('warn') to inspect "
-                 "the non-finite series",
+                 "range (or into 0/0); shrink the bound sizes the "
+                 "message lists",
         )
 
     def _replay_failure(self, error: BaseException, vec) -> None:
         """A replay instruction raised outright (scalar overflow, 0/0).
 
-        Unlike a non-finite *output*, there is no value to return, so
-        even the ``warn`` policy must raise — but as E-NUMERIC with the
-        bound inputs named, not a bare ``OverflowError`` from the
+        Raised as E-NUMERIC with the bound inputs named, like a
+        non-finite output, not as a bare ``OverflowError`` from the
         middle of a tape.
         """
         _GUARD_VIOLATIONS.inc()
@@ -494,15 +450,12 @@ class CompiledExpr:
         out = np.empty((n, len(self.out_slots)), dtype=float)
         for j, slot in enumerate(self.out_slots):
             out[:, j] = vals[slot]
-        if _NUMERIC_POLICY != "off":
-            _GUARD_CHECKS.inc()
-            finite = np.isfinite(out)
-            if not finite.all():
-                rows, cols = np.nonzero(~finite)
-                r, j = int(rows[0]), int(cols[0])
-                self._numeric_violation(
-                    float(out[r, j]), j, list(mat[r, :])
-                )
+        _GUARD_CHECKS.inc()
+        finite = np.isfinite(out)
+        if not finite.all():
+            rows, cols = np.nonzero(~finite)
+            r, j = int(rows[0]), int(cols[0])
+            self._numeric_violation(float(out[r, j]), j, list(mat[r, :]))
         if self._single:
             return out[:, 0]
         return out

@@ -64,8 +64,37 @@ class TestFootprint:
         assert with_greedy.minimal_bytes <= without.minimal_bytes
 
 
-def seed_bounds(graph, sizes):
-    """The seed's persistent bytes and op working-set lower bound."""
+@pytest.fixture(scope="module")
+def small_nmt():
+    """The scheduler ablation's NMT, whose bound in-place chains lower."""
+    from repro.models.registry import DOMAINS
+
+    return DOMAINS["nmt"].build_model(seq_len=10, vocab=5000)
+
+
+def test_inplace_bound_bounds_the_inplace_estimate(small_nmt):
+    """An in-place chain's root is charged once in the bound, as in the
+    schedules it bounds: the aliased bound stays under the aliased
+    estimate, and under the plain bound."""
+    m = small_nmt
+    bindings = {m.size_symbol: 512, m.batch: 8}
+    plain = estimate_footprint(m, bindings)
+    inplace = estimate_footprint(m, bindings, inplace=True)
+    assert inplace.lower_bound_bytes <= inplace.minimal_bytes
+    assert inplace.lower_bound_bytes < plain.lower_bound_bytes
+
+
+def seed_bounds(graph, sizes, aliases=None):
+    """The seed's persistent bytes and op working-set lower bound; with
+    ``aliases``, an op's live tensors are charged once per in-place
+    chain, at its root's size."""
+    aliases = aliases or {}
+
+    def root(t):
+        while t in aliases:
+            t = aliases[t]
+        return t
+
     persistent = sum(
         sizes[t] for t in graph.tensors.values()
         if t.is_persistent or t.producer is None
@@ -73,7 +102,7 @@ def seed_bounds(graph, sizes):
     working_set = 0
     for op in graph.ops:
         local = sum(
-            sizes[t] for t in set(op.inputs) | set(op.outputs)
+            sizes[t] for t in {root(t) for t in op.inputs + op.outputs}
             if not (t.is_persistent or t.producer is None)
         )
         working_set = max(working_set, local)
@@ -83,17 +112,19 @@ def seed_bounds(graph, sizes):
 @pytest.mark.parametrize("inplace", [False, True])
 @pytest.mark.parametrize("which,size,batch", [
     ("image", 1, 4), ("image", 2, 32),
-    ("word_lm", 16, 4), ("word_lm", 48, 64),
+    ("word_lm", 16, 4), ("word_lm", 48, 64), ("nmt", 512, 8),
 ])
-def test_footprint_bounds_match_seed_formula(small_model, which, size,
-                                             batch, inplace):
-    from repro.graph import evaluate_sizes
+def test_footprint_bounds_match_seed_formula(small_model, small_nmt, which,
+                                             size, batch, inplace):
+    from repro.graph import evaluate_sizes, inplace_aliases
     from repro.models.registry import build_symbolic
 
-    m = build_symbolic("image") if which == "image" else small_model
+    m = {"image": build_symbolic("image"), "word_lm": small_model,
+         "nmt": small_nmt}[which]
     bindings = {m.size_symbol: size, m.batch: batch}
     est = estimate_footprint(m, bindings, inplace=inplace)
-    want = seed_bounds(m.graph, evaluate_sizes(m.graph, bindings))
+    want = seed_bounds(m.graph, evaluate_sizes(m.graph, bindings),
+                       inplace_aliases(m.graph) if inplace else None)
     assert (est.persistent_bytes, est.lower_bound_bytes) == want
 
 

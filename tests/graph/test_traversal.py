@@ -26,6 +26,50 @@ class PassOp(Op):
         super().__init__(name, inputs, outputs)
 
 
+class PointwiseOp(PassOp):
+    """A kind :func:`repro.graph.inplace_aliases` may run in place."""
+
+    kind = "relu"
+
+
+def random_graph(rng, n_ops):
+    """A random dag of ``n_ops`` ops over 4-256 B tensors.
+
+    Ops read one to three earlier tensors, weights and graph inputs
+    among them (a fresh input may appear mid-graph), and write one or
+    two outputs.  Pointwise ops whose first output matches their first
+    input's size can run in place, so some graphs have alias chains.
+    """
+    g = Graph("random")
+    pool = [g.input("x0", (rng.randint(1, 64),))]
+    if rng.random() < 0.5:
+        pool.append(g.parameter("w0", (rng.randint(1, 64),)))
+    for i in range(n_ops):
+        if rng.random() < 0.15:
+            pool.append(g.input(f"x{i + 1}", (rng.randint(1, 64),)))
+        reads = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+        outs = []
+        for j in range(rng.choice((1, 1, 2))):
+            n = (reads[0].shape[0] if j == 0 and rng.random() < 0.6
+                 else rng.randint(1, 64))
+            outs.append(g.tensor(f"t{i}_{j}", (n,)))
+        kind = PointwiseOp if rng.random() < 0.5 else PassOp
+        g.add_op(kind(f"op{i}", reads, outs))
+        pool.extend(outs)
+    return g
+
+
+def _is_topological(order):
+    """Every op runs after the producers of all its inputs."""
+    done = set()
+    for op in order:
+        if any(t.producer is not None and t.producer not in done
+               for t in op.inputs):
+            return False
+        done.add(op)
+    return True
+
+
 def rewired_cycle_graph():
     """x -> op1 -> t1 -> op2 -> t2, then op1 rewired to read t2 instead
     of x behind ``add_op``'s back (consumer lists kept consistent)."""
@@ -38,6 +82,24 @@ def rewired_cycle_graph():
     op1.inputs = (t2,)
     x.consumers.remove(op1)
     t2.consumers.append(op1)
+    return g
+
+
+def pinned_input_graph():
+    """Input ``x`` (1,000 B) -> P -> ``y`` (500 B); a 4 B input ->
+    Q1 -> Q2 -> Q3 over 300 B tensors; R reads ``y`` and ``q3``.  P
+    reads a pinned input, so running it first frees nothing."""
+    g = Graph("pinned")
+    x = g.input("x", (250,))
+    a = g.input("a", (1,))
+    y = g.tensor("y", (125,))
+    q1, q2, q3 = (g.tensor(f"q{i}", (75,)) for i in (1, 2, 3))
+    r = g.tensor("r", (1,))
+    g.add_op(PassOp("Q1", [a], [q1]))
+    g.add_op(PassOp("Q2", [q1], [q2]))
+    g.add_op(PassOp("Q3", [q2], [q3]))
+    g.add_op(PassOp("P", [x], [y]))
+    g.add_op(PassOp("R", [y, q3], [r]))
     return g
 
 
@@ -150,16 +212,20 @@ class TestMemoryGreedy:
         assert greedy <= program
 
     def test_greedy_is_valid_topological_order(self):
-        g = diamond_graph()
-        sizes = evaluate_sizes(g)
-        order = memory_greedy_order(g, sizes)
-        seen = set()
-        for op in order:
-            for t in op.inputs:
-                if t.producer is not None:
-                    assert t.producer in seen
-            seen.add(op)
-        assert len(order) == len(g.ops)
+        """Also when an op reads two outputs of one producer: C is not
+        ready until B has run too, however much running it frees."""
+        fan_in = Graph("fan_in")
+        x = fan_in.input("x", (1,))
+        t1, t2 = fan_in.tensor("t1", (1,)), fan_in.tensor("t2", (1,))
+        t3 = fan_in.tensor("t3", (100,))
+        fan_in.add_op(PassOp("A", [x], [t1, t2]))
+        fan_in.add_op(PassOp("B", [x], [t3]))
+        fan_in.add_op(PassOp("C", [t1, t2, t3],
+                             [fan_in.tensor("out", (1,))]))
+        for g in (diamond_graph(), fan_in):
+            order = memory_greedy_order(g, evaluate_sizes(g))
+            assert _is_topological(order), g.name
+            assert len(order) == len(g.ops)
 
     def test_greedy_cycle_detected(self):
         g = rewired_cycle_graph()
@@ -210,6 +276,20 @@ class TestMemoryGreedy:
         assert skeleton(model.graph) is sk
         assert sk.greedy is not None
 
+    def test_greedy_prices_pinned_inputs_as_scored(self):
+        """A graph input is pinned for the step, so consuming it frees
+        nothing: the greedy must not run P early for that credit."""
+        from tests.oracles import (_exact_min_peak,
+                                   _memory_greedy_order_reference)
+
+        g = pinned_input_graph()
+        sizes = evaluate_sizes(g)
+        program = liveness_peak(g, topological_order(g), sizes)
+        order = memory_greedy_order(g, sizes)
+        assert program == _exact_min_peak(g, sizes) == 1808
+        assert liveness_peak(g, order, sizes) <= program
+        assert order == _memory_greedy_order_reference(g, sizes)
+
     def test_greedy_matches_reference_on_diamond(self):
         from tests.oracles import _memory_greedy_order_reference
 
@@ -259,3 +339,56 @@ class TestEvaluateSizes:
         u = g.tensor("u", (b, b))
         sizes = evaluate_sizes(g, {b: 3})
         assert sizes[u] == 36 and sizes[t] == 12
+
+
+class TestExactOptimum:
+    """The exact minimum peak over all topological orders (a DP oracle
+    in ``tests/oracles.py``) sits between the lower bound and the
+    estimate the footprint reports."""
+
+    def test_exact_matches_brute_force(self):
+        """On graphs small enough to list every order, the DP finds the
+        best peak :func:`liveness_peak` reads over all of them."""
+        import itertools
+        import random
+
+        from tests.oracles import _exact_min_peak
+        from repro.graph import inplace_aliases
+
+        rng = random.Random(7)
+        for seed in range(150):
+            g = random_graph(rng, rng.randint(1, 5))
+            sizes = evaluate_sizes(g)
+            for aliases in (None, inplace_aliases(g)):
+                best = min(
+                    liveness_peak(g, order, sizes, aliases=aliases)
+                    for order in itertools.permutations(g.ops)
+                    if _is_topological(order))
+                assert _exact_min_peak(g, sizes, aliases) == best, seed
+
+    def test_bound_exact_estimate_order_on_random_graphs(self):
+        """lower bound <= exact <= minimal_bytes on 1,200 random graphs
+        of up to 12 ops, without and with in-place aliasing."""
+        import random
+
+        from tests.oracles import _exact_min_peak
+        from repro.analysis import estimate_footprint
+        from repro.graph import inplace_aliases
+        from repro.models.base import BuiltModel
+
+        rng = random.Random(2019)
+        aliased = 0
+        for seed in range(1200):
+            g = random_graph(rng, rng.randint(1, 12))
+            model = BuiltModel(domain="random", graph=g,
+                               loss=g.ops[-1].outputs[0], batch=b)
+            sizes = evaluate_sizes(g)
+            aliases = inplace_aliases(g)
+            aliased += bool(aliases)
+            for inplace in (False, True):
+                est = estimate_footprint(model, inplace=inplace)
+                exact = _exact_min_peak(g, sizes,
+                                        aliases if inplace else None)
+                assert est.lower_bound_bytes <= exact \
+                    <= est.minimal_bytes, (seed, inplace)
+        assert aliased > 200  # in-place chains are exercised too

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from repro import obs
-from repro.obs.export import chrome_trace, jsonl_events, write_chrome_trace
+from repro.obs.export import chrome_trace, write_chrome_trace
 from repro.obs.metrics import (
     _N_BUCKETS,
     _bucket_index,
@@ -203,22 +203,6 @@ class TestChromeTrace:
         # metadata only (process name + sort index), nothing timed
         assert payload["traceEvents"]
         assert all(e["ph"] == "M" for e in payload["traceEvents"])
-
-
-class TestJsonl:
-    def test_one_valid_object_per_span(self):
-        tracer = Tracer()
-        tracer.enable()
-        span_list = _record_sample(tracer)
-        lines = list(jsonl_events(span_list))
-        assert len(lines) == len(span_list) == 3
-        parsed = [json.loads(line) for line in lines]
-        by_name = {p["name"]: p for p in parsed}
-        assert by_name["inner"]["parent"] == "outer"
-        assert by_name["inner"]["depth"] == 1
-        assert by_name["failing"]["args"]["error"] == "ValueError"
-        assert by_name["outer"]["ts_ns"] == 0
-        assert all(p["dur_ns"] >= 0 for p in parsed)
 
 
 class TestSummaryTables:

