@@ -24,10 +24,22 @@ pipeline from scratch:
   paper's evaluation,
 * :mod:`repro.errors` — the pipeline-wide error taxonomy (stable
   ``E-*`` codes, context chains, CLI exit codes).
+
+Importing ``repro`` loads none of these: each package root re-exports
+lazily, so a run answered from the result store pays only for the code
+it calls (DESIGN.md, "Import layering").
 """
 
 __version__ = "1.0.0"
 
-from . import errors, symbolic  # noqa: F401  (re-exported subpackages)
-
 __all__ = ["symbolic", "errors", "__version__"]
+
+
+def __getattr__(name: str):
+    # the re-exported subpackages load on first use: a process that
+    # only reads the result store never imports numpy or the algebra
+    if name in ("symbolic", "errors"):
+        from importlib import import_module
+
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

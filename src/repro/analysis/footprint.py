@@ -12,7 +12,7 @@ estimate for validation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import List, Mapping, Optional, Tuple
 
 from ..graph import (
     evaluate_sizes,
@@ -26,7 +26,7 @@ from ..models.base import BuiltModel
 from ..obs.tracer import TRACER as _TRACER
 
 __all__ = ["FootprintEstimate", "estimate_footprint",
-           "GREEDY_OP_LIMIT"]
+           "estimate_footprints", "GREEDY_OP_LIMIT"]
 
 #: graphs with more ops than this skip the greedy schedule and report
 #: the program-order bound (:func:`estimate_footprint` decides).  Sweeps pay the greedy pass once per point,
@@ -73,30 +73,43 @@ def estimate_footprint(model: BuiltModel,
     the greedy schedule is the incremental one; tests hold both to
     the seed oracles in ``tests/oracles.py``.
     """
+    return _estimate_footprints(model, bindings, (inplace,))[0]
+
+
+def estimate_footprints(model: BuiltModel,
+                        bindings: Optional[Mapping] = None
+                        ) -> Tuple[FootprintEstimate, FootprintEstimate]:
+    """``estimate_footprint`` without and with ``inplace``, in that
+    order.  The greedy schedule does not depend on in-place aliasing,
+    so the two estimates share one schedule."""
+    plain, inplace = _estimate_footprints(model, bindings, (False, True))
+    return plain, inplace
+
+
+def _estimate_footprints(model, bindings,
+                         inplace_modes) -> List[FootprintEstimate]:
     graph = model.graph
     use_greedy = len(graph.ops) <= GREEDY_OP_LIMIT
     with _TRACER.span("analysis.footprint", "footprint",
                       graph=graph.name, use_greedy=use_greedy):
-        return _estimate_footprint(graph, bindings, use_greedy, inplace)
-
-
-def _estimate_footprint(graph, bindings, use_greedy,
-                        inplace) -> FootprintEstimate:
-    sizes = evaluate_sizes(graph, bindings)
-    aliases = inplace_aliases(graph) if inplace else None
-    program = liveness_peak(graph, topological_order(graph), sizes,
-                            aliases=aliases)
-    if use_greedy:
-        greedy = liveness_peak(graph, memory_greedy_order(graph, sizes),
-                               sizes, aliases=aliases)
-    else:
-        greedy = program
-    persistent, working_set = liveness_bounds(graph, sizes,
-                                              aliases=aliases)
-
-    return FootprintEstimate(
-        program_order_bytes=program,
-        greedy_bytes=greedy,
-        persistent_bytes=persistent,
-        lower_bound_bytes=persistent + working_set,
-    )
+        sizes = evaluate_sizes(graph, bindings)
+        program_order = topological_order(graph)
+        greedy_order = (memory_greedy_order(graph, sizes)
+                        if use_greedy else None)
+        estimates = []
+        for inplace in inplace_modes:
+            aliases = inplace_aliases(graph) if inplace else None
+            program = liveness_peak(graph, program_order, sizes,
+                                    aliases=aliases)
+            greedy = (liveness_peak(graph, greedy_order, sizes,
+                                    aliases=aliases)
+                      if use_greedy else program)
+            persistent, working_set = liveness_bounds(graph, sizes,
+                                                      aliases=aliases)
+            estimates.append(FootprintEstimate(
+                program_order_bytes=program,
+                greedy_bytes=greedy,
+                persistent_bytes=persistent,
+                lower_bound_bytes=persistent + working_set,
+            ))
+        return estimates

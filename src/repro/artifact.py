@@ -163,6 +163,10 @@ def generate_results(out_dir: str,
             atomic_write_bytes(
                 os.path.join(out_dir, _output_name(key, size)), blob)
 
+    if max_workers:
+        # fork-started workers inherit what this process has loaded:
+        # load what artifact_config runs once, before the fork
+        from .reports import describe  # noqa: F401
     engine = ExecutionEngine(max_workers=max_workers, store=store,
                              stop=stop)
     results = engine.run(tasks, on_result=write_output)

@@ -31,70 +31,56 @@ with severity-ranked stable rule codes (``G001 dead-op`` …).  The
 ``repro-lint`` console script (:mod:`repro.check.cli`) drives the
 passes its rule filter selects across every registry model and exits
 nonzero on error-severity findings — the CI gate.
+
+The names below are re-exported lazily: ``import repro.check`` loads
+no pass until one of its names is read.
 """
 
-from .diagnostics import (
-    ERROR,
-    INFO,
-    RULES,
-    WARNING,
-    Diagnostic,
-    Rule,
-    filter_diagnostics,
-)
-from .absint import (
-    BindingDomain,
-    Interval,
-    interval_of_expr,
-    interval_of_tape,
-    monotonicity,
-    probe_monotonicity,
-    sign_of,
-)
-from .autodiff import autodiff_diagnostics
-from .costs import cost_diagnostics
-from .dataflow import DataflowIndex
-from .driver import SOLVER_KEY, lint_graph, lint_model, lint_registry
-from .exec_lint import task_diagnostics
-from .graph_lint import dataflow_diagnostics
-from .intervals import (
-    interval_diagnostics,
-    model_binding_domain,
-    registry_binding_domain,
-)
-from .solver_lint import solver_diagnostics
-from .structure import structural_diagnostics
-from .tape import equivalence_diagnostics, verify_tape
+from importlib import import_module
 
-__all__ = [
-    "Diagnostic",
-    "Rule",
-    "RULES",
-    "ERROR",
-    "WARNING",
-    "INFO",
-    "filter_diagnostics",
-    "DataflowIndex",
-    "lint_graph",
-    "lint_model",
-    "lint_registry",
-    "SOLVER_KEY",
-    "structural_diagnostics",
-    "dataflow_diagnostics",
-    "cost_diagnostics",
-    "autodiff_diagnostics",
-    "verify_tape",
-    "equivalence_diagnostics",
-    "Interval",
-    "BindingDomain",
-    "interval_of_expr",
-    "interval_of_tape",
-    "sign_of",
-    "monotonicity",
-    "probe_monotonicity",
-    "interval_diagnostics",
-    "model_binding_domain",
-    "registry_binding_domain",
-    "solver_diagnostics",
-    "task_diagnostics",
-]
+#: public name -> the submodule that defines it
+_EXPORTS = {
+    "Diagnostic": "diagnostics",
+    "Rule": "diagnostics",
+    "RULES": "diagnostics",
+    "ERROR": "diagnostics",
+    "WARNING": "diagnostics",
+    "INFO": "diagnostics",
+    "filter_diagnostics": "diagnostics",
+    "DataflowIndex": "dataflow",
+    "lint_graph": "driver",
+    "lint_model": "driver",
+    "lint_registry": "driver",
+    "SOLVER_KEY": "driver",
+    "structural_diagnostics": "structure",
+    "dataflow_diagnostics": "graph_lint",
+    "cost_diagnostics": "costs",
+    "autodiff_diagnostics": "autodiff",
+    "verify_tape": "tape",
+    "equivalence_diagnostics": "tape",
+    "Interval": "absint",
+    "BindingDomain": "absint",
+    "interval_of_expr": "absint",
+    "interval_of_tape": "absint",
+    "sign_of": "absint",
+    "monotonicity": "absint",
+    "probe_monotonicity": "absint",
+    "interval_diagnostics": "intervals",
+    "model_binding_domain": "intervals",
+    "registry_binding_domain": "intervals",
+    "solver_diagnostics": "solver_lint",
+    "task_diagnostics": "exec_lint",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # lazy re-exports: the exec engine's pre-dispatch lint loads
+    # diagnostics and exec_lint, not the graph passes or absint
+    if name not in _EXPORTS:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

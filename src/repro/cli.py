@@ -48,7 +48,7 @@ from .artifact import (
 from .exec.engine import ExecutionEngine, Task
 from .exec.signals import GracefulShutdown
 from .exec.tasks import report_exhibit, report_exhibit_key
-from .reports import ALL_REPORTS
+from .reports import EXHIBITS
 
 __all__ = ["main"]
 
@@ -64,7 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "exhibit",
-        choices=sorted(ALL_REPORTS) + ["all", "describe"],
+        choices=sorted(EXHIBITS) + ["all", "describe"],
         help="which paper exhibit to regenerate, or 'describe' for a "
              "Catamount-style per-model analysis",
     )
@@ -119,8 +119,12 @@ def main(argv: Optional[List[str]] = None) -> int:
                 print(describe_domain(args.domain, size=args.size,
                                       subbatch=args.subbatch))
         else:
-            names = (sorted(ALL_REPORTS) if args.exhibit == "all"
+            names = (sorted(EXHIBITS) if args.exhibit == "all"
                      else [args.exhibit])
+            if args.max_workers:
+                # fork-started workers inherit what this process has
+                # loaded: load the generators once, before the fork
+                from .reports import ALL_REPORTS  # noqa: F401
             store = store_from_args(args)
             tasks = [
                 Task(

@@ -200,7 +200,7 @@ class ExecutionEngine:
         races (X002) are caller bugs, not runtime faults, so they raise
         ``ValueError`` here before any task runs.
         """
-        from .. import check
+        from ..check.diagnostics import ERROR
         from ..check.exec_lint import task_diagnostics
 
         seen: Set[str] = set()
@@ -209,7 +209,7 @@ class ExecutionEngine:
                 raise ValueError(f"duplicate task id {task.id!r}")
             seen.add(task.id)
         errors = [d for d in task_diagnostics(tasks)
-                  if d.severity == check.ERROR]
+                  if d.severity == ERROR]
         if errors:
             raise ValueError(
                 "task list failed pre-dispatch lint: "

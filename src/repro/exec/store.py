@@ -7,8 +7,8 @@ value*:
 
 * the source digest (:func:`source_digest`): SHA-256 over every
   ``*.py`` file of the ``repro`` package plus the Python minor version
-  and ``numpy.__version__``, so editing a constant, a cost formula or
-  a graph builder invalidates every key;
+  and numpy's version, so editing a constant, a cost formula or a
+  graph builder invalidates every key;
 * the bindings (domain, size, subbatch, exhibit name, a served
   query's normalized parameters);
 * the package version (:data:`repro.__version__`).
@@ -56,20 +56,48 @@ _MISSING = object()
 _SOURCE_DIGEST: Optional[str] = None
 
 
+def _numpy_version() -> str:
+    """``numpy.__version__``, read from the ``Version:`` line of the
+    ``METADATA`` file that installed numpy beside its package.
+
+    Neither numpy (about 0.1 s) nor ``importlib.metadata`` (about
+    15 ms and 2 MiB, for its e-mail header parser) is imported; a numpy
+    with no ``*.dist-info`` beside it is imported after all.
+    """
+    from importlib.util import find_spec
+
+    spec = find_spec("numpy")
+    if spec is not None and spec.origin:
+        site = os.path.dirname(os.path.dirname(spec.origin))
+        for entry in sorted(os.listdir(site)):
+            if entry.startswith("numpy-") and entry.endswith(".dist-info"):
+                path = os.path.join(site, entry, "METADATA")
+                try:
+                    with open(path, encoding="utf-8") as handle:
+                        for line in handle:
+                            if line.startswith("Version:"):
+                                return line.split(":", 1)[1].strip()
+                except OSError:  # a broken install: ask numpy itself
+                    break
+    import numpy
+
+    return numpy.__version__
+
+
 def source_digest() -> str:
     """SHA-256 of the ``repro`` source tree and its numeric runtime.
 
     Every result the store holds is a pure function of the package's
     code (constants, cost formulas, graph builders) and its key's own
     bindings, so hashing each ``*.py`` file's relative path and bytes,
-    in sorted order, plus the Python minor version and
-    ``numpy.__version__``, covers every input no binding names.
+    in sorted order, plus the Python minor version and numpy's
+    version, covers every input no binding names.  numpy's version is
+    read from its installed metadata (:func:`_numpy_version`), not by
+    importing numpy (about 0.1 s, more than the rest of a store hit).
     Computed once per process (a few ms).
     """
     global _SOURCE_DIGEST
     if _SOURCE_DIGEST is None:
-        import numpy
-
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         files = []
         for dirpath, _, names in os.walk(root):
@@ -80,7 +108,7 @@ def source_digest() -> str:
                     files.append((rel, path))
         digest = hashlib.sha256()
         digest.update(repr((tuple(sys.version_info[:2]),
-                            numpy.__version__)).encode("utf-8"))
+                            _numpy_version())).encode("utf-8"))
         for rel, path in sorted(files):
             with open(path, "rb") as handle:
                 blob = handle.read()

@@ -11,7 +11,9 @@ key builders that make those payloads content-addressable:
 Keys combine the bindings (exhibit name, domain, size, subbatch) with
 the package version and the source digest that
 :func:`repro.exec.store.content_key` folds into every key: no key
-builder constructs or hashes a graph.
+builder constructs or hashes a graph.  The model registry and the
+report generators are imported inside the functions that use them, so
+a run answered from the store never loads them.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, \
     Sequence, Tuple
 
 from ..errors import error_context
-from ..models.registry import DOMAINS, build_symbolic
 from .store import content_key
 
 __all__ = [
@@ -39,6 +40,8 @@ def registry_fingerprint(keys: Optional[Sequence[str]] = None) -> str:
     tree, which :func:`~repro.exec.store.content_key` already folds in
     as the :func:`~repro.exec.store.source_digest`.
     """
+    from ..models.registry import DOMAINS
+
     keys = list(keys) if keys is not None else sorted(DOMAINS)
     return content_key("registry", keys)
 
@@ -53,6 +56,7 @@ def artifact_config(key: str, size: float) -> dict:
     identical no matter which process produced the payload.
     """
     from ..analysis.counters import StepCounts
+    from ..models.registry import DOMAINS, build_symbolic
     from ..reports.common import si
     from ..reports.describe import describe_model
 
@@ -77,6 +81,8 @@ def artifact_config(key: str, size: float) -> dict:
 
 
 def artifact_config_key(key: str, size: float) -> str:
+    from ..models.registry import DOMAINS
+
     return content_key("artifact_config", key, float(size),
                        DOMAINS[key].subbatch)
 
@@ -94,14 +100,14 @@ def artifact_payload_ok(payload: object) -> bool:
 def report_exhibit(name: str):
     """Worker payload: one generated paper exhibit (Table/Figure)."""
     from .. import obs
-    from ..reports import ALL_REPORTS
+    from ..reports import exhibit_function
 
     # one span per table/figure, nested under the engine's task span
     # when running serially (worker-process spans stay in the worker)
     with error_context(exhibit=name):
         with obs.span(f"report.{name}", "report"):
             with obs.span("report.generate", "report", exhibit=name):
-                return ALL_REPORTS[name]()
+                return exhibit_function(name)()
 
 
 def report_exhibit_key(name: str) -> str:

@@ -5,7 +5,7 @@ The paper's longitudinal claims (and its cited follow-ups — Hernandez
 comparisons) need metrics that outlive the process that produced them.
 This module is that memory: each ``repro-report`` /
 ``python -m repro.artifact`` invocation appends one **run record** to
-an append-only JSONL history file:
+a bounded JSONL history file:
 
 * **content-addressed** — the ``run_id`` is the SHA-256 of the
   canonical-JSON record (minus the id itself), so identical runs have
@@ -15,8 +15,11 @@ an append-only JSONL history file:
   which :meth:`RunHistory.load` tolerates;
 * **self-contained** — the record carries the full metrics snapshot
   (histograms keep their log2 buckets, so percentiles remain
-  answerable forever), a span-time rollup by dotted name prefix, the
-  run's config, engine/version keys, and the exit status.
+  answerable), a span-time rollup by dotted name prefix, the run's
+  config, engine/version keys, and the exit status;
+* **bounded** — an append that takes the file past
+  :data:`MAX_RECORDS` drops the oldest records, as the result store's
+  ``max_entries`` evicts its oldest entries.
 
 The history lives under the result-store cache dir by default
 (``$REPRO_CACHE_DIR``-aware) and ``$REPRO_HISTORY`` overrides the file
@@ -43,9 +46,16 @@ __all__ = [
     "history_path",
     "span_rollup",
     "SCHEMA_VERSION",
+    "MAX_RECORDS",
 ]
 
 SCHEMA_VERSION = 1
+
+#: records a history file keeps.  An append past the bound rewrites
+#: the file with the newest ``MAX_RECORDS - MAX_RECORDS // 8`` (the
+#: result store's low-water rule), so a full history is rewritten once
+#: every ``MAX_RECORDS // 8`` runs, not on every run.
+MAX_RECORDS = 512
 
 _APPENDED = _metrics.counter("obs.history.appended")
 _APPEND_FAILED = _metrics.counter("obs.history.append_failed")
@@ -129,7 +139,30 @@ class RunHistory:
             except OSError:  # e.g. history on a pipe in tests
                 pass
         _APPENDED.inc()
+        self._trim()
         return run_id
+
+    def _trim(self) -> None:
+        """Drop the oldest records once the file holds more than
+        :data:`MAX_RECORDS`.  The rewrite is atomic (tmp + rename); a
+        record another process appends between its read and its rename
+        is lost, and a failed rewrite leaves the file long until the
+        next append retries."""
+        from ..errors import ReproIOError
+        from ..ioutil import atomic_write_bytes
+
+        if not os.path.isfile(self.path):  # e.g. /dev/null, a pipe
+            return
+        with open(self.path, "rb") as handle:
+            blob = handle.read()
+        if blob.count(b"\n") <= MAX_RECORDS:
+            return
+        keep = blob.splitlines(keepends=True)[
+            -(MAX_RECORDS - MAX_RECORDS // 8):]
+        try:
+            atomic_write_bytes(self.path, b"".join(keep))
+        except ReproIOError:
+            pass
 
     # -- reading -------------------------------------------------------
     def load(self) -> List[Dict[str, Any]]:

@@ -315,12 +315,19 @@ def choose_subbatch(model: FirstOrderModel, params: float,
             -latency_target, lo, cap,
         )
 
-        grid_cap = int(cap // _GRID) * _GRID
-        chosen = min(int(math.ceil(min_latency / _GRID)) * _GRID,
-                     grid_cap)
+        # the smallest grid subbatch within the target, checked on the
+        # curve: the solve stops near the root, not on it, so a root
+        # within its tolerance of a grid point could round either way
+        grid = int(math.ceil(min_latency / _GRID)) * _GRID
+        if curves.time_per_sample(grid) > latency_target:
+            grid += _GRID
+        elif grid > _GRID and \
+                curves.time_per_sample(grid - _GRID) <= latency_target:
+            grid -= _GRID
+        chosen = min(grid, int(cap // _GRID) * _GRID)
         capped = bool(cap_intensity < accel.effective_ridge_point
                       or curves.time_per_sample(cap) > latency_target
-                      or chosen < min_latency)
+                      or chosen < grid)
         iterations = _BISECT_ITERS.value - iters_before
         _CHOICE_ITERS.observe(iterations)
         span.set(chosen=chosen, capped=capped,

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..analysis.counters import StepCounts
-from ..analysis.footprint import estimate_footprint
+from ..analysis.footprint import estimate_footprint, estimate_footprints
 from ..analysis.sweep import sweep_domain
 from ..hardware.accelerator import (
     USABLE_FRACTION,
@@ -206,8 +206,7 @@ def ablation_scheduler(
         bindings = {model.batch: 8}
         if model.size_symbol is not None:
             bindings[model.size_symbol] = _small_size(key)
-        greedy = estimate_footprint(model, bindings)
-        inplace = estimate_footprint(model, bindings, inplace=True)
+        greedy, inplace = estimate_footprints(model, bindings)
         program = greedy.program_order_bytes
         rows.append([
             entry.display,

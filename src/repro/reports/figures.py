@@ -22,7 +22,7 @@ def fig6() -> Figure:
     """Sketch of a three-region power-law learning curve."""
     curve = LearningCurve(alpha=20.0, beta=-0.35, best_guess=4.0,
                           irreducible=0.08)
-    sizes = np.logspace(0, 12, 72)
+    sizes = np.logspace(0, 12, 72).tolist()
     errors = [curve.error(m) for m in sizes]
     regions = [curve.region(m) for m in sizes]
     notes = []
@@ -36,7 +36,7 @@ def fig6() -> Figure:
         title="Figure 6: Sketch of power-law learning curves",
         x_label="training set size (samples)",
         y_label="generalization error",
-        series=[Series("learning curve", list(sizes), errors)],
+        series=[Series("learning curve", sizes, errors)],
         log_x=True,
         log_y=True,
         notes=notes,

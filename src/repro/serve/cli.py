@@ -39,6 +39,12 @@ from ..artifact import _worker_count, run_cli, store_from_args
 from ..errors import ReproIOError
 from ..exec.signals import GracefulShutdown
 from ..exec.store import default_cache_dir
+# Every exhibit generator, and with them the compute stack the handlers
+# call (sweeps, planners, projections, models): the daemon loads it at
+# start-up, not on its first request, and so does each compute worker,
+# because a forkserver worker imports the daemon's ``__main__`` (this
+# module) when it starts.
+from ..reports import ALL_REPORTS  # noqa: F401
 from .chaos import ChaosController, ChaosPlan
 from .server import ReproServer, ServeConfig
 

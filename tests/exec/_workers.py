@@ -86,3 +86,11 @@ def count_calls_then_bind_error(counter_path):
     with open(counter_path, "w") as handle:
         handle.write(str(calls + 1))
     raise BindingError("injected deterministic failure")
+
+
+def loaded_modules():
+    """The ``repro`` modules this process has imported."""
+    import sys
+
+    return sorted(name for name in sys.modules
+                  if name.split(".")[0] == "repro")

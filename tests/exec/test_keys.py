@@ -54,6 +54,21 @@ class TestSourceDigest:
         int(digest, 16)
         assert source_digest() is digest
 
+    def test_reads_numpy_version_without_importing_numpy(self):
+        import numpy
+
+        from repro.exec.store import _numpy_version
+
+        assert _numpy_version() == numpy.__version__
+
+    def test_numpy_version_is_keyed(self, monkeypatch):
+        from repro.exec import store
+
+        digest = source_digest()
+        monkeypatch.setattr(store, "_SOURCE_DIGEST", None)
+        monkeypatch.setattr(store, "_numpy_version", lambda: "0.0.other")
+        assert store.source_digest() != digest
+
     def test_constant_edit_changes_every_key(self, tmp_path):
         """x1.5 on char_lm's current SOTA (a Table 1 input) must change
         Table 1's key; an unedited copy keys like the source tree."""

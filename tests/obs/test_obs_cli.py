@@ -213,3 +213,36 @@ class TestExport:
                      "--out", out_path) == 0
         with open(out_path) as handle:
             assert handle.read().endswith("# EOF\n")
+
+
+class TestBoundedHistory:
+    def test_appends_past_the_cap_keep_the_newest_runs(
+            self, history, tmp_path, capsys):
+        from repro.obs.history import MAX_RECORDS
+
+        ids = [history.append(_record(completed=n))
+               for n in range(MAX_RECORDS + 5)]
+        with open(history.path, "rb") as handle:
+            kept = handle.read().count(b"\n")
+        # the oldest went first, down to the low-water mark, and a
+        # trimmed file stays valid JSONL
+        assert MAX_RECORDS - MAX_RECORDS // 8 <= kept <= MAX_RECORDS
+        assert [r["run_id"] for r in history.load()] == ids[-kept:]
+        assert history.get(ids[0]) is None
+
+        assert _main(history, "list", "--limit", "3") == 0
+        out = capsys.readouterr().out
+        assert all(rid[:12] in out for rid in ids[-3:])
+        floors = tmp_path / "floors.json"
+        floors.write_text(json.dumps(
+            {"metrics_min": {"exec.tasks.completed": MAX_RECORDS + 4}}))
+        assert _main(history, "check", "latest",
+                     "--floors", str(floors)) == 0
+        assert "passed 1 check(s)" in capsys.readouterr().out
+
+    def test_a_history_that_is_not_a_file_is_never_read_back(self):
+        # reading a device or a pipe back could block; only the append
+        # happens
+        import os
+
+        assert len(RunHistory(os.devnull).append(_record(completed=1))) == 64

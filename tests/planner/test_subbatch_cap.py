@@ -94,3 +94,22 @@ def test_default_cap_never_binds_at_the_projected_targets():
         choice = choose_subbatch(_models(key)[0],
                                  projection.target_params, V100_LIKE)
         assert not choice.capped, key
+
+
+@pytest.mark.parametrize("cap", [713.0, 714.0, SOLVE_BRACKET[1]])
+def test_root_at_a_grid_point_rounds_by_the_curve(cap):
+    """nmt's fitted model at p = 10^6.8095... has its min-latency root
+    within the solver's tolerance of b = 192: the solve lands at
+    191.994, 192.001 or 191.999 as the cap moves, and rounding the
+    solve itself chose 192 (outside the tolerance) or 224.  The grid
+    point is read off the curve, so every cap gives the same answer."""
+    model = _models("nmt")[1]
+    params = 10.0 ** 6.8095389884822275
+    tolerance = 0.24065179172236406
+    choice = choose_subbatch(model, params, V100_LIKE,
+                             tolerance=tolerance, max_subbatch=cap)
+    assert abs(choice.min_latency - 192.0) < 0.01
+    assert choice.chosen == 224 and not choice.capped
+    limit = choice.asymptotic_time_per_sample
+    assert _time_per_sample(model, params, 224) <= (1.0 + tolerance) * limit
+    assert _time_per_sample(model, params, 192) > (1.0 + tolerance) * limit

@@ -80,6 +80,16 @@ class TestAblationScheduler:
         assert inplace <= greedy <= 100.0
         assert lower <= 100.0
 
+    def test_one_greedy_schedule_per_domain(self):
+        """The greedy order ignores in-place aliasing, so the plain and
+        in-place estimates of a domain share one schedule."""
+        from repro import obs
+
+        schedules = obs.counter("graph.greedy.schedules")
+        before = schedules.value
+        ablation_scheduler()
+        assert schedules.value - before == 3
+
 
 class TestDescribe:
     def test_domain_report_contents(self):

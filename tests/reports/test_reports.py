@@ -131,6 +131,14 @@ class TestTable4:
 
 
 class TestFigures:
+    def test_fig6_payload_holds_no_numpy_scalars(self):
+        """A stored fig6 unpickles without importing numpy."""
+        import pickle
+
+        series = fig6().series[0]
+        assert {type(v) for v in series.x + series.y} == {float}
+        assert b"numpy" not in pickle.dumps(fig6())
+
     def test_fig6_three_regions(self):
         f = fig6()
         notes = " ".join(f.notes)
